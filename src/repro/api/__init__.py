@@ -42,8 +42,6 @@ The moving parts:
 
 ``python -m repro info --json`` emits :func:`registry_as_json`, and
 ``python -m repro maxis/matching`` are thin views over this registry.
-The legacy entry points (``repro.core.maxis_local_ratio_layers`` and
-friends) remain supported; prefer this facade in new code.
 """
 
 from .anytime import COMPLETE, STATUSES, TRUNCATED, Checkpoint

@@ -1,12 +1,15 @@
 """Registry entries for every solver the library ships.
 
-Each ``@algorithm`` block below wraps one legacy entry point from
-:mod:`repro.core`, :mod:`repro.mis` or :mod:`repro.matching` behind
-the uniform ``run(instance, **options) -> SolveReport`` signature.
-The wrappers are deliberately thin — same seeds, same defaults, same
-simulator construction as the historical call sites — so a facade run
-reproduces the legacy entry point bit-for-bit (the parity test suite
-``tests/api/test_facade_parity.py`` pins this).
+Each ``@algorithm`` block below is the one runner of one registry
+entry (see :mod:`repro.api.registry` for the contract).  The paper's
+phase programs register an ``_iter_*`` generator that drives the core
+phase generator from :mod:`repro.core` into checkpoints; the remaining
+entries register a plain ``_run_*`` function over :mod:`repro.core`,
+:mod:`repro.mis` or :mod:`repro.matching`, which the decorator lifts
+into a coarse begin/end runner.  The runners are deliberately thin —
+same seeds, same defaults, same simulator construction as the core
+call sites — and ``tests/api/test_facade_parity.py`` pins their
+fixed-seed outputs.
 
 ``**options`` carries the algorithm-specific knobs that are not
 instance data (an audit recorder, a layer trace, the NMIS ``k``, …);
@@ -20,27 +23,18 @@ from typing import Optional
 
 from ..congest import RoundLedger
 from ..core import (
-    bipartite_matching_1eps,
     bipartite_matching_1eps_phases,
-    bipartite_proposal_matching,
     bipartite_proposal_phases,
-    congest_matching_1eps,
     congest_matching_1eps_stages,
     fast_matching_2eps,
     fast_matching_weighted_2eps,
-    general_proposal_matching,
     general_proposal_phases,
-    greedy_mis,
     greedy_mis_phases,
     improved_nearly_maximal_is,
-    local_matching_1eps,
     local_matching_1eps_phases,
     matching_lines_phases,
-    matching_local_ratio,
     maxis_coloring_phases,
     maxis_layers_phases,
-    maxis_local_ratio_coloring,
-    maxis_local_ratio_layers,
     nearly_maximal_hypergraph_matching,
     nearly_maximal_matching,
     weight_group_matching,
@@ -163,18 +157,23 @@ def _drive_simulator_phases(phases, network, phase_label: str,
         index += 1
 
 
+@algorithm(name="maxis-layers", problem="maxis", cli="layers",
+           paper="Algorithm 2 (Thm 2.3)",
+           guarantee="Δ-approx MWIS, O(MIS·log W) rounds",
+           bound=lambda inst: float(max(1, inst.max_degree)),
+           weighted=True, tags=("paper",), array_kernel=True)
 def _iter_maxis_layers(instance: Instance, trace=None, resume_state=None):
     """Anytime Algorithm 2: one checkpoint per selection phase.
 
     ``instance.max_rounds``, when set, *replaces* the Theorem 2.3
-    paper budget (same as the legacy runner: an explicit budget wins
-    in both directions), and the run stops cooperatively at that cap —
-    a truncated run never simulates a round past the budget.  The
-    partial independent set is valid at every phase boundary (stack
-    discipline), so every checkpoint is adoptable.  On budgeted runs
-    the final checkpoint captures the full simulator state
-    (``resume_state``), and ``resume_state=`` warm-starts the protocol
-    from such a capture with accounting continued.
+    paper budget (an explicit budget wins in both directions), and the
+    run stops cooperatively at that cap — a truncated run never
+    simulates a round past the budget.  The partial independent set is
+    valid at every phase boundary (stack discipline), so every
+    checkpoint is adoptable.  On budgeted runs the final checkpoint
+    captures the full simulator state (``resume_state``), and
+    ``resume_state=`` warm-starts the protocol from such a capture
+    with accounting continued.
     """
 
     network = instance.network()
@@ -199,23 +198,12 @@ def _iter_maxis_layers(instance: Instance, trace=None, resume_state=None):
                    trace=trace)
 
 
-@algorithm(name="maxis-layers", problem="maxis", cli="layers",
-           paper="Algorithm 2 (Thm 2.3)",
-           guarantee="Δ-approx MWIS, O(MIS·log W) rounds",
+@algorithm(name="maxis-coloring", problem="maxis", cli="coloring",
+           paper="Algorithm 3",
+           guarantee="Δ-approx MWIS, O(Δ + log* n), deterministic",
            bound=lambda inst: float(max(1, inst.max_degree)),
-           weighted=True, tags=("paper",), run_iter=_iter_maxis_layers,
+           weighted=True, deterministic=True, tags=("paper",),
            array_kernel=True)
-def _run_maxis_layers(instance: Instance, trace=None) -> SolveReport:
-    network = instance.network()
-    result = maxis_local_ratio_layers(
-        instance.graph, seed=instance.seed, network=network,
-        max_rounds=instance.max_rounds, trace=trace,
-    )
-    return _report(instance, result.independent_set,
-                   result.weight, result.rounds, metrics=network.metrics,
-                   trace=trace)
-
-
 def _iter_maxis_coloring(instance: Instance, coloring=None,
                          resume_state=None):
     """Anytime Algorithm 3: one checkpoint per local-ratio sweep.
@@ -252,27 +240,12 @@ def _iter_maxis_coloring(instance: Instance, coloring=None,
                    coloring=result.coloring)
 
 
-@algorithm(name="maxis-coloring", problem="maxis", cli="coloring",
-           paper="Algorithm 3",
-           guarantee="Δ-approx MWIS, O(Δ + log* n), deterministic",
+@algorithm(name="maxis-greedy", problem="maxis", cli="greedy",
+           paper="folklore",
+           guarantee="Δ-approx MWIS, deterministic parallel peeling",
            bound=lambda inst: float(max(1, inst.max_degree)),
-           weighted=True, deterministic=True, tags=("paper",),
-           run_iter=_iter_maxis_coloring, array_kernel=True)
-def _run_maxis_coloring(instance: Instance, coloring=None) -> SolveReport:
-    network = instance.network()
-    result = maxis_local_ratio_coloring(
-        instance.graph, network=network, coloring=coloring,
-        max_rounds=instance.max_rounds,
-    )
-    return _report(instance, result.independent_set,
-                   result.weight, result.accounted_rounds,
-                   metrics=network.metrics,
-                   local_ratio_rounds=result.local_ratio_rounds,
-                   accounted_rounds=result.accounted_rounds,
-                   measured_rounds=result.measured_rounds,
-                   coloring=result.coloring)
-
-
+           weighted=True, deterministic=True,
+           models=(CONGEST, LOCAL, MPC), tags=("baseline",))
 def _iter_greedy_mis(instance: Instance, resume_state=None,
                      capacity_factor: float = 8.0,
                      sparsify: bool = True):
@@ -313,27 +286,6 @@ def _iter_greedy_mis(instance: Instance, resume_state=None,
                    result.rounds, ledger=result.ledger)
 
 
-@algorithm(name="maxis-greedy", problem="maxis", cli="greedy",
-           paper="folklore",
-           guarantee="Δ-approx MWIS, deterministic parallel peeling",
-           bound=lambda inst: float(max(1, inst.max_degree)),
-           weighted=True, deterministic=True,
-           models=(CONGEST, LOCAL, MPC), tags=("baseline",),
-           run_iter=_iter_greedy_mis)
-def _run_greedy_mis(instance: Instance, capacity_factor: float = 8.0,
-                    sparsify: bool = True) -> SolveReport:
-    if instance.model == MPC:
-        network = _mpc_network(instance, capacity_factor, sparsify)
-        chosen, weight, rounds, _ = mpc_greedy_mis(
-            instance.graph, network=network,
-        )
-        return _report(instance, chosen, weight, rounds,
-                       mpc=network.summary())
-    result = greedy_mis(instance.graph)
-    return _report(instance, result.independent_set, result.weight,
-                   result.rounds, ledger=result.ledger)
-
-
 @algorithm(name="mis-luby", problem="mis",
            paper="Luby 1986",
            guarantee="maximal independent set, O(log n) rounds w.h.p.",
@@ -349,6 +301,10 @@ def _run_mis_luby(instance: Instance) -> SolveReport:
 # ----------------------------------------------------------------------
 # 2-approximate weighted matchings (Theorem 2.10 / footnote 5)
 # ----------------------------------------------------------------------
+@algorithm(name="matching-lines", problem="matching", cli="lines",
+           paper="Theorem 2.10",
+           guarantee="2-approx MWM via MaxIS on L(G)",
+           bound=lambda inst: 2.0, weighted=True, tags=("paper",))
 def _iter_matching_lines(instance: Instance, method: str = "layers",
                          audit=None, resume_state=None):
     """Anytime Theorem 2.10: one checkpoint per MaxIS selection phase
@@ -372,21 +328,6 @@ def _iter_matching_lines(instance: Instance, method: str = "layers",
         rounds, matching, weight, _final, _state = last
         return _report(instance, matching, weight, rounds,
                        status=TRUNCATED, audit=audit, method=method)
-    return _report(instance, result.matching,
-                   result.weight, result.rounds, audit=result.audit,
-                   method=method)
-
-
-@algorithm(name="matching-lines", problem="matching", cli="lines",
-           paper="Theorem 2.10",
-           guarantee="2-approx MWM via MaxIS on L(G)",
-           bound=lambda inst: 2.0, weighted=True, tags=("paper",),
-           run_iter=_iter_matching_lines)
-def _run_matching_lines(instance: Instance, method: str = "layers",
-                        audit=None) -> SolveReport:
-    result = matching_local_ratio(instance.graph, method=method,
-                                  seed=instance.seed, audit=audit,
-                                  max_rounds=instance.max_rounds)
     return _report(instance, result.matching,
                    result.weight, result.rounds, audit=result.audit,
                    method=method)
@@ -466,6 +407,11 @@ def _checkpoint_matching_phases(phases, label: str):
         index += 1
 
 
+@algorithm(name="matching-oneeps", problem="matching", cli="oneeps",
+           paper="Theorem B.4",
+           guarantee="(1+ε)-approx MCM, LOCAL model",
+           bound=lambda inst: 1.0 + inst.eps, uses_eps=True,
+           models=(LOCAL,), tags=("paper",))
 def _iter_oneeps_local(instance: Instance, k: float = 2.0,
                        failure_delta=None, path_cap: int = 200_000,
                        initial_matching=None, resume_state=None):
@@ -491,25 +437,11 @@ def _iter_oneeps_local(instance: Instance, k: float = 2.0,
                    truncated_phases=result.truncated_phases)
 
 
-@algorithm(name="matching-oneeps", problem="matching", cli="oneeps",
-           paper="Theorem B.4",
-           guarantee="(1+ε)-approx MCM, LOCAL model",
+@algorithm(name="matching-oneeps-congest", problem="matching",
+           cli="oneeps-congest", paper="Theorem B.12",
+           guarantee="(1+ε)-approx MCM, CONGEST model",
            bound=lambda inst: 1.0 + inst.eps, uses_eps=True,
-           models=(LOCAL,), tags=("paper",), run_iter=_iter_oneeps_local)
-def _run_oneeps_local(instance: Instance, k: float = 2.0,
-                      failure_delta=None, path_cap: int = 200_000,
-                      initial_matching=None) -> SolveReport:
-    result = local_matching_1eps(
-        instance.graph, eps=instance.eps, seed=instance.seed, k=k,
-        failure_delta=failure_delta, path_cap=path_cap,
-        initial_matching=initial_matching,
-    )
-    return _report(instance, result.matching,
-                   result.cardinality, result.rounds, ledger=result.ledger,
-                   deactivated=result.deactivated,
-                   truncated_phases=result.truncated_phases)
-
-
+           models=(CONGEST,), tags=("paper",))
 def _iter_oneeps_congest(instance: Instance, k: float = 2.0,
                          failure_delta=None, stages=None,
                          max_iterations=None, resume_state=None,
@@ -537,26 +469,11 @@ def _iter_oneeps_congest(instance: Instance, k: float = 2.0,
                    deactivated=result.deactivated, stages=result.stages)
 
 
-@algorithm(name="matching-oneeps-congest", problem="matching",
-           cli="oneeps-congest", paper="Theorem B.12",
-           guarantee="(1+ε)-approx MCM, CONGEST model",
+@algorithm(name="matching-oneeps-bipartite", problem="matching",
+           paper="Appendix B.3",
+           guarantee="(1+ε)-approx MCM on bipartite instances",
            bound=lambda inst: 1.0 + inst.eps, uses_eps=True,
-           models=(CONGEST,), tags=("paper",),
-           run_iter=_iter_oneeps_congest)
-def _run_oneeps_congest(instance: Instance, k: float = 2.0,
-                        failure_delta=None, stages=None,
-                        max_iterations=None,
-                        notify_wave: bool = False) -> SolveReport:
-    result = congest_matching_1eps(
-        instance.graph, eps=instance.eps, seed=instance.seed, k=k,
-        failure_delta=failure_delta, stages=stages,
-        max_iterations=max_iterations, notify_wave=notify_wave,
-    )
-    return _report(instance, result.matching,
-                   result.cardinality, result.rounds, ledger=result.ledger,
-                   deactivated=result.deactivated, stages=result.stages)
-
-
+           requires_bipartite=True, tags=("paper",))
 def _iter_oneeps_bipartite(instance: Instance, k: float = 2.0,
                            failure_delta=None, initial_matching=None,
                            max_iterations=None, resume_state=None):
@@ -584,31 +501,15 @@ def _iter_oneeps_bipartite(instance: Instance, k: float = 2.0,
                    deactivated=deactivated)
 
 
-@algorithm(name="matching-oneeps-bipartite", problem="matching",
-           paper="Appendix B.3",
-           guarantee="(1+ε)-approx MCM on bipartite instances",
-           bound=lambda inst: 1.0 + inst.eps, uses_eps=True,
-           requires_bipartite=True, tags=("paper",),
-           run_iter=_iter_oneeps_bipartite)
-def _run_oneeps_bipartite(instance: Instance, k: float = 2.0,
-                          failure_delta=None, initial_matching=None,
-                          max_iterations=None) -> SolveReport:
-    left, right = bipartite_sides(instance.graph)
-    ledger = RoundLedger()
-    matching, deactivated = bipartite_matching_1eps(
-        instance.graph, left, right, eps=instance.eps, seed=instance.seed,
-        k=k, failure_delta=failure_delta,
-        initial_matching=initial_matching, ledger=ledger,
-        max_iterations=max_iterations,
-    )
-    return _report(instance, matching,
-                   len(matching), ledger.total, ledger=ledger,
-                   deactivated=deactivated)
-
-
 # ----------------------------------------------------------------------
 # Proposal matchings (Appendix B.4)
 # ----------------------------------------------------------------------
+@algorithm(name="matching-proposal", problem="matching", cli="proposal",
+           paper="Lemma B.14",
+           guarantee="(2+ε)-approx MCM, proposal-based",
+           bound=lambda inst: 2.0 + inst.eps, uses_eps=True,
+           models=(CONGEST, LOCAL, MPC), tags=("paper",),
+           array_kernel=True)
 def _iter_proposal(instance: Instance, k=None, repetitions=None,
                    resume_state=None, capacity_factor: float = 8.0,
                    sparsify: bool = True):
@@ -660,33 +561,11 @@ def _iter_proposal(instance: Instance, k=None, repetitions=None,
                    rounds, ledger=ledger, **extras)
 
 
-@algorithm(name="matching-proposal", problem="matching", cli="proposal",
-           paper="Lemma B.14",
-           guarantee="(2+ε)-approx MCM, proposal-based",
+@algorithm(name="matching-proposal-bipartite", problem="matching",
+           paper="Lemma B.13",
+           guarantee="(2+ε)-approx MCM on bipartite instances",
            bound=lambda inst: 2.0 + inst.eps, uses_eps=True,
-           models=(CONGEST, LOCAL, MPC), tags=("paper",),
-           run_iter=_iter_proposal, array_kernel=True)
-def _run_proposal(instance: Instance, k=None, repetitions=None,
-                  capacity_factor: float = 8.0, sparsify: bool = True
-                  ) -> SolveReport:
-    if instance.model == MPC:
-        from ..mpc import mpc_general_proposal_matching
-
-        network = _mpc_network(instance, capacity_factor, sparsify)
-        matching, rounds, ledger = mpc_general_proposal_matching(
-            instance.graph, eps=instance.eps, k=k, seed=instance.seed,
-            repetitions=repetitions, network=network,
-        )
-        return _report(instance, matching, len(matching),
-                       rounds, ledger=ledger, mpc=network.summary())
-    matching, rounds, ledger = general_proposal_matching(
-        instance.graph, eps=instance.eps, k=k, seed=instance.seed,
-        repetitions=repetitions, backend=instance.backend,
-    )
-    return _report(instance, matching, len(matching),
-                   rounds, ledger=ledger)
-
-
+           requires_bipartite=True, tags=("paper",), array_kernel=True)
 def _iter_proposal_bipartite(instance: Instance, k=None, phases=None,
                              resume_state=None):
     """Anytime Lemma B.13: one checkpoint per propose/respond phase
@@ -714,26 +593,6 @@ def _iter_proposal_bipartite(instance: Instance, k=None, phases=None,
         return _report(instance, matching, len(matching), rounds,
                        metrics=network.metrics, status=TRUNCATED,
                        unlucky=set(unlucky))
-    return _report(instance, result.matching,
-                   len(result.matching), result.rounds,
-                   metrics=network.metrics, unlucky=result.unlucky,
-                   phases=result.phases)
-
-
-@algorithm(name="matching-proposal-bipartite", problem="matching",
-           paper="Lemma B.13",
-           guarantee="(2+ε)-approx MCM on bipartite instances",
-           bound=lambda inst: 2.0 + inst.eps, uses_eps=True,
-           requires_bipartite=True, tags=("paper",),
-           run_iter=_iter_proposal_bipartite, array_kernel=True)
-def _run_proposal_bipartite(instance: Instance, k=None, phases=None
-                            ) -> SolveReport:
-    left, right = bipartite_sides(instance.graph)
-    network = instance.network()
-    result = bipartite_proposal_matching(
-        instance.graph, left, right, eps=instance.eps, k=k,
-        seed=instance.seed, network=network, phases=phases,
-    )
     return _report(instance, result.matching,
                    len(result.matching), result.rounds,
                    metrics=network.metrics, unlucky=result.unlucky,

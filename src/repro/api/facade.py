@@ -13,8 +13,9 @@ is admissible iff its cumulative ``rounds`` fit the budget; the driver
 adopts the *last admissible valid* checkpoint.  Phase-structured
 algorithms stop cooperatively — they never launch a phase (or simulate
 a round, for simulator-backed ones) past the budget — so a truncated
-run costs nothing extra.  Algorithms on the coarse begin/end adapter
-cannot stop mid-run; their budget is enforced on the emitted
+run costs nothing extra.  Coarse algorithms (a plain runner lifted
+into a begin/end pair, see :mod:`repro.api.registry`) cannot stop
+mid-run; their budget is enforced on the emitted
 checkpoints instead (the full run executes, then the report is
 truncated to what the budget admitted).  Either way a budget-exhausted
 ``solve`` returns ``status="truncated"`` with a certified partial
@@ -44,35 +45,6 @@ from .serialize import from_jsonable, to_jsonable
 #: Version stamp of the resume payload layout; bumped on breaking
 #: changes so a stale persisted checkpoint fails loudly.
 RESUME_VERSION = 1
-
-
-def _coarse_phases(spec: AlgorithmSpec, instance: Instance, **options):
-    """Begin/end checkpoint adapter for algorithms without ``run_iter``.
-
-    The legacy runner executes on a budget-stripped instance (a coarse
-    algorithm cannot stop mid-run, and several legacy entry points
-    treat ``max_rounds`` as a hard simulator cap that *raises* on
-    overrun); the driver then enforces the budget on the two emitted
-    checkpoints, so an over-budget run truncates to the empty initial
-    state instead of raising.
-    """
-
-    yield Checkpoint(phase="begin", solution=frozenset(), objective=0,
-                     rounds=0)
-    stripped = (instance if instance.max_rounds is None
-                else replace(instance, max_rounds=None))
-    report = spec.run(stripped, **options)
-    report.instance = instance
-    yield Checkpoint(
-        phase="end",
-        solution=report.solution,
-        objective=report.objective,
-        rounds=report.rounds,
-        bits=report.metrics.bits if report.metrics is not None else 0,
-        final=True,
-        extras=dict(report.extras),
-    )
-    return report
 
 
 def _truncated_report(instance: Instance,
@@ -143,9 +115,9 @@ def solve_iter(
 
     Every registered algorithm is iterable: phase-structured ones
     (``maxis-layers``, the (1+ε) matchers) emit real per-phase
-    checkpoints, the rest a coarse begin/end pair.  Fixed-seed results
-    are bit-for-bit identical to the legacy entry points whenever the
-    run completes.
+    checkpoints, the rest a coarse begin/end pair.  A fixed-seed run
+    that completes is bit-for-bit identical to draining the
+    algorithm's phase generator in :mod:`repro.core` directly.
 
     Lookup and model resolution happen eagerly — an unknown algorithm
     or unsupported model raises here, at the call site, not at the
@@ -183,14 +155,11 @@ def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
     how coarse algorithms stay (trivially) resumable.
     """
 
-    if spec.run_iter is not None:
-        if resume_state is not None:
-            phases = spec.run_iter(instance, resume_state=resume_state,
-                                   **options)
-        else:
-            phases = spec.run_iter(instance, **options)
+    if resume_state is not None:
+        phases = spec.run_iter(instance, resume_state=resume_state,
+                               **options)
     else:
-        phases = _coarse_phases(spec, instance, **options)
+        phases = spec.run_iter(instance, **options)
     budget = instance.max_rounds
     fingerprint: Optional[str] = None
     best: Optional[Checkpoint] = None
@@ -265,9 +234,9 @@ def solve(
 
     ``solve`` is a thin driver over :func:`solve_iter`: it drains the
     checkpoint stream and returns the final report.  With no budget
-    set, the run executes with exactly the legacy entry point's
-    defaults and seed handling, so fixed-seed results are bit-for-bit
-    identical to calling :mod:`repro.core` directly; with
+    set, the run executes with the core implementation's defaults and
+    seed handling, so fixed-seed results are bit-for-bit identical to
+    calling :mod:`repro.core` directly; with
     ``Instance.max_rounds`` set, an exhausted budget yields
     ``status="truncated"`` and the best valid partial solution instead
     of raising.  The report's solution is validated (certified) before
@@ -392,11 +361,6 @@ def resume_iter(
         # checkpoint): nothing was executed yet, so a warm start is a
         # deterministic fresh run under the new budget.
         return _solve_stream(spec, instance, model, **options)
-    if spec.run_iter is None:
-        raise NotResumable(
-            f"algorithm {spec.name!r} has no phase runner: only its "
-            "fresh begin state can seed a re-run"
-        )
     return _solve_stream(spec, instance, model, resume_state=state,
                          **options)
 

@@ -7,14 +7,30 @@ and registered here at import time (see :mod:`repro.api.algorithms`).
 The CLI, the experiment adapters and the examples all dispatch through
 this table, so adding an algorithm to the library is one
 ``@algorithm(...)`` entry, not new plumbing in every consumer.
+
+Every entry has exactly one runner, ``AlgorithmSpec.run_iter``: a
+generator ``run_iter(instance, **options)`` that yields
+:class:`~repro.api.Checkpoint` objects and returns the final
+:class:`~repro.api.SolveReport`.  ``@algorithm`` accepts either form
+of runner and decides the capability from it:
+
+* a **generator function** is a *phased* runner and is registered
+  as is (``anytime == "phases"``);
+* a **plain function** ``run(instance, **options) -> SolveReport`` is
+  *coarse*: the decorator lifts it into a begin/end generator that
+  runs it once on a budget-stripped instance (``anytime ==
+  "coarse"``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import inspect
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import InvalidInstance, ReproError
+from .anytime import Checkpoint
 from .instance import CONGEST, LOCAL, Instance
 
 
@@ -39,34 +55,31 @@ class AlgorithmSpec:
     when it needs a bipartite instance).  ``bound`` maps an
     :class:`~repro.api.instance.Instance` to the numeric approximation
     factor guaranteed on it (e.g. ``lambda inst: 2 + inst.eps``), or is
-    ``None`` for heuristics.  ``run`` is the uniform entry point
-    ``run(instance, **options) -> SolveReport``.
+    ``None`` for heuristics.
 
-    ``run_iter``, when set, is the algorithm's *anytime* runner: a
-    generator ``run_iter(instance, **options)`` yielding
+    ``run_iter`` is the algorithm's one runner: a generator
+    ``run_iter(instance, **options)`` yielding
     :class:`~repro.api.Checkpoint` objects at the algorithm's phase
     boundaries and returning the final report (or ``None`` when a
-    round budget interrupted it cooperatively).  Algorithms without
-    one ride the coarse begin/end adapter in :mod:`repro.api.facade`,
-    so every registry entry is interruptible either way.
+    round budget interrupted it cooperatively), so every registry
+    entry is interruptible.
 
     ``run_iter`` also defines the algorithm's *resume* capability: a
-    phase-structured runner must accept ``resume_state=`` and continue
-    a truncated run bit-for-bit from a captured checkpoint (the
+    phased runner must accept ``resume_state=`` and continue a
+    truncated run bit-for-bit from a captured checkpoint (the
     registry-wide contract test in ``tests/api/test_resume.py`` fails
-    any ``run_iter`` entry whose resume path does not reproduce the
-    uncut run) — :attr:`anytime` reports ``"phases"`` for these.
-    Coarse entries report ``"coarse"``: they are still resumable via
-    :func:`repro.api.resume`, but only from the fresh begin state
-    (a warm start is a deterministic re-run from scratch).
+    any phased entry whose resume path does not reproduce the uncut
+    run) — :attr:`anytime` reports ``"phases"`` for these.  Runners
+    lifted from a plain function report ``"coarse"``: they are still
+    resumable via :func:`repro.api.resume`, but only from the fresh
+    begin state (a warm start is a deterministic re-run from scratch).
     """
 
     name: str
     problem: str                       # "maxis" | "matching" | "mis"
     paper: str                         # paper anchor, e.g. "Theorem 3.2"
     guarantee: str                     # human-readable guarantee
-    run: Callable
-    run_iter: Optional[Callable] = None
+    run_iter: Callable
     cli: Optional[str] = None
     bound: Optional[Callable[[Instance], float]] = None
     weighted: bool = False             # objective is a weight, not a count
@@ -92,10 +105,11 @@ class AlgorithmSpec:
     @property
     def anytime(self) -> str:
         """``"phases"`` for real per-phase checkpointing (and per-phase
-        resume), ``"coarse"`` for the begin/end adapter (interruptible,
-        restart-only resume)."""
+        resume), ``"coarse"`` for a runner lifted from a plain function
+        (interruptible, restart-only resume)."""
 
-        return "phases" if self.run_iter is not None else "coarse"
+        written = inspect.unwrap(self.run_iter)
+        return "phases" if inspect.isgeneratorfunction(written) else "coarse"
 
     def resolve_model(self, instance: Instance) -> str:
         """The model this run executes in (instance override or native)."""
@@ -128,7 +142,8 @@ class AlgorithmSpec:
             # without an array kernel fall back to "object" silently.
             "backends": list(self.backends),
             # anytime capability: "phases" = real per-phase checkpoints,
-            # "coarse" = begin/end adapter (still interruptible).
+            # "coarse" = lifted plain runner, begin/end only (still
+            # interruptible).
             "anytime": self.anytime,
             # resume capability mirrors it: "phases" = warm-start from
             # any captured checkpoint (bit-for-bit continuation),
@@ -149,11 +164,51 @@ def register_algorithm(spec: AlgorithmSpec) -> AlgorithmSpec:
     return spec
 
 
+def _coarse_runner(run: Callable) -> Callable:
+    """Lift a plain ``run(instance, **options) -> SolveReport`` into a
+    begin/end checkpoint generator.
+
+    The plain function executes on a budget-stripped instance (a
+    coarse algorithm cannot stop mid-run); the facade then enforces the
+    budget on the two emitted checkpoints, so an over-budget run
+    truncates to the empty initial state instead of raising.  The only
+    state such a stream exposes is the fresh begin marker, so a
+    ``resume_state`` has nothing to continue and the run starts over.
+    """
+
+    @functools.wraps(run)
+    def phases(instance: Instance, resume_state=None, **options):
+        yield Checkpoint(phase="begin", solution=frozenset(), objective=0,
+                         rounds=0)
+        stripped = (instance if instance.max_rounds is None
+                    else replace(instance, max_rounds=None))
+        report = run(stripped, **options)
+        report.instance = instance
+        yield Checkpoint(
+            phase="end",
+            solution=report.solution,
+            objective=report.objective,
+            rounds=report.rounds,
+            bits=report.metrics.bits if report.metrics is not None else 0,
+            final=True,
+            extras=dict(report.extras),
+        )
+        return report
+
+    return phases
+
+
 def algorithm(**spec_fields) -> Callable[[Callable], Callable]:
-    """Decorator form: registers the wrapped runner, returns it unchanged."""
+    """Decorator form: registers the wrapped runner, returns it unchanged.
+
+    A generator function is registered as the phased runner; a plain
+    function is lifted into the coarse begin/end runner first.
+    """
 
     def deco(run: Callable) -> Callable:
-        register_algorithm(AlgorithmSpec(run=run, **spec_fields))
+        runner = (run if inspect.isgeneratorfunction(run)
+                  else _coarse_runner(run))
+        register_algorithm(AlgorithmSpec(run_iter=runner, **spec_fields))
         return run
 
     return deco

@@ -1,6 +1,6 @@
 """The one result type every registered algorithm returns.
 
-A :class:`SolveReport` unifies what the legacy per-algorithm result
+A :class:`SolveReport` unifies what the core per-algorithm result
 dataclasses (``MaxISResult``, ``FastMatchingResult``,
 ``OneEpsResult``, …) each carried a different slice of: the solution
 itself, its objective value, a validity certificate, the guaranteed

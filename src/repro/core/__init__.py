@@ -1,20 +1,16 @@
 """The paper's algorithms: local-ratio MaxIS, line-graph matching, and
 the time-optimal (2+ε)/(1+ε) matching approximations.
 
-.. deprecated:: entry points
-    The per-algorithm functions re-exported here
-    (``maxis_local_ratio_layers``, ``fast_matching_2eps``, …) and
-    their per-algorithm result dataclasses remain supported as the
-    implementation layer and as thin compatibility wrappers, but new
-    code should go through the unified facade instead::
+The paper's phase programs are exposed as phase generators
+(``maxis_layers_phases``, ``congest_matching_1eps_stages``, …) that
+yield a snapshot at every phase boundary and return their result
+dataclass; drain one with :func:`repro.utils.drain` to run it to
+completion.  Most callers want the unified facade instead, which runs
+the same generators with the same seeds and returns one uniform
+:class:`repro.api.SolveReport`::
 
-        from repro.api import Instance, solve
-        report = solve(Instance(graph, seed=3), "maxis-layers")
-
-    The facade runs the exact same code with the exact same seeds
-    (``tests/api/test_facade_parity.py`` pins bit-for-bit parity) and
-    returns one uniform :class:`repro.api.SolveReport` instead of a
-    per-algorithm result type.
+    from repro.api import Instance, solve
+    report = solve(Instance(graph, seed=3), "maxis-layers")
 """
 
 from .aggregation import (
@@ -44,9 +40,7 @@ from .congest_1eps import (
     BipartiteAugmentingPhase,
     CongestOneEpsResult,
     WaitingPhaseProgram,
-    bipartite_matching_1eps,
     bipartite_matching_1eps_phases,
-    congest_matching_1eps,
     congest_matching_1eps_stages,
     lemma_b11_budget,
     precision_round_factor,
@@ -61,7 +55,6 @@ from .fast_matching import (
 )
 from .greedy_mis import (
     GreedyMISResult,
-    greedy_mis,
     greedy_mis_phases,
     greedy_priorities,
 )
@@ -73,7 +66,6 @@ from .hypergraph_matching import (
 )
 from .local_1eps import (
     OneEpsResult,
-    local_matching_1eps,
     local_matching_1eps_phases,
     theorem_b4_round_budget,
 )
@@ -88,20 +80,17 @@ from .local_ratio import (
 from .matching_via_lines import (
     MatchingResult,
     matching_lines_phases,
-    matching_local_ratio,
 )
 from .maxis_coloring import (
     MaxISColoringProgram,
     MaxISColoringResult,
     maxis_coloring_phases,
-    maxis_local_ratio_coloring,
 )
 from .maxis_layers import (
     LayerTrace,
     MaxISLayersProgram,
     MaxISResult,
     maxis_layers_phases,
-    maxis_local_ratio_layers,
 )
 from .nearly_maximal_is import (
     NearlyMaximalISResult,
@@ -112,9 +101,7 @@ from .nearly_maximal_is import (
 )
 from .proposal_matching import (
     ProposalResult,
-    bipartite_proposal_matching,
     bipartite_proposal_phases,
-    general_proposal_matching,
     general_proposal_phases,
     lemma_b13_rounds,
     optimal_k,
@@ -148,14 +135,11 @@ __all__ = [
     "WaitingPhaseProgram",
     "WeightGroupResult",
     "augment_with_disjoint_paths",
-    "bipartite_matching_1eps",
     "bipartite_matching_1eps_phases",
-    "bipartite_proposal_matching",
     "bipartite_proposal_phases",
     "bucketed_constant_approx_mwm",
     "build_conflict_graph",
     "canonical_path",
-    "congest_matching_1eps",
     "congest_matching_1eps_stages",
     "enumerate_augmenting_paths",
     "exchange_step",
@@ -163,25 +147,19 @@ __all__ = [
     "fast_matching_weighted_2eps",
     "flip_augmenting_path",
     "fold_over_hosted_neighbors",
-    "general_proposal_matching",
     "general_proposal_phases",
     "good_round_cap",
-    "greedy_mis",
     "greedy_mis_phases",
     "greedy_priorities",
     "improved_nearly_maximal_is",
     "lemma_b11_budget",
     "lemma_b13_rounds",
     "lemma_b3_budget",
-    "local_matching_1eps",
     "local_matching_1eps_phases",
     "local_ratio_bound",
     "matching_lines_phases",
-    "matching_local_ratio",
     "maxis_coloring_phases",
     "maxis_layers_phases",
-    "maxis_local_ratio_coloring",
-    "maxis_local_ratio_layers",
     "nearly_maximal_hypergraph_matching",
     "nearly_maximal_matching",
     "optimal_k",

@@ -54,7 +54,7 @@ from ..congest import (
 )
 from ..errors import AlgorithmContractViolation, InvalidInstance
 from ..graphs import check_matching, is_augmenting_path, max_degree
-from ..utils import stable_rng
+from ..utils import drain, stable_rng
 
 Path = Tuple[Hashable, ...]
 
@@ -412,7 +412,7 @@ def bipartite_matching_1eps_phases(
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
-    """Anytime form of :func:`bipartite_matching_1eps`.
+    """Run the length-1,3,…,L phase loop on a bipartite graph.
 
     Yields ``(rounds, matching, extras, state)`` after the initial
     state and after every length-d phase; the matching is valid at
@@ -482,29 +482,6 @@ def bipartite_matching_1eps_phases(
     return matching, deactivated
 
 
-def bipartite_matching_1eps(
-    graph: nx.Graph,
-    a_side: Set[Hashable],
-    b_side: Set[Hashable],
-    eps: float = 0.5,
-    seed: int = 0,
-    k: float = 2.0,
-    failure_delta: Optional[float] = None,
-    initial_matching: Optional[Set[frozenset]] = None,
-    ledger: Optional[RoundLedger] = None,
-    max_iterations: Optional[int] = None,
-) -> Tuple[Set[frozenset], Set[Hashable]]:
-    """Run the length-1,3,…,L phase loop on a bipartite graph."""
-
-    from ..utils import drain
-
-    return drain(bipartite_matching_1eps_phases(
-        graph, a_side, b_side, eps=eps, seed=seed, k=k,
-        failure_delta=failure_delta, initial_matching=initial_matching,
-        ledger=ledger, max_iterations=max_iterations,
-    ))
-
-
 def congest_matching_1eps_stages(
     graph: nx.Graph,
     eps: float = 0.5,
@@ -520,17 +497,21 @@ def congest_matching_1eps_stages(
 ):
     """Anytime Theorem B.12: one snapshot per bipartition stage.
 
-    Generator form of :func:`congest_matching_1eps`: yields
-    ``(rounds, matching, extras, state)`` after the initial state and
-    after every red/blue stage (the matching is vertex-disjoint at
-    every stage boundary, so each snapshot is a valid partial
-    solution).  With ``max_rounds`` set, the generator stops *before*
-    launching a stage once the ledger has consumed the budget —
-    cooperatively, so truncation costs nothing beyond the rounds
-    actually accounted — and returns ``None``; otherwise it returns
-    the usual :class:`CongestOneEpsResult`.  Draining the generator
-    with ``max_rounds=None`` reproduces :func:`congest_matching_1eps`
-    bit for bit.
+    (1+ε)-approximate MCM in general graphs (CONGEST): runs
+    2^{O(1/ε)} random red/blue bipartition stages; each stage's
+    bipartite subgraph keeps unmatched nodes and bichromatically-matched
+    nodes, so stage augmenting paths are global augmenting paths.  Stops
+    early when a stage leaves the matching unchanged and no short
+    augmenting path survives among active nodes.
+
+    Yields ``(rounds, matching, extras, state)`` after the initial
+    state and after every red/blue stage (the matching is
+    vertex-disjoint at every stage boundary, so each snapshot is a
+    valid partial solution).  With ``max_rounds`` set, the generator
+    stops *before* launching a stage once the ledger has consumed the
+    budget — cooperatively, so truncation costs nothing beyond the
+    rounds actually accounted — and returns ``None``; otherwise it
+    returns the usual :class:`CongestOneEpsResult`.
 
     ``capture_state=True`` attaches a resume payload to every
     snapshot, including the stage-coloring RNG state; ``resume=``
@@ -651,11 +632,13 @@ def congest_matching_1eps_stages(
             e for e in matching if all(x in kept for x in e)
         }
         before = len(matching)
-        new_stage_matching, new_deactivated = bipartite_matching_1eps(
-            sub, a_side, b_side, eps=eps, seed=seed + 7919 * stage, k=k,
-            failure_delta=failure_delta,
-            initial_matching=stage_matching, ledger=ledger,
-            max_iterations=max_iterations,
+        new_stage_matching, new_deactivated = drain(
+            bipartite_matching_1eps_phases(
+                sub, a_side, b_side, eps=eps, seed=seed + 7919 * stage,
+                k=k, failure_delta=failure_delta,
+                initial_matching=stage_matching, ledger=ledger,
+                max_iterations=max_iterations,
+            )
         )
         matching = (matching - stage_matching) | new_stage_matching
         deactivated |= new_deactivated
@@ -694,36 +677,6 @@ def congest_matching_1eps_stages(
         stages=executed,
         ledger=ledger,
     )
-
-
-def congest_matching_1eps(
-    graph: nx.Graph,
-    eps: float = 0.5,
-    seed: int = 0,
-    k: float = 2.0,
-    failure_delta: Optional[float] = None,
-    stages: Optional[int] = None,
-    max_iterations: Optional[int] = None,
-    notify_wave: bool = False,
-) -> CongestOneEpsResult:
-    """Theorem B.12: (1+ε)-approximate MCM in general graphs (CONGEST).
-
-    Runs 2^{O(1/ε)} random red/blue bipartition stages; each stage's
-    bipartite subgraph keeps unmatched nodes and bichromatically-matched
-    nodes, so stage augmenting paths are global augmenting paths.  Stops
-    early when a stage leaves the matching unchanged and no short
-    augmenting path survives among active nodes.  ``notify_wave=True``
-    runs the simulator-backed waiting-phase probe wave after every
-    stage (see :func:`congest_matching_1eps_stages`).
-    """
-
-    from ..utils import drain
-
-    return drain(congest_matching_1eps_stages(
-        graph, eps=eps, seed=seed, k=k, failure_delta=failure_delta,
-        stages=stages, max_iterations=max_iterations,
-        notify_wave=notify_wave,
-    ))
 
 
 # ----------------------------------------------------------------------

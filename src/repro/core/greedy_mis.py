@@ -127,17 +127,8 @@ def greedy_mis_phases(
     )
 
 
-def greedy_mis(graph: nx.Graph) -> GreedyMISResult:
-    """Drained form of :func:`greedy_mis_phases`."""
-
-    from ..utils import drain
-
-    return drain(greedy_mis_phases(graph))
-
-
 __all__ = [
     "GreedyMISResult",
-    "greedy_mis",
     "greedy_mis_phases",
     "greedy_priorities",
 ]

@@ -78,9 +78,7 @@ def local_matching_1eps_phases(
     phase once the ledger has consumed the budget (cooperative: no
     rounds beyond the budget are simulated) and returns ``None``; a
     run that finishes within the budget — and any run without one —
-    returns the usual :class:`OneEpsResult`.  Draining the generator
-    with ``max_rounds=None`` reproduces :func:`local_matching_1eps`
-    bit for bit.
+    returns the usual :class:`OneEpsResult`.
 
     With ``capture_state=True`` every snapshot's ``state`` is a resume
     payload; feeding one back as ``resume=`` restarts the phase loop
@@ -173,31 +171,6 @@ def local_matching_1eps_phases(
         ledger=ledger,
         truncated_phases=truncated,
     )
-
-
-def local_matching_1eps(
-    graph: nx.Graph,
-    eps: float = 0.5,
-    seed: int = 0,
-    k: float = 2.0,
-    failure_delta: Optional[float] = None,
-    path_cap: int = 200_000,
-    initial_matching: Optional[Set[frozenset]] = None,
-) -> OneEpsResult:
-    """Run the LOCAL-model (1+ε) algorithm.
-
-    ``failure_delta`` defaults to the paper's δ = Θ(ε²).  ``path_cap``
-    bounds path enumeration per phase; phases that hit the cap are
-    recorded in ``truncated_phases`` (the guarantee then only holds for
-    the enumerated subset — keep instances small or ε moderate).
-    """
-
-    from ..utils import drain
-
-    return drain(local_matching_1eps_phases(
-        graph, eps=eps, seed=seed, k=k, failure_delta=failure_delta,
-        path_cap=path_cap, initial_matching=initial_matching,
-    ))
 
 
 def theorem_b4_round_budget(delta: int, eps: float, k: float = 2.0,

@@ -9,9 +9,9 @@ Lemma 2.2's charging argument becomes 2).
 Both MaxIS algorithms of this library are local aggregation algorithms
 (Theorem 2.9) — their neighbor access is AND/OR/SUM/MAX folds — so by
 Theorem 2.8 they run on the line graph in CONGEST with no congestion
-penalty.  :func:`matching_local_ratio` executes them on ``L(G)`` with an
-optional :class:`~repro.congest.CongestionAudit` that measures exactly
-that claim.
+penalty.  :func:`matching_lines_phases` executes them on ``L(G)`` with
+an optional :class:`~repro.congest.CongestionAudit` that measures
+exactly that claim.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ import networkx as nx
 
 from ..congest import CongestionAudit, line_graph
 from ..congest.network import CONGEST, SynchronousNetwork
-from ..errors import InvalidInstance, RoundLimitExceeded
+from ..errors import InvalidInstance
 from ..graphs import check_matching, edge_weight, max_node_weight
 from ..mis.coloring import delta_plus_one_coloring
 from .maxis_coloring import MaxISColoringProgram
 from .maxis_coloring import IN_IS as COLORING_IN_IS
 from .maxis_layers import IN_IS, MaxISLayersProgram
 from .stepwise import stepper_snapshots
-from ..utils import drain
 
 
 @dataclass
@@ -52,7 +51,6 @@ def matching_lines_phases(
     max_rounds: Optional[int] = None,
     capture_state: bool = False,
     resume: Optional[dict] = None,
-    snapshots: bool = True,
 ):
     """Anytime Theorem 2.10: MaxIS on ``L(G)``, one snapshot per
     selection phase of the underlying MaxIS engine.
@@ -62,10 +60,12 @@ def matching_lines_phases(
     graph's independent-set invariant holds at every prefix.  Returns
     the usual :class:`MatchingResult` on completion, ``None`` when
     ``max_rounds`` cuts the run cooperatively.
-    :func:`matching_local_ratio` *is* the drain of this generator
-    (``snapshots=False``: no mid-run snapshots are yielded or paid
-    for; the matching is read off the final outputs instead), so the
-    two paths cannot drift.  ``capture_state`` / ``resume`` follow the
+
+    ``method`` selects the MaxIS engine: ``"layers"`` (Algorithm 2,
+    randomized, O(MIS·log W) rounds) or ``"coloring"`` (Algorithm 3,
+    deterministic, O(Δ + log* n) rounds with the coloring as a black
+    box).  Edge weights come from the ``weight`` attribute (default
+    1).  ``capture_state`` / ``resume`` follow the
     :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol; the
     line graph is deterministic and rebuilt at resume, never
     serialized.
@@ -114,9 +114,8 @@ def matching_lines_phases(
     else:
         raise InvalidInstance(f"unknown method {method!r}")
 
-    # Same construction as run_on_line_graph (which matching_local_ratio
-    # uses), unrolled because the audit hook and the stepwise driver
-    # both need the network object.
+    # Same construction as run_on_line_graph, unrolled because the
+    # audit hook and the stepwise driver both need the network object.
     network = SynchronousNetwork(lg, model=CONGEST, seed=seed)
     if audit is not None:
         def trace(round_index, envelope):
@@ -138,7 +137,7 @@ def matching_lines_phases(
         max_rounds=budget,
         label=run_label,
         stop_on_limit=True,
-        checkpoint_every=checkpoint_every if snapshots else None,
+        checkpoint_every=checkpoint_every,
         capture_state=capture_state,
         resume_state=sim_state,
     )
@@ -157,44 +156,9 @@ def matching_lines_phases(
                 "sim": sim}
 
     result = yield from stepper_snapshots(stepper, fold, make_state)
-    if not snapshots:
-        # Fast-drain form: the stepper yielded nothing, so read the
-        # winners off the final outputs (the historical code path).
-        fold((line_node, output)
-             for line_node, output in result.outputs.items())
     check_matching(graph, [tuple(e) for e in matching])
     if not result.completed:
         return None
     return MatchingResult(matching=set(matching), weight=weight,
                           rounds=result.rounds, audit=audit)
 
-
-def matching_local_ratio(
-    graph: nx.Graph,
-    method: str = "layers",
-    seed: int = 0,
-    audit: Optional[CongestionAudit] = None,
-    max_rounds: Optional[int] = None,
-) -> MatchingResult:
-    """2-approximate maximum weight matching via MaxIS on ``L(G)``.
-
-    ``method`` selects the MaxIS engine: ``"layers"`` (Algorithm 2,
-    randomized, O(MIS·log W) rounds) or ``"coloring"`` (Algorithm 3,
-    deterministic, O(Δ + log* n) rounds with the coloring as a black
-    box).  Edge weights come from the ``weight`` attribute (default 1).
-
-    This is the fast drain of :func:`matching_lines_phases` (one code
-    path, so the two cannot drift; no per-phase bookkeeping is paid).
-    A ``max_rounds`` the protocol cannot meet raises
-    :class:`~repro.errors.RoundLimitExceeded` — the historical
-    contract of this entry point; use the phase generator (or the
-    anytime facade) for cooperative truncation instead.
-    """
-
-    result = drain(matching_lines_phases(
-        graph, method=method, seed=seed, audit=audit,
-        max_rounds=max_rounds, snapshots=False,
-    ))
-    if result is None:
-        raise RoundLimitExceeded(max_rounds or 0, ())
-    return result

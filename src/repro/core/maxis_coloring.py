@@ -172,8 +172,6 @@ def maxis_coloring_phases(
     :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol: the
     final snapshot's ``state`` resumes the run bit-for-bit (the
     coloring itself is deterministic and recomputed, not serialized).
-    Draining with no budget reproduces
-    :func:`maxis_local_ratio_coloring` bit for bit.
     """
 
     if coloring is None:
@@ -240,41 +238,3 @@ def maxis_coloring_phases(
         coloring=coloring,
     )
 
-
-def maxis_local_ratio_coloring(
-    graph: nx.Graph,
-    network: Optional[SynchronousNetwork] = None,
-    coloring: Optional[ColoringResult] = None,
-    max_rounds: Optional[int] = None,
-    label: str = "maxis-coloring",
-) -> MaxISColoringResult:
-    """Run Algorithm 3 on ``graph`` (node attribute ``weight``, default 1)."""
-
-    if coloring is None:
-        coloring = delta_plus_one_coloring(graph)
-    colors = coloring.colors
-    if network is None:
-        network = make_network(graph, seed=0)
-    if max_rounds is None:
-        # Removal needs at most one sweep per color; addition cascades at
-        # most once per color class as well.  Generous constant on top.
-        max_rounds = 20 * (coloring.palette + 2) + 4 * graph.number_of_nodes()
-
-    def factory(node: Hashable) -> MaxISColoringProgram:
-        neighbor_colors = {u: colors[u] for u in graph.neighbors(node)}
-        return MaxISColoringProgram(
-            weight=node_weight(graph, node),
-            color=colors[node],
-            neighbor_colors=neighbor_colors,
-        )
-
-    result = network.run(factory, max_rounds=max_rounds, label=label)
-    chosen = result.output_set(IN_IS)
-    check_independent_set(graph, chosen)
-    total = sum(node_weight(graph, v) for v in chosen)
-    return MaxISColoringResult(
-        independent_set=chosen,
-        weight=total,
-        local_ratio_rounds=result.rounds,
-        coloring=coloring,
-    )

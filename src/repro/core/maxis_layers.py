@@ -49,7 +49,7 @@ from ..congest import (
     make_network,
 )
 from ..errors import InvalidInstance
-from ..graphs import check_independent_set, max_node_weight, node_weight
+from ..graphs import check_independent_set, max_node_weight
 from ..utils import geometric_layers
 from .stepwise import stepper_snapshots
 
@@ -263,8 +263,7 @@ def maxis_layers_phases(
     when the protocol completes, or ``None`` when the ``max_rounds``
     budget interrupts it cooperatively; the last yielded snapshot then
     holds the best partial solution, and no rounds beyond the budget
-    are executed.  Draining the generator with no budget reproduces
-    :func:`maxis_local_ratio_layers` bit for bit.
+    are executed.
 
     With ``capture_state=True`` the final snapshot's ``state`` holds a
     resume payload (the simulator execution state plus the partial
@@ -278,6 +277,10 @@ def maxis_layers_phases(
         network = make_network(graph, seed=seed)
     if max_rounds is None:
         max_rounds = default_round_budget(graph)
+    # One pass over the node data instead of a node_weight() call per
+    # factory invocation — at n=10^5 the per-call attribute chasing is
+    # measurable against the vectorized backend.
+    weights = dict(graph.nodes(data="weight", default=1))
     chosen: Set[Hashable] = set()
     weight = 0
     sim_state = None
@@ -286,7 +289,7 @@ def maxis_layers_phases(
         weight = resume["weight"]
         sim_state = resume["sim"]
     stepper = network.run_stepwise(
-        lambda node: MaxISLayersProgram(node_weight(graph, node), trace),
+        lambda node: MaxISLayersProgram(weights[node], trace),
         max_rounds=max_rounds,
         label=label,
         stop_on_limit=True,
@@ -300,7 +303,7 @@ def maxis_layers_phases(
         for node, output in newly_halted:
             if output == IN_IS:
                 chosen.add(node)
-                weight += node_weight(graph, node)
+                weight += weights[node]
         return frozenset(chosen), weight
 
     def make_state(rounds, objective, sim):
@@ -314,38 +317,3 @@ def maxis_layers_phases(
     return MaxISResult(independent_set=set(chosen), rounds=result.rounds,
                        weight=weight, trace=trace)
 
-
-def maxis_local_ratio_layers(
-    graph: nx.Graph,
-    seed: int = 0,
-    network: Optional[SynchronousNetwork] = None,
-    max_rounds: Optional[int] = None,
-    trace: Optional[LayerTrace] = None,
-    label: str = "maxis-layers",
-) -> MaxISResult:
-    """Run Algorithm 2 on ``graph`` (node attribute ``weight``, default 1).
-
-    Returns the independent set, the measured round count and the total
-    weight of the solution.  The output is validated for independence
-    (the Δ-approximation guarantee itself is asserted against exact
-    oracles in the test suite).
-    """
-
-    if network is None:
-        network = make_network(graph, seed=seed)
-    if max_rounds is None:
-        max_rounds = default_round_budget(graph)
-    # One pass over the node data instead of a node_weight() call per
-    # factory invocation — at n=10^5 the per-call attribute chasing is
-    # measurable against the vectorized backend.
-    weights = dict(graph.nodes(data="weight", default=1))
-    result = network.run(
-        lambda node: MaxISLayersProgram(weights[node], trace),
-        max_rounds=max_rounds,
-        label=label,
-    )
-    chosen = result.output_set(IN_IS)
-    check_independent_set(graph, chosen)
-    total = sum(weights[v] for v in chosen)
-    return MaxISResult(independent_set=chosen, rounds=result.rounds,
-                       weight=total, trace=trace)

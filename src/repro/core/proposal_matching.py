@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Optional, Set, Tuple
+from typing import Hashable, Optional, Set
 
 import networkx as nx
 
@@ -34,7 +34,7 @@ from ..congest import (
 )
 from ..errors import InvalidInstance
 from ..graphs import check_matching, max_degree
-from ..utils import stable_rng
+from ..utils import drain, stable_rng
 
 MATCHED = "matched"
 UNLUCKY = "unlucky"
@@ -173,16 +173,14 @@ def bipartite_proposal_phases(
     Returns the usual :class:`ProposalResult` on completion, ``None``
     when ``max_rounds`` cuts the protocol cooperatively (the
     simulator stops at the budget; no further rounds are executed).
-    Draining with ``max_rounds=None`` reproduces
-    :func:`bipartite_proposal_matching` bit for bit.
     ``capture_state`` / ``resume`` follow the
     :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol.
-    ``snapshots=False`` is the fast-drain form the legacy entry point
-    uses: no mid-run snapshots are yielded or paid for, and the
-    matching is read off the final outputs instead — identical result,
-    zero per-phase bookkeeping.  ``backend`` picks the simulator engine
-    when ``network`` is not supplied (results are bit-identical either
-    way).
+    ``snapshots=False`` is the fast-drain form the general matcher's
+    per-repetition loop uses: no mid-run snapshots are yielded or paid
+    for, and the matching is read off the final outputs instead —
+    identical result, zero per-phase bookkeeping.  ``backend`` picks
+    the simulator engine when ``network`` is not supplied (results are
+    bit-identical either way).
     """
 
     delta = max_degree(graph)
@@ -265,27 +263,6 @@ def bipartite_proposal_phases(
     )
 
 
-def bipartite_proposal_matching(
-    graph: nx.Graph,
-    left: Set[Hashable],
-    right: Set[Hashable],
-    eps: float = 0.25,
-    k: Optional[int] = None,
-    seed: int = 0,
-    network: Optional[SynchronousNetwork] = None,
-    phases: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> ProposalResult:
-    """Lemma B.13's algorithm on a bipartite graph with given sides."""
-
-    from ..utils import drain
-
-    return drain(bipartite_proposal_phases(
-        graph, left, right, eps=eps, k=k, seed=seed, network=network,
-        phases=phases, snapshots=False, backend=backend,
-    ))
-
-
 def general_proposal_phases(
     graph: nx.Graph,
     eps: float = 0.25,
@@ -299,14 +276,16 @@ def general_proposal_phases(
 ):
     """Anytime Lemma B.14: one snapshot per bipartition repetition.
 
+    O(log 1/ε) random-bipartition repetitions: each splits the
+    remaining nodes uniformly into left/right, keeps crossing edges,
+    and runs the bipartite algorithm; matched nodes leave the pool.
+
     Yields ``(rounds, matching, final, state)`` after the initial
     state and after every repetition; the matching is vertex-disjoint
     at every boundary (repetitions only ever add disjoint pairs).
     With ``max_rounds`` set, stops before launching a repetition once
     the ledger has consumed the budget and returns ``None``;
     otherwise returns the usual ``(matching, rounds, ledger)`` triple.
-    Draining with no budget reproduces
-    :func:`general_proposal_matching` bit for bit.
 
     ``capture_state=True`` attaches a resume payload (matching,
     surviving node pool, ledger, split-RNG state) to every snapshot;
@@ -367,10 +346,11 @@ def general_proposal_phases(
         )
         ledger.charge(1, "bipartition")
         if sub.number_of_edges() > 0:
-            outcome = bipartite_proposal_matching(
+            outcome = drain(bipartite_proposal_phases(
                 sub, left, right, eps=eps, k=k,
-                seed=seed + 13 * (repetition + 1), backend=backend,
-            )
+                seed=seed + 13 * (repetition + 1), snapshots=False,
+                backend=backend,
+            ))
             ledger.charge(outcome.rounds, "bipartite-proposals")
             matching |= outcome.matching
             for e in outcome.matching:
@@ -379,25 +359,3 @@ def general_proposal_phases(
     check_matching(graph, [tuple(e) for e in matching])
     return matching, ledger.total, ledger
 
-
-def general_proposal_matching(
-    graph: nx.Graph,
-    eps: float = 0.25,
-    k: Optional[int] = None,
-    seed: int = 0,
-    repetitions: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Tuple[Set[frozenset], int, RoundLedger]:
-    """Lemma B.14: O(log 1/ε) random-bipartition repetitions.
-
-    Returns ``(matching, rounds, ledger)``.  Each repetition splits the
-    remaining nodes uniformly into left/right, keeps crossing edges, and
-    runs the bipartite algorithm; matched nodes leave the pool.
-    """
-
-    from ..utils import drain
-
-    return drain(general_proposal_phases(
-        graph, eps=eps, k=k, seed=seed, repetitions=repetitions,
-        backend=backend,
-    ))

@@ -32,6 +32,8 @@ from ..core import (
     LayerTrace,
     enumerate_augmenting_paths,
     lemma_b13_rounds,
+    maxis_coloring_phases,
+    maxis_layers_phases,
     optimal_k,
     residual_decay_series,
     theorem_2_8_simulation_cost,
@@ -242,7 +244,7 @@ def _proposal_bipartite(graph, seed, phases=None):
     """Lemma B.13 proposal rounds on a bipartite instance."""
 
     left, _right = bipartite_sides(graph)
-    # eps matches the legacy bipartite_proposal_matching default (0.25):
+    # eps matches the bipartite_proposal_phases default (0.25):
     # it sizes the k/phase budget when the grid omits `phases`.
     report = _solved(graph, seed, "matching-proposal-bipartite", eps=0.25,
                      phases=phases)
@@ -629,24 +631,26 @@ def _backend_perf(graph, seed, algorithm="maxis-layers", repeats=1):
     import time as _time
 
     from ..congest import make_network
+    from ..utils import drain
     from .runner import percentile
+
+    # Phase generator and the rounds it reports, per timeable algorithm.
+    runners = {
+        "maxis-layers": (maxis_layers_phases, lambda res: res.rounds),
+        "maxis-coloring": (maxis_coloring_phases,
+                           lambda res: res.accounted_rounds),
+    }
+    if algorithm not in runners:
+        raise ValueError(
+            f"backend_perf cannot time {algorithm!r}; it needs an "
+            "algorithm that runs on one injected network"
+        )
+    phases, rounds_of = runners[algorithm]
 
     def run(backend):
         net = make_network(graph, seed=seed, backend=backend)
-        if algorithm == "maxis-layers":
-            from ..core.maxis_layers import maxis_local_ratio_layers
-
-            res = maxis_local_ratio_layers(graph, network=net)
-        elif algorithm == "maxis-coloring":
-            from ..core.maxis_coloring import maxis_local_ratio_coloring
-
-            res = maxis_local_ratio_coloring(graph, network=net)
-        else:
-            raise ValueError(
-                f"backend_perf cannot time {algorithm!r}; it needs an "
-                "algorithm that runs on one injected network"
-            )
-        return res.weight, res.rounds, net.metrics.bits
+        res = drain(phases(graph, network=net))
+        return res.weight, rounds_of(res), net.metrics.bits
 
     timing = {}
     outputs = {}

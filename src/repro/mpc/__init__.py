@@ -29,7 +29,6 @@ from .machine import Machine, build_machines
 from .network import MPCMessage, MPCNetwork
 from .partition import default_topology, partition_nodes
 from .proposal import (
-    mpc_general_proposal_matching,
     mpc_general_proposal_phases,
     run_bipartite_proposal,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "aggregate_ledgers",
     "build_machines",
     "default_topology",
-    "mpc_general_proposal_matching",
     "mpc_general_proposal_phases",
     "mpc_greedy_mis",
     "partition_nodes",

@@ -45,9 +45,10 @@ def mpc_greedy_mis(
     """Run the peeling protocol over an MPC fleet.
 
     Returns ``(independent_set, weight, rounds, network)`` where the
-    set and weight equal :func:`repro.core.greedy_mis.greedy_mis` on
-    the same graph (round counts differ: decision news travels one
-    shuffle per hop here, while the central peeling sweeps globally).
+    set and weight equal a drained
+    :func:`repro.core.greedy_mis.greedy_mis_phases` on the same graph
+    (round counts differ: decision news travels one shuffle per hop
+    here, while the central peeling sweeps globally).
     """
 
     if network is None:

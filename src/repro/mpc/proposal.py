@@ -48,8 +48,8 @@ def run_bipartite_proposal(
 ) -> Tuple[Set[frozenset], Set[Hashable], int]:
     """One Lemma B.13 run on ``sub`` over the MPC fleet.
 
-    Returns ``(matching, unlucky, rounds)`` — bit-identical to
-    :func:`~repro.core.proposal_matching.bipartite_proposal_matching`
+    Returns ``(matching, unlucky, rounds)`` — bit-identical to a drained
+    :func:`~repro.core.proposal_matching.bipartite_proposal_phases`
     with ``seed`` (each node draws from ``stable_rng(seed, node, 1)``,
     matching the fresh-network stream of the object simulator).
     """
@@ -241,26 +241,7 @@ def mpc_general_proposal_phases(
     return matching, ledger.total, ledger
 
 
-def mpc_general_proposal_matching(
-    graph: nx.Graph,
-    eps: float = 0.25,
-    k: Optional[int] = None,
-    seed: int = 0,
-    repetitions: Optional[int] = None,
-    network: Optional[MPCNetwork] = None,
-) -> Tuple[Set[frozenset], int, RoundLedger]:
-    """Drained form of :func:`mpc_general_proposal_phases`."""
-
-    from ..utils import drain
-
-    return drain(mpc_general_proposal_phases(
-        graph, eps=eps, k=k, seed=seed, repetitions=repetitions,
-        network=network,
-    ))
-
-
 __all__ = [
-    "mpc_general_proposal_matching",
     "mpc_general_proposal_phases",
     "run_bipartite_proposal",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .jobs import DrainingError, JobManager
 from .protocol import SpecError
@@ -237,13 +237,17 @@ class ServiceHandler:
                 if faults is not None and faults.roll(
                         "stream.disconnect", scope=job_id):
                     return
+                # Read ``done`` before the record: a job that finishes
+                # between the two reads then still gets its terminal
+                # record streamed on the next pass.
+                done = job.done
                 record = job.record()
                 marker = (record["checkpoints"], record["status"])
                 if marker != seen:
                     seen = marker
                     writer.write(chunk(record))
                     await writer.drain()
-                if job.done:
+                if done:
                     break
                 await asyncio.sleep(self.stream_poll_s)
             writer.write(b"0\r\n\r\n")

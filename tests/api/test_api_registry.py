@@ -1,6 +1,10 @@
 """Tests for the :mod:`repro.api` algorithm registry."""
 
+import dataclasses
+import hashlib
+import inspect
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,7 +19,17 @@ from repro.api import (
     register_algorithm,
     registry_as_json,
 )
+from repro.__main__ import main
 from repro.errors import ReproError
+from repro.graphs import gnp_graph
+
+#: SHA-256 of ``python -m repro info --json``, recorded while every
+#: registry entry still carried a second, plain runner beside its
+#: generator: collapsing the spec to one runner must not change what
+#: the registry advertises.
+INFO_JSON_SHA256 = (
+    "995c97381a8167c2093beba7841855a91c2054bc15307abd7d320b65da08a2ec"
+)
 
 
 class TestLookup:
@@ -104,3 +118,41 @@ class TestRegistration:
         assert isinstance(spec, AlgorithmSpec)
         with pytest.raises(AttributeError):
             spec.name = "other"
+
+
+class TestSingleRunnerContract:
+    def test_spec_has_one_runner_field(self):
+        names = {field.name for field in dataclasses.fields(AlgorithmSpec)}
+        assert "run_iter" in names
+        assert "run" not in names
+
+    def test_every_runner_is_a_generator_function(self):
+        for spec in list_algorithms():
+            assert inspect.isgeneratorfunction(spec.run_iter), spec.name
+
+    def test_nine_phased_and_nine_coarse_entries(self):
+        counts = Counter(entry["anytime"] for entry in registry_as_json())
+        assert counts == {"phases": 9, "coarse": 9}
+
+    def test_info_json_is_byte_identical(self, capsys):
+        assert main(["info", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == INFO_JSON_SHA256
+
+    def test_lifted_runner_emits_begin_end_on_stripped_budget(self):
+        # A coarse runner cannot stop mid-run: the lift runs the plain
+        # function without the budget and hands back the real instance.
+        spec = get_algorithm("matching-greedy")
+        instance = Instance(gnp_graph(12, 0.3, seed=1), max_rounds=0)
+        stream = spec.run_iter(instance)
+        checkpoints = []
+        while True:
+            try:
+                checkpoints.append(next(stream))
+            except StopIteration as stop:
+                report = stop.value
+                break
+        assert [c.phase for c in checkpoints] == ["begin", "end"]
+        assert checkpoints[-1].final
+        assert checkpoints[-1].solution == report.solution
+        assert report.instance is instance

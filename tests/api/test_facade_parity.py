@@ -1,53 +1,190 @@
-"""Facade ↔ legacy parity: ``repro.api.solve`` must reproduce every
-legacy entry point bit-for-bit at a fixed seed.
+"""Fixed-seed golden pins for every registry entry.
 
-For each registered :class:`~repro.api.AlgorithmSpec` there is one
-legacy runner below that calls the historical ``repro.core`` /
-``repro.mis`` / ``repro.matching`` function with the same seed; the
-test asserts identical solution sets, objectives, round counts and
-(where the legacy result carries a :class:`~repro.congest.RoundLedger`)
-identical per-phase ledger counts.  A new registry entry without a
-legacy runner fails the completeness test, so parity coverage cannot
-silently rot.
+``repro.api.solve`` must reproduce, bit for bit, the outputs each
+algorithm produced when the facade was still checked against a second,
+plain entry point per algorithm in :mod:`repro.core`.  Those entry
+points are gone; their outputs live on here as pins, recorded on the
+suite's two fixtures (every entry on the general graph unless it needs
+a bipartite instance, and every entry on the bipartite graph): a
+digest of the solution set, the objective, the round count and the
+per-phase ledger counts.  A new registry entry without pins fails the
+completeness test, so fixed-seed coverage cannot silently rot; a
+change that moves any pinned value is a behaviour change and must
+re-record the pins deliberately.
 """
+
+import hashlib
 
 import pytest
 
 from repro.api import Instance, list_algorithms, solve
-from repro.congest import RoundLedger
-from repro.core import (
-    bipartite_matching_1eps,
-    bipartite_proposal_matching,
-    congest_matching_1eps,
-    fast_matching_2eps,
-    fast_matching_weighted_2eps,
-    general_proposal_matching,
-    greedy_mis,
-    improved_nearly_maximal_is,
-    local_matching_1eps,
-    nearly_maximal_hypergraph_matching,
-    matching_local_ratio,
-    maxis_local_ratio_coloring,
-    maxis_local_ratio_layers,
-    nearly_maximal_matching,
-    weight_group_matching,
-)
 from repro.graphs import (
     assign_edge_weights,
     assign_node_weights,
     gnp_graph,
     random_bipartite_graph,
 )
-from repro.matching import (
-    bipartite_sides,
-    greedy_weighted_matching,
-    israeli_itai_matching,
-    matching_weight,
-)
-from repro.mis import luby_mis
 
 SEED = 11
 EPS = 0.5
+
+#: (algorithm, fixture) -> (solution digest, objective, rounds,
+#: ledger_counts()), recorded at a fixed seed.
+PINS = {
+    ("matching-fast2eps", "general"): (
+        "bc182e771c5a92a9", 7, 19,
+        {"nmis-on-line-graph": 19, "total": 19}),
+    ("matching-fast2eps", "bipartite"): (
+        "6b2cc739fe77eb6c", 7, 15,
+        {"nmis-on-line-graph": 15, "total": 15}),
+    ("matching-fast2eps-weighted", "general"): (
+        "49db13db3f4a7be0", 135, 29,
+        {"bucketed-parallel-matching": 22,
+         "cross-bucket-filter": 2,
+         "auxiliary-weights": 4,
+         "augment": 1,
+         "total": 29}),
+    ("matching-fast2eps-weighted", "bipartite"): (
+        "1208d83b8d2acffd", 86, 41,
+        {"bucketed-parallel-matching": 34,
+         "cross-bucket-filter": 2,
+         "auxiliary-weights": 4,
+         "augment": 1,
+         "total": 41}),
+    ("matching-greedy", "general"): (
+        "fc9d63a0fffdce92", 122, 0,
+        {}),
+    ("matching-greedy", "bipartite"): (
+        "64b56895400518c4", 96, 0,
+        {}),
+    ("matching-groups", "general"): (
+        "11062be5d0f2d2c2", 141, 36,
+        {"layer-exchange": 2,
+         "maximal-matching": 30,
+         "reduce": 2,
+         "addition": 2,
+         "total": 36}),
+    ("matching-groups", "bipartite"): (
+        "56fcd434bd66d70a", 82, 36,
+        {"layer-exchange": 2,
+         "maximal-matching": 30,
+         "reduce": 2,
+         "addition": 2,
+         "total": 36}),
+    ("matching-hypergraph", "general"): (
+        "f24fa3ece24e0125", 7, 8,
+        {"nmm-iterations": 8, "total": 8}),
+    ("matching-hypergraph", "bipartite"): (
+        "d8ee823556ffa26f", 7, 5,
+        {"nmm-iterations": 5, "total": 5}),
+    ("matching-israeli-itai", "general"): (
+        "e560d65e10f8d95a", 6, 10,
+        {}),
+    ("matching-israeli-itai", "bipartite"): (
+        "b9f535611d5b25fe", 8, 15,
+        {}),
+    ("matching-lines", "general"): (
+        "da29f4096b8fb336", 148, 15,
+        {}),
+    ("matching-lines", "bipartite"): (
+        "64b56895400518c4", 96, 10,
+        {}),
+    ("matching-nearly-maximal", "general"): (
+        "bc182e771c5a92a9", 7, 19,
+        {}),
+    ("matching-nearly-maximal", "bipartite"): (
+        "6b2cc739fe77eb6c", 7, 15,
+        {}),
+    ("matching-oneeps", "general"): (
+        "5470456c8303c4cd", 8, 23,
+        {"enumerate-l1": 2,
+         "nmm-phase-l1": 10,
+         "flip-l1": 1,
+         "enumerate-l3": 4,
+         "enumerate-l5": 6,
+         "total": 23}),
+    ("matching-oneeps", "bipartite"): (
+        "64b56895400518c4", 8, 32,
+        {"enumerate-l1": 2,
+         "nmm-phase-l1": 12,
+         "flip-l1": 1,
+         "enumerate-l3": 4,
+         "enumerate-l5": 6,
+         "nmm-phase-l5": 6,
+         "flip-l5": 1,
+         "total": 32}),
+    ("matching-oneeps-bipartite", "bipartite"): (
+        "1f8ef3ad877424b4", 8, 72,
+        {"b3-iteration-d1": 72, "total": 72}),
+    ("matching-oneeps-congest", "general"): (
+        "8ed230d4ec4c6f9e", 8, 950,
+        {"stage-bipartition": 8,
+         "b3-iteration-d1": 60,
+         "b3-iteration-d3": 882,
+         "total": 950}),
+    ("matching-oneeps-congest", "bipartite"): (
+        "1f8ef3ad877424b4", 8, 1169,
+        {"stage-bipartition": 5,
+         "b3-iteration-d1": 30,
+         "b3-iteration-d3": 1134,
+         "total": 1169}),
+    ("matching-proposal", "general"): (
+        "facc733ad2bacfed", 7, 14,
+        {"bipartition": 4, "bipartite-proposals": 10, "total": 14}),
+    ("matching-proposal", "bipartite"): (
+        "a97770ed7a57cd3e", 7, 19,
+        {"bipartition": 4, "bipartite-proposals": 15, "total": 19}),
+    ("matching-proposal-bipartite", "bipartite"): (
+        "e2e15121392ae35e", 7, 5,
+        {}),
+    ("maxis-coloring", "general"): (
+        "89b0660d2bd01aeb", 132, 15,
+        {}),
+    ("maxis-coloring", "bipartite"): (
+        "5c27849565381ae4", 8, 10,
+        {}),
+    ("maxis-greedy", "general"): (
+        "0c9da49cacc723b8", 137, 2,
+        {"priority-exchange": 1, "peel": 1, "total": 2}),
+    ("maxis-greedy", "bipartite"): (
+        "7562b03eb2b1a346", 7, 2,
+        {"priority-exchange": 1, "peel": 1, "total": 2}),
+    ("maxis-layers", "general"): (
+        "0c9da49cacc723b8", 137, 5,
+        {}),
+    ("maxis-layers", "bipartite"): (
+        "b55d4007aaf0a084", 7, 8,
+        {}),
+    ("mis-luby", "general"): (
+        "9f3e3839089d01d8", 10, 6,
+        {}),
+    ("mis-luby", "bipartite"): (
+        "b55d4007aaf0a084", 7, 5,
+        {}),
+    ("mis-nearly-maximal", "general"): (
+        "20e14e97741df998", 10, 16,
+        {}),
+    ("mis-nearly-maximal", "bipartite"): (
+        "5ac75e8d42cac56e", 7, 13,
+        {}),
+}
+
+
+def solution_digest(solution) -> str:
+    """Hash-seed-independent digest of a solution set.
+
+    Matching edges are frozensets, whose repr order follows the
+    (per-process) hash order, so their members are sorted by repr
+    first; the element reprs are then sorted and hashed.
+    """
+
+    def canonical(element):
+        if isinstance(element, frozenset):
+            return repr(sorted(map(repr, element)))
+        return repr(element)
+
+    text = "\n".join(sorted(map(canonical, solution)))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.fixture(scope="module")
@@ -65,158 +202,34 @@ def bipartite_graph():
     return g
 
 
-def _legacy_maxis_layers(g):
-    r = maxis_local_ratio_layers(g, seed=SEED)
-    return r.independent_set, r.weight, r.rounds, None
-
-
-def _legacy_maxis_coloring(g):
-    r = maxis_local_ratio_coloring(g)
-    return r.independent_set, r.weight, r.accounted_rounds, None
-
-
-def _legacy_mis_luby(g):
-    mis, rounds = luby_mis(g, seed=SEED)
-    return mis, len(mis), rounds, None
-
-
-def _legacy_matching_lines(g):
-    r = matching_local_ratio(g, method="layers", seed=SEED)
-    return r.matching, r.weight, r.rounds, None
-
-
-def _legacy_matching_groups(g):
-    r = weight_group_matching(g, seed=SEED)
-    return r.matching, r.weight, r.rounds, r.ledger
-
-
-def _legacy_fast2eps(g):
-    r = fast_matching_2eps(g, eps=EPS, seed=SEED)
-    return r.matching, len(r.matching), r.rounds, r.ledger
-
-
-def _legacy_fast2eps_weighted(g):
-    r = fast_matching_weighted_2eps(g, eps=EPS, seed=SEED)
-    return r.matching, r.weight, r.rounds, r.ledger
-
-
-def _legacy_oneeps(g):
-    r = local_matching_1eps(g, eps=EPS, seed=SEED)
-    return r.matching, r.cardinality, r.rounds, r.ledger
-
-
-def _legacy_oneeps_congest(g):
-    r = congest_matching_1eps(g, eps=EPS, seed=SEED)
-    return r.matching, r.cardinality, r.rounds, r.ledger
-
-
-def _legacy_oneeps_bipartite(g):
-    left, right = bipartite_sides(g)
-    ledger = RoundLedger()
-    matching, _deactivated = bipartite_matching_1eps(
-        g, left, right, eps=EPS, seed=SEED, ledger=ledger,
-    )
-    return matching, len(matching), ledger.total, ledger
-
-
-def _legacy_proposal(g):
-    matching, rounds, ledger = general_proposal_matching(
-        g, eps=EPS, seed=SEED,
-    )
-    return matching, len(matching), rounds, ledger
-
-
-def _legacy_proposal_bipartite(g):
-    left, right = bipartite_sides(g)
-    r = bipartite_proposal_matching(g, left, right, eps=EPS, seed=SEED)
-    return r.matching, len(r.matching), r.rounds, None
-
-
-def _legacy_israeli_itai(g):
-    matching, rounds = israeli_itai_matching(g, seed=SEED)
-    return matching, len(matching), rounds, None
-
-
-def _legacy_greedy(g):
-    matching = greedy_weighted_matching(g)
-    return matching, matching_weight(g, matching), 0, None
-
-
-def _legacy_nearly_maximal_matching(g):
-    matching, _unlucky, rounds = nearly_maximal_matching(g, seed=SEED)
-    return matching, len(matching), rounds, None
-
-
-def _legacy_mis_nearly_maximal(g):
-    result = improved_nearly_maximal_is(g, seed=SEED)
-    return (result.independent_set, len(result.independent_set),
-            result.rounds, None)
-
-
-def _legacy_greedy_maxis(g):
-    result = greedy_mis(g)
-    return (result.independent_set, result.weight, result.rounds,
-            result.ledger)
-
-
-def _legacy_hypergraph(g):
-    hyperedges = [frozenset(edge) for edge in sorted(
-        (tuple(sorted(e, key=repr)) for e in g.edges), key=repr)]
-    result = nearly_maximal_hypergraph_matching(
-        hyperedges, rank=2, seed=SEED)
-    matching = frozenset(hyperedges[i] for i in result.matched_edges)
-    return matching, len(matching), result.iterations, None
-
-
-LEGACY = {
-    "maxis-layers": _legacy_maxis_layers,
-    "maxis-coloring": _legacy_maxis_coloring,
-    "mis-luby": _legacy_mis_luby,
-    "matching-lines": _legacy_matching_lines,
-    "matching-groups": _legacy_matching_groups,
-    "matching-fast2eps": _legacy_fast2eps,
-    "matching-fast2eps-weighted": _legacy_fast2eps_weighted,
-    "matching-oneeps": _legacy_oneeps,
-    "matching-oneeps-congest": _legacy_oneeps_congest,
-    "matching-oneeps-bipartite": _legacy_oneeps_bipartite,
-    "matching-proposal": _legacy_proposal,
-    "matching-proposal-bipartite": _legacy_proposal_bipartite,
-    "matching-israeli-itai": _legacy_israeli_itai,
-    "matching-greedy": _legacy_greedy,
-    "matching-nearly-maximal": _legacy_nearly_maximal_matching,
-    "matching-hypergraph": _legacy_hypergraph,
-    "mis-nearly-maximal": _legacy_mis_nearly_maximal,
-    "maxis-greedy": _legacy_greedy_maxis,
-}
-
-
 def test_every_registered_algorithm_has_a_parity_runner():
     registered = {spec.name for spec in list_algorithms()}
-    assert registered == set(LEGACY), (
-        "registry and parity suite diverged — add a legacy runner for "
-        f"{sorted(registered ^ set(LEGACY))}"
+    pinned = {name for name, _fixture in PINS}
+    assert registered == pinned, (
+        "registry and golden pins diverged — record pins for "
+        f"{sorted(registered ^ pinned)}"
     )
+    for spec in list_algorithms():
+        fixtures = {fixture for name, fixture in PINS if name == spec.name}
+        expected = ({"bipartite"} if spec.requires_bipartite
+                    else {"general", "bipartite"})
+        assert fixtures == expected, spec.name
 
 
-@pytest.mark.parametrize("name", sorted(LEGACY))
+@pytest.mark.parametrize("name", sorted({name for name, _ in PINS}))
 def test_solve_matches_legacy_entry_point(name, general_graph,
                                           bipartite_graph):
-    spec = next(s for s in list_algorithms() if s.name == name)
-    graph = bipartite_graph if spec.requires_bipartite else general_graph
-    expected_solution, expected_objective, expected_rounds, ledger = (
-        LEGACY[name](graph)
-    )
-
-    report = solve(Instance(graph, eps=EPS, seed=SEED), name)
-
-    assert report.solution == frozenset(expected_solution)
-    assert report.objective == expected_objective
-    assert report.rounds == expected_rounds
-    if ledger is not None:
-        assert report.ledger_counts() == ledger.as_dict()
+    graphs = {"general": general_graph, "bipartite": bipartite_graph}
+    for (pinned, fixture), expected in sorted(PINS.items()):
+        if pinned != name:
+            continue
+        report = solve(Instance(graphs[fixture], eps=EPS, seed=SEED), name)
+        observed = (solution_digest(report.solution), report.objective,
+                    report.rounds, report.ledger_counts())
+        assert observed == expected, (name, fixture)
 
 
-@pytest.mark.parametrize("name", sorted(LEGACY))
+@pytest.mark.parametrize("name", sorted({name for name, _ in PINS}))
 def test_solve_is_reproducible(name, general_graph, bipartite_graph):
     spec = next(s for s in list_algorithms() if s.name == name)
     graph = bipartite_graph if spec.requires_bipartite else general_graph

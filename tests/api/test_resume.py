@@ -6,7 +6,7 @@ The registry-wide contract this suite pins (the PR-5 tentpole):
   and resuming the truncated report reproduces the unbounded run
   bit-for-bit — same solution, objective, round count and ledger
   breakdown — with the stop point swept over ``k ∈ {0, 1, mid,
-  last-phase}`` for every phase-structured (``run_iter``) entry;
+  last-phase}`` for every phased (generator-runner) entry;
 * ``resume_state`` payloads survive a ``json.dumps``/``loads`` round
   trip and still continue identically (persisted warm starts);
 * multi-hop resume (truncate → resume under a new budget → truncate →
@@ -17,9 +17,10 @@ The registry-wide contract this suite pins (the PR-5 tentpole):
 
 Like ``test_facade_parity.py`` gates registration, the parametrization
 here covers the whole registry: a future algorithm registered with a
-``run_iter`` but a broken (or missing) resume path fails this suite.
+phased runner but a broken (or missing) resume path fails this suite.
 """
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -136,7 +137,7 @@ class TestResumeContract:
 
     @pytest.mark.parametrize(
         "name",
-        sorted(s.name for s in list_algorithms() if s.run_iter is not None),
+        sorted(s.name for s in list_algorithms() if s.anytime == "phases"),
     )
     def test_phase_runners_continue_instead_of_restarting(
             self, name, general_graph, bipartite_graph, unbounded):
@@ -180,17 +181,17 @@ class TestResumeContract:
     def test_newly_phased_algorithms_are_no_longer_coarse(self):
         for name in NEWLY_PHASED:
             spec = next(s for s in list_algorithms() if s.name == name)
-            assert spec.run_iter is not None, (
+            assert spec.anytime == "phases", (
                 f"{name} regressed to the coarse begin/end adapter"
             )
-            assert spec.anytime == "phases"
 
     def test_registry_json_surfaces_resume_capability(self):
         entries = {row["name"]: row for row in registry_as_json()}
         for spec in list_algorithms():
             row = entries[spec.name]
             assert row["resume"] == row["anytime"]
-            expected = "phases" if spec.run_iter is not None else "coarse"
+            expected = ("phases" if inspect.isgeneratorfunction(
+                inspect.unwrap(spec.run_iter)) else "coarse")
             assert row["resume"] == expected, spec.name
 
 

@@ -158,20 +158,21 @@ class TestKernelParity:
 
     def test_core_entry_points_accept_backend(self):
         graph = weighted_gnp(70, 0.07, seed=4)
-        obj = maxis_layers.maxis_local_ratio_layers(graph, seed=2)
+        obj = drain(maxis_layers.maxis_layers_phases(graph, seed=2))
         net = make_network(graph, seed=2, backend=ARRAY_BACKEND)
-        arr = maxis_layers.maxis_local_ratio_layers(graph, seed=2,
-                                                    network=net)
+        arr = drain(maxis_layers.maxis_layers_phases(graph, seed=2,
+                                                     network=net))
         assert arr.independent_set == obj.independent_set
         assert arr.rounds == obj.rounds
         assert arr.weight == obj.weight
 
     def test_general_proposal_backend_kwarg(self):
         graph = gnp_graph(50, 0.09, seed=11)
-        obj = proposal_matching.general_proposal_matching(graph, seed=3)
-        arr = proposal_matching.general_proposal_matching(
+        obj = drain(proposal_matching.general_proposal_phases(graph,
+                                                              seed=3))
+        arr = drain(proposal_matching.general_proposal_phases(
             graph, seed=3, backend=ARRAY_BACKEND
-        )
+        ))
         assert arr[0] == obj[0]
         assert arr[1] == obj[1]
         assert arr[2].breakdown == obj[2].breakdown

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.congest import ExecutionRecorder, SynchronousNetwork
-from repro.core import maxis_local_ratio_layers
+from repro.core import maxis_layers_phases
 from repro.graphs import assign_node_weights, gnp_graph, path_graph
 from repro.mis import luby_mis
+from repro.utils import drain
 
 
 class TestRecorder:
@@ -32,7 +33,7 @@ class TestRecorder:
         g = assign_node_weights(gnp_graph(25, 0.2, seed=5), 64, seed=6)
         net = SynchronousNetwork(g, seed=7)
         recorder = ExecutionRecorder().attach(net)
-        maxis_local_ratio_layers(g, network=net)
+        drain(maxis_layers_phases(g, network=net))
         summary = recorder.summary()
         assert summary["rounds"] > 0
         assert summary["messages"] > 0

@@ -3,8 +3,8 @@ must fit its messages inside the O(log n)-bit bandwidth.  Running under
 ``strict=True`` turns any oversized message into a hard failure."""
 
 from repro.congest import CONGEST, SynchronousNetwork
-from repro.core import maxis_local_ratio_coloring, maxis_local_ratio_layers
-from repro.core.proposal_matching import bipartite_proposal_matching
+from repro.core import maxis_coloring_phases, maxis_layers_phases
+from repro.core.proposal_matching import bipartite_proposal_phases
 from repro.graphs import (
     assign_node_weights,
     gnp_graph,
@@ -12,6 +12,7 @@ from repro.graphs import (
 )
 from repro.matching import bipartite_sides, israeli_itai_matching
 from repro.mis import luby_mis, nearly_maximal_is
+from repro.utils import drain
 
 
 def strict_network(graph, seed=0):
@@ -33,13 +34,14 @@ class TestStrictCompliance:
 
     def test_algorithm_2(self):
         g = assign_node_weights(gnp_graph(30, 0.2, seed=5), 64, seed=6)
-        result = maxis_local_ratio_layers(g, network=strict_network(g, 7))
+        result = drain(maxis_layers_phases(g,
+                                           network=strict_network(g, 7)))
         assert result.independent_set
 
     def test_algorithm_3(self):
         g = assign_node_weights(gnp_graph(30, 0.2, seed=8), 64, seed=9)
-        result = maxis_local_ratio_coloring(g,
-                                            network=strict_network(g, 10))
+        result = drain(maxis_coloring_phases(g,
+                                             network=strict_network(g, 10)))
         assert result.independent_set
 
     def test_israeli_itai(self):
@@ -52,9 +54,9 @@ class TestStrictCompliance:
     def test_proposal(self):
         g = random_bipartite_graph(15, 15, 0.25, seed=13)
         left, right = bipartite_sides(g)
-        result = bipartite_proposal_matching(
+        result = drain(bipartite_proposal_phases(
             g, left, right, network=strict_network(g, 14),
-        )
+        ))
         assert result.matching
 
     def test_weights_polynomial_in_n_fit(self):
@@ -63,5 +65,6 @@ class TestStrictCompliance:
 
         g = assign_node_weights(gnp_graph(25, 0.2, seed=15), 25 ** 3,
                                 seed=16)
-        result = maxis_local_ratio_layers(g, network=strict_network(g, 17))
+        result = drain(maxis_layers_phases(g,
+                                           network=strict_network(g, 17)))
         assert result.independent_set

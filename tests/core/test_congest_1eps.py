@@ -12,8 +12,7 @@ import pytest
 
 from repro.core import (
     BipartiteAugmentingPhase,
-    bipartite_matching_1eps,
-    congest_matching_1eps,
+    bipartite_matching_1eps_phases,
     congest_matching_1eps_stages,
     enumerate_augmenting_paths,
     lemma_b11_budget,
@@ -22,6 +21,7 @@ from repro.core import (
 )
 from repro.graphs import check_matching, gnp_graph, random_bipartite_graph
 from repro.matching import bipartite_sides, hopcroft_karp, optimum_cardinality
+from repro.utils import drain
 
 
 def make_phase(graph, matching, d, seed=0):
@@ -139,9 +139,9 @@ class TestBipartiteFull:
         g = random_bipartite_graph(10, 10, 0.3, seed=seed)
         a, b = bipartite_sides(g)
         eps = 0.5
-        matching, deactivated = bipartite_matching_1eps(
+        matching, deactivated = drain(bipartite_matching_1eps_phases(
             g, a, b, eps=eps, seed=seed
-        )
+        ))
         check_matching(g, [tuple(e) for e in matching])
         opt = len(hopcroft_karp(g))
         assert (1 + eps) * (len(matching) + len(deactivated)) >= opt
@@ -150,9 +150,9 @@ class TestBipartiteFull:
         g = random_bipartite_graph(9, 9, 0.3, seed=7)
         a, b = bipartite_sides(g)
         eps = 0.5
-        matching, deactivated = bipartite_matching_1eps(
+        matching, deactivated = drain(bipartite_matching_1eps_phases(
             g, a, b, eps=eps, seed=7
-        )
+        ))
         max_length = 2 * math.ceil(1 / eps) + 1
         remaining = shortest_augmenting_path_length(
             g, matching, active=set(g.nodes) - deactivated,
@@ -166,14 +166,15 @@ class TestGeneralGraphs:
     def test_theorem_b12_quality(self, seed):
         g = gnp_graph(18, 0.25, seed=seed)
         eps = 0.5
-        result = congest_matching_1eps(g, eps=eps, seed=seed)
+        result = drain(congest_matching_1eps_stages(g, eps=eps, seed=seed))
         check_matching(g, [tuple(e) for e in result.matching])
         opt = optimum_cardinality(g)
         slack = len(result.deactivated)
         assert (1 + eps) * (result.cardinality + slack) >= opt
 
     def test_rounds_and_stages_reported(self, small_graph):
-        result = congest_matching_1eps(small_graph, eps=0.5, seed=1)
+        result = drain(congest_matching_1eps_stages(small_graph, eps=0.5,
+                                                    seed=1))
         assert result.rounds > 0
         assert result.stages >= 1
 
@@ -196,8 +197,9 @@ class TestNotifyWave:
 
     def test_wave_leaves_matching_untouched_but_charges_rounds(self):
         g = self._graph()
-        plain = congest_matching_1eps(g, seed=3)
-        waved = congest_matching_1eps(g, seed=3, notify_wave=True)
+        plain = drain(congest_matching_1eps_stages(g, seed=3))
+        waved = drain(congest_matching_1eps_stages(g, seed=3,
+                                                   notify_wave=True))
         assert waved.matching == plain.matching
         assert waved.stages == plain.stages
         assert waved.rounds > plain.rounds
@@ -210,8 +212,8 @@ class TestNotifyWave:
 
     def test_default_off_preserves_historical_rounds(self):
         g = self._graph(seed=4)
-        assert congest_matching_1eps(g, seed=0).rounds == \
-            congest_matching_1eps(g, seed=0).rounds
+        assert drain(congest_matching_1eps_stages(g, seed=0)).rounds == \
+            drain(congest_matching_1eps_stages(g, seed=0)).rounds
         # extras advertise the wave only when it ran
         stream = congest_matching_1eps_stages(g, seed=0)
         _rounds, _m, extras, _state = next(stream)
@@ -263,7 +265,7 @@ class TestNotifyWave:
         # and a pre-wave payload resumes wave-less (back-compat)
         _last, resumed = self._drain(congest_matching_1eps_stages(
             g, seed=1, resume=state))
-        plain = congest_matching_1eps(g, seed=1)
+        plain = drain(congest_matching_1eps_stages(g, seed=1))
         assert resumed.matching == plain.matching
         assert resumed.rounds == plain.rounds
 

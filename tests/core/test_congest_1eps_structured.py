@@ -5,9 +5,10 @@ property sweeps for the bucketed pipeline."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Instance, solve
 from repro.core import (
-    bipartite_matching_1eps,
-    congest_matching_1eps,
+    bipartite_matching_1eps_phases,
+    congest_matching_1eps_stages,
     fast_matching_weighted_2eps,
 )
 from repro.graphs import (
@@ -18,6 +19,7 @@ from repro.graphs import (
     gnp_graph,
 )
 from repro.matching import bipartite_sides, optimum_weight
+from repro.utils import drain
 
 
 class TestPerfectMatchingRecovery:
@@ -28,15 +30,15 @@ class TestPerfectMatchingRecovery:
 
         g = bipartite_regular_graph(10, 3, seed=seed)
         a, b = bipartite_sides(g)
-        matching, deactivated = bipartite_matching_1eps(
+        matching, deactivated = drain(bipartite_matching_1eps_phases(
             g, a, b, eps=0.5, seed=seed,
-        )
+        ))
         check_matching(g, [tuple(e) for e in matching])
         assert 1.5 * (len(matching) + len(deactivated)) >= 10
 
     def test_even_cycle_general_graph(self):
         g = cycle_graph(12)
-        result = congest_matching_1eps(g, eps=0.5, seed=1)
+        result = drain(congest_matching_1eps_stages(g, eps=0.5, seed=1))
         check_matching(g, [tuple(e) for e in result.matching])
         assert 1.5 * (result.cardinality + len(result.deactivated)) >= 6
 
@@ -47,9 +49,9 @@ class TestPerfectMatchingRecovery:
         g = gnp_graph(16, 0.25, seed=2)
         sizes = []
         for stages in (1, 2, 4):
-            result = congest_matching_1eps(g, eps=0.5, seed=3,
-                                           stages=stages)
-            sizes.append(result.cardinality)
+            result = solve(Instance(g, eps=0.5, seed=3),
+                           "matching-oneeps-congest", stages=stages)
+            sizes.append(result.size)
         assert sizes == sorted(sizes)
 
 

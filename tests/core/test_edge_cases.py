@@ -2,17 +2,13 @@
 structured extremes, and parameter boundaries."""
 
 import networkx as nx
+from repro.api import Instance, solve
 from repro.core import (
     LayerTrace,
     bucketed_constant_approx_mwm,
-    congest_matching_1eps,
     enumerate_augmenting_paths,
     fast_matching_2eps,
     fast_matching_weighted_2eps,
-    local_matching_1eps,
-    matching_local_ratio,
-    maxis_local_ratio_coloring,
-    maxis_local_ratio_layers,
     nearly_maximal_hypergraph_matching,
     sequential_local_ratio,
     weight_group_matching,
@@ -33,34 +29,35 @@ class TestDegenerateGraphs:
     def test_maxis_single_edge(self):
         g = assign_node_weights(path_graph(2), 4, seed=1)
         for result in (
-            maxis_local_ratio_layers(g, seed=2),
-            maxis_local_ratio_coloring(g),
+            solve(Instance(g, seed=2), "maxis-layers"),
+            solve(Instance(g), "maxis-coloring"),
         ):
-            assert len(result.independent_set) == 1
+            assert len(result.solution) == 1
 
     def test_matching_two_nodes(self):
         g = assign_edge_weights(path_graph(2), 3, seed=1)
-        assert len(matching_local_ratio(g).matching) == 1
+        assert len(solve(Instance(g), "matching-lines").solution) == 1
         assert len(weight_group_matching(g).matching) == 1
         assert len(fast_matching_2eps(g).matching) == 1
 
     def test_all_isolated(self):
         g = assign_node_weights(empty_graph(6), 8, seed=1)
-        result = maxis_local_ratio_layers(g, seed=2)
-        assert result.independent_set == set(range(6))
-        matching = local_matching_1eps(empty_graph(6))
-        assert matching.cardinality == 0
+        result = solve(Instance(g, seed=2), "maxis-layers")
+        assert result.solution == set(range(6))
+        matching = solve(Instance(empty_graph(6)), "matching-oneeps")
+        assert matching.size == 0
 
     def test_one_eps_on_empty_graph(self):
-        result = congest_matching_1eps(empty_graph(4), eps=1.0)
-        assert result.cardinality == 0
+        result = solve(Instance(empty_graph(4), eps=1.0),
+                       "matching-oneeps-congest")
+        assert result.size == 0
 
 
 class TestStructuredExtremes:
     def test_complete_graph_maxis_picks_one(self):
         g = assign_node_weights(complete_graph(8), 16, seed=2)
-        result = maxis_local_ratio_layers(g, seed=3)
-        assert len(result.independent_set) == 1
+        result = solve(Instance(g, seed=3), "maxis-layers")
+        assert len(result.solution) == 1
 
     def test_even_cycle_matching_near_perfect(self):
         g = cycle_graph(12)
@@ -70,7 +67,7 @@ class TestStructuredExtremes:
     def test_star_matching_is_single_edge(self):
         g = assign_edge_weights(star_graph(9), 8, seed=5)
         for matching in (
-            matching_local_ratio(g, seed=6).matching,
+            solve(Instance(g, seed=6), "matching-lines").solution,
             weight_group_matching(g, seed=6).matching,
         ):
             assert len(matching) == 1
@@ -79,22 +76,23 @@ class TestStructuredExtremes:
         g = layered_graph(4, 3)
         for v, data in g.nodes(data=True):
             g.nodes[v]["weight"] = 2 ** data["layer"]
-        result = maxis_local_ratio_layers(g, seed=7, trace=LayerTrace())
+        result = solve(Instance(g, seed=7), "maxis-layers",
+                       trace=LayerTrace())
         # The top layer always survives entirely (no higher reducers).
         top_nodes = {v for v, d in g.nodes(data=True) if d["layer"] == 3}
-        assert top_nodes <= result.independent_set
+        assert top_nodes <= result.solution
 
     def test_uniform_weights_reduce_to_unweighted(self):
         g = assign_node_weights(cycle_graph(9), 5, scheme="constant")
-        result = maxis_local_ratio_coloring(g)
-        assert 2 * len(result.independent_set) >= 4  # Δ=2 bound on C9
+        result = solve(Instance(g), "maxis-coloring")
+        assert 2 * len(result.solution) >= 4  # Δ=2 bound on C9
 
 
 class TestParameterBoundaries:
     def test_eps_one_is_valid(self):
         g = nx.Graph([(0, 1), (1, 2), (2, 3)])
-        result = local_matching_1eps(g, eps=1.0, seed=1)
-        assert result.cardinality >= 1
+        result = solve(Instance(g, eps=1.0, seed=1), "matching-oneeps")
+        assert result.size >= 1
 
     def test_tiny_weights_single_bucket(self):
         g = assign_edge_weights(cycle_graph(8), 1, scheme="constant")

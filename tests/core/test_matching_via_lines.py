@@ -3,8 +3,9 @@
 import networkx as nx
 import pytest
 
+from repro.api import Instance, solve
 from repro.congest import CongestionAudit
-from repro.core import matching_lines_phases, matching_local_ratio
+from repro.core import matching_lines_phases
 from repro.errors import InvalidInstance
 from repro.graphs import (
     assign_edge_weights,
@@ -15,6 +16,14 @@ from repro.graphs import (
     star_graph,
 )
 from repro.matching import optimum_weight
+from repro.utils import drain
+
+
+def lines(graph, method="layers", seed=0):
+    """Theorem 2.10 through the facade with the given MaxIS engine."""
+
+    return solve(Instance(graph, seed=seed), "matching-lines",
+                 method=method)
 
 
 class TestTwoApproximation:
@@ -25,50 +34,50 @@ class TestTwoApproximation:
 
         g = assign_edge_weights(gnp_graph(16, 0.25, seed=seed), 16,
                                 seed=seed + 1)
-        result = matching_local_ratio(g, method=method, seed=seed + 2)
-        check_matching(g, [tuple(e) for e in result.matching])
-        assert 2 * result.weight >= optimum_weight(g)
+        result = lines(g, method=method, seed=seed + 2)
+        check_matching(g, [tuple(e) for e in result.solution])
+        assert 2 * result.objective >= optimum_weight(g)
 
     @pytest.mark.parametrize("method", ["layers", "coloring"])
     def test_structured_graphs(self, method):
         for g in (path_graph(9), cycle_graph(10), star_graph(7)):
             assign_edge_weights(g, 8, seed=3)
-            result = matching_local_ratio(g, method=method, seed=4)
-            check_matching(g, [tuple(e) for e in result.matching])
-            assert 2 * result.weight >= optimum_weight(g)
+            result = lines(g, method=method, seed=4)
+            check_matching(g, [tuple(e) for e in result.solution])
+            assert 2 * result.objective >= optimum_weight(g)
 
     def test_bimodal_weights_pick_heavy_edges(self):
         """Weight-oblivious matching fails here; local ratio must not."""
 
         g = assign_edge_weights(gnp_graph(20, 0.25, seed=5), 100,
                                 scheme="bimodal", seed=6)
-        result = matching_local_ratio(g, method="layers", seed=7)
-        assert 2 * result.weight >= optimum_weight(g)
+        result = lines(g, method="layers", seed=7)
+        assert 2 * result.objective >= optimum_weight(g)
 
     def test_unweighted_half_optimum(self, small_graph):
         # Local ratio does not promise maximality (see the MaxIS
         # non-maximality tests); the factor-2 bound is the guarantee.
         from repro.matching import optimum_cardinality
 
-        result = matching_local_ratio(small_graph, method="coloring")
-        check_matching(small_graph, [tuple(e) for e in result.matching])
-        assert 2 * len(result.matching) >= optimum_cardinality(small_graph)
+        result = lines(small_graph, method="coloring")
+        check_matching(small_graph, [tuple(e) for e in result.solution])
+        assert 2 * len(result.solution) >= optimum_cardinality(small_graph)
 
     def test_empty_graph(self):
         g = nx.Graph()
         g.add_nodes_from(range(3))
-        result = matching_local_ratio(g)
-        assert result.matching == set()
+        result = lines(g)
+        assert result.solution == frozenset()
         assert result.rounds == 0
 
     def test_unknown_method_rejected(self, small_graph):
         with pytest.raises(InvalidInstance):
-            matching_local_ratio(small_graph, method="bogus")
+            lines(small_graph, method="bogus")
 
     def test_deterministic_coloring_method(self, edge_weighted_graph):
-        a = matching_local_ratio(edge_weighted_graph, method="coloring")
-        b = matching_local_ratio(edge_weighted_graph, method="coloring")
-        assert a.matching == b.matching
+        a = lines(edge_weighted_graph, method="coloring")
+        b = lines(edge_weighted_graph, method="coloring")
+        assert a.solution == b.solution
 
     @pytest.mark.parametrize("method", ["layers", "coloring"])
     def test_zero_budget_truncates_not_unbounded(self, edge_weighted_graph,
@@ -95,6 +104,7 @@ class TestCongestionClaim:
 
         g = assign_edge_weights(star_graph(10), 8, seed=1)
         audit = CongestionAudit()
-        matching_local_ratio(g, method="layers", seed=2, audit=audit)
+        drain(matching_lines_phases(g, method="layers", seed=2,
+                                    audit=audit))
         assert audit.max_naive_load() > audit.max_aggregated_load()
         assert audit.max_aggregated_load() == 2

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import Instance, solve
 from repro.core import (
-    bipartite_proposal_matching,
-    general_proposal_matching,
+    bipartite_proposal_phases,
+    general_proposal_phases,
     lemma_b13_rounds,
     optimal_k,
 )
@@ -16,6 +17,7 @@ from repro.graphs import (
     random_bipartite_graph,
 )
 from repro.matching import bipartite_sides, optimum_cardinality
+from repro.utils import drain
 
 
 class TestBudget:
@@ -45,8 +47,8 @@ class TestBipartite:
     def test_valid_matching(self, seed):
         g = random_bipartite_graph(12, 12, 0.25, seed=seed)
         left, right = bipartite_sides(g)
-        result = bipartite_proposal_matching(g, left, right, eps=0.25,
-                                             seed=seed)
+        result = drain(bipartite_proposal_phases(g, left, right, eps=0.25,
+                                                 seed=seed))
         check_matching(g, [tuple(e) for e in result.matching])
 
     def test_unlucky_fraction_small(self):
@@ -58,8 +60,8 @@ class TestBipartite:
         for seed in range(5):
             g = bipartite_regular_graph(20, 4, seed=seed)
             left, right = bipartite_sides(g)
-            result = bipartite_proposal_matching(g, left, right, eps=eps,
-                                                 seed=seed)
+            result = drain(bipartite_proposal_phases(g, left, right,
+                                                     eps=eps, seed=seed))
             unlucky_total += len(result.unlucky & left)
             left_total += len(left)
         assert unlucky_total / left_total <= eps
@@ -67,8 +69,8 @@ class TestBipartite:
     def test_unlucky_nodes_are_unmatched_non_isolated(self):
         g = random_bipartite_graph(10, 4, 0.5, seed=3)
         left, right = bipartite_sides(g)
-        result = bipartite_proposal_matching(g, left, right, eps=0.5,
-                                             seed=3, phases=1)
+        result = drain(bipartite_proposal_phases(g, left, right, eps=0.5,
+                                                 seed=3, phases=1))
         matched = {v for e in result.matching for v in e}
         for v in result.unlucky:
             assert v not in matched
@@ -80,13 +82,13 @@ class TestBipartite:
         g = nx.Graph()
         g.add_edge(0, 1)
         with pytest.raises(InvalidInstance):
-            bipartite_proposal_matching(g, {0, 1}, set(), seed=0)
+            drain(bipartite_proposal_phases(g, {0, 1}, set(), seed=0))
 
     def test_rounds_bounded_by_phases(self):
         g = random_bipartite_graph(15, 15, 0.2, seed=4)
         left, right = bipartite_sides(g)
-        result = bipartite_proposal_matching(g, left, right, phases=5,
-                                             seed=4)
+        result = drain(bipartite_proposal_phases(g, left, right, phases=5,
+                                                 seed=4))
         assert result.rounds <= 2 * 5 + 4
 
 
@@ -94,9 +96,9 @@ class TestGeneral:
     @pytest.mark.parametrize("seed", range(4))
     def test_valid_matching(self, seed):
         g = gnp_graph(24, 0.2, seed=seed)
-        matching, rounds, ledger = general_proposal_matching(
+        matching, rounds, ledger = drain(general_proposal_phases(
             g, eps=0.25, seed=seed
-        )
+        ))
         check_matching(g, [tuple(e) for e in matching])
         assert rounds == ledger.total
 
@@ -107,16 +109,15 @@ class TestGeneral:
         good = 0
         for seed in range(5):
             g = gnp_graph(26, 0.2, seed=seed)
-            matching, _, _ = general_proposal_matching(g, eps=eps,
-                                                       seed=seed)
-            if (2 + eps) * len(matching) >= optimum_cardinality(g):
+            report = solve(Instance(g, eps=eps, seed=seed),
+                           "matching-proposal")
+            if (2 + eps) * report.size >= optimum_cardinality(g):
                 good += 1
         assert good >= 4
 
     def test_repetitions_improve_coverage(self):
         g = gnp_graph(24, 0.25, seed=6)
-        few, _, _ = general_proposal_matching(g, eps=0.5, seed=6,
-                                              repetitions=1)
-        many, _, _ = general_proposal_matching(g, eps=0.5, seed=6,
-                                               repetitions=6)
-        assert len(many) >= len(few)
+        instance = Instance(g, eps=0.5, seed=6)
+        few = solve(instance, "matching-proposal", repetitions=1)
+        many = solve(instance, "matching-proposal", repetitions=6)
+        assert many.size >= few.size

@@ -9,11 +9,8 @@ oracle, and agreement between engines on the guarantee.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    maxis_local_ratio_coloring,
-    maxis_local_ratio_layers,
-    sequential_local_ratio,
-)
+from repro.api import Instance, solve
+from repro.core import sequential_local_ratio
 from repro.graphs import (
     assign_node_weights,
     check_independent_set,
@@ -41,11 +38,11 @@ def test_algorithm_2_invariants(params):
     n, topo_seed, w, scheme, algo_seed = params
     g = assign_node_weights(gnp_graph(n, 0.3, seed=topo_seed), w,
                             scheme=scheme, seed=topo_seed)
-    result = maxis_local_ratio_layers(g, seed=algo_seed)
-    check_independent_set(g, result.independent_set)
+    result = solve(Instance(g, seed=algo_seed), "maxis-layers")
+    check_independent_set(g, result.solution)
     optimum = mwis_weight(g, exact_mwis(g))
     delta = max(1, max_degree(g))
-    assert delta * result.weight >= optimum
+    assert delta * result.objective >= optimum
 
 
 @given(graph_params)
@@ -54,11 +51,11 @@ def test_algorithm_3_invariants(params):
     n, topo_seed, w, scheme, _ = params
     g = assign_node_weights(gnp_graph(n, 0.3, seed=topo_seed), w,
                             scheme=scheme, seed=topo_seed)
-    result = maxis_local_ratio_coloring(g)
-    check_independent_set(g, result.independent_set)
+    result = solve(Instance(g), "maxis-coloring")
+    check_independent_set(g, result.solution)
     optimum = mwis_weight(g, exact_mwis(g))
     delta = max(1, max_degree(g))
-    assert delta * result.weight >= optimum
+    assert delta * result.objective >= optimum
 
 
 @given(graph_params)
@@ -74,7 +71,7 @@ def test_engines_agree_on_the_guarantee(params):
     delta = max(1, max_degree(g))
     for found in (
         mwis_weight(g, sequential_local_ratio(g)),
-        maxis_local_ratio_layers(g, seed=algo_seed).weight,
-        maxis_local_ratio_coloring(g).weight,
+        solve(Instance(g, seed=algo_seed), "maxis-layers").objective,
+        solve(Instance(g), "maxis-coloring").objective,
     ):
         assert delta * found >= optimum

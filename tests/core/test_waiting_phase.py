@@ -14,7 +14,8 @@ the actual (1+ε) CONGEST matcher:
   the wake-list savings the scheduler was built for.
 """
 
-from repro.core import congest_matching_1eps, waiting_phase_wave
+from repro.api import Instance, solve
+from repro.core import waiting_phase_wave
 from repro.graphs import path_graph
 
 EPS = 0.5
@@ -27,8 +28,9 @@ def matcher_state(n=120):
     nodes are a tiny fringe — the waiting phase's typical shape."""
 
     graph = path_graph(n)
-    result = congest_matching_1eps(graph, eps=EPS, seed=SEED)
-    return graph, result.matching
+    result = solve(Instance(graph, eps=EPS, seed=SEED),
+                   "matching-oneeps-congest")
+    return graph, result.solution
 
 
 class TestWaitingPhaseWave:

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import matching_local_ratio, weight_group_matching
+from repro.api import Instance, solve
+from repro.core import weight_group_matching
 from repro.errors import InvalidInstance
 from repro.graphs import (
     assign_edge_weights,
@@ -45,10 +46,10 @@ class TestWeightGroupMatching:
 
         g = assign_edge_weights(gnp_graph(16, 0.3, seed=7), 32, seed=8)
         direct = weight_group_matching(g, seed=9)
-        via_lines = matching_local_ratio(g, method="layers", seed=9)
+        via_lines = solve(Instance(g, seed=9), "matching-lines")
         opt = optimum_weight(g)
         assert 2 * direct.weight >= opt
-        assert 2 * via_lines.weight >= opt
+        assert 2 * via_lines.objective >= opt
 
     def test_empty_graph(self):
         import networkx as nx

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.congest import make_network
-from repro.core import bipartite_proposal_matching
+from repro.core import bipartite_proposal_phases
 from repro.errors import MPCCapacityError
 from repro.graphs import complete_graph, gnp_graph, random_bipartite_graph
 from repro.mpc import (
@@ -14,6 +14,7 @@ from repro.mpc import (
     mpc_greedy_mis,
     run_bipartite_proposal,
 )
+from repro.utils import drain
 
 
 def _bipartite():
@@ -35,8 +36,8 @@ class TestBitSumInvariant:
         seed = 7
 
         congest = make_network(graph, seed=seed)
-        result = bipartite_proposal_matching(
-            graph, left, right, seed=seed, network=congest)
+        result = drain(bipartite_proposal_phases(
+            graph, left, right, seed=seed, network=congest))
 
         mpc = MPCNetwork(graph, machines=graph.number_of_nodes(),
                          capacity_factor=1e9, sparsify=False)
@@ -60,8 +61,8 @@ class TestBitSumInvariant:
         single = MPCNetwork(graph, machines=1, capacity_factor=1e9)
         matching, _, _ = run_bipartite_proposal(single, graph, left,
                                                 seed=7)
-        reference = bipartite_proposal_matching(graph, left, right,
-                                                seed=7)
+        reference = drain(bipartite_proposal_phases(graph, left, right,
+                                                    seed=7))
         assert matching == reference.matching
         summary = single.summary()
         assert summary["bits_sent"] == 0

@@ -98,6 +98,44 @@ def server():
     live.stop()
 
 
+@pytest.fixture
+def slow_server():
+    """Jobs pause between checkpoints, so a stream opened right after
+    submission always catches the job before its terminal record."""
+
+    live = _LiveServer(workers=2, cache_size=16,
+                       phase_delay_s=0.05).start()
+    yield live
+    live.stop()
+
+
+class _RacingJob:
+    """A job that finishes between ``_stream``'s reads of its record
+    and of its ``done`` flag: the first ``record()`` call flips
+    ``done``, so the record it returns is already stale."""
+
+    def __init__(self):
+        self.done = False
+
+    def record(self):
+        if self.done:
+            return {"id": "job-race", "checkpoints": 2,
+                    "status": "complete"}
+        self.done = True
+        return {"id": "job-race", "checkpoints": 1, "status": "running"}
+
+
+class _RecordingWriter:
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+
 class TestRoutes:
     def test_healthz(self, server):
         status, payload = server.request("GET", "/healthz")
@@ -180,7 +218,8 @@ class TestRoutes:
 
 
 class TestStreaming:
-    def test_stream_yields_updates_then_terminal(self, server):
+    def test_stream_yields_updates_then_terminal(self, slow_server):
+        server = slow_server
         body = dict(MAXIS_BODY,
                     workload={"problem": "maxis", "nodes": 50,
                               "seed": 9})
@@ -203,6 +242,27 @@ class TestStreaming:
         assert checkpoints == sorted(checkpoints)
         # every streamed update carries the latest checkpoint view
         assert lines[-1]["latest"]["final"] is True
+
+    def test_stream_ends_on_terminal_record_when_job_finishes_mid_read(
+            self):
+        class _Manager:
+            faults = None
+
+            def __init__(self, job):
+                self.job = job
+
+            def get(self, job_id):
+                return self.job
+
+        handler = ServiceHandler(_Manager(_RacingJob()), stream_poll_s=0)
+        writer = _RecordingWriter()
+        asyncio.run(handler._stream(writer, "job-race"))
+        _head, body = writer.data.split(b"\r\n\r\n", 1)
+        lines = [json.loads(line) for line in body.split(b"\r\n")
+                 if line.startswith(b"{")]
+        assert [line["status"] for line in lines] == ["running",
+                                                      "complete"]
+        assert body.endswith(b"0\r\n\r\n")
 
     def test_stream_for_unknown_job_is_404(self, server):
         status, payload = server.request(

@@ -6,11 +6,8 @@ rounds or worse.)"""
 
 import math
 
-from repro.core import (
-    fast_matching_2eps,
-    maxis_local_ratio_layers,
-    general_proposal_matching,
-)
+from repro.api import Instance, solve
+from repro.core import fast_matching_2eps
 from repro.graphs import (
     assign_node_weights,
     check_independent_set,
@@ -31,8 +28,8 @@ class TestScale:
     def test_algorithm_2_600_nodes(self):
         g = assign_node_weights(gnp_graph(600, 0.01, seed=3), 1024,
                                 scheme="log-uniform", seed=4)
-        result = maxis_local_ratio_layers(g, seed=5)
-        check_independent_set(g, result.independent_set)
+        result = solve(Instance(g, seed=5), "maxis-layers")
+        check_independent_set(g, result.solution)
         # Theorem 2.3 with very generous constants.
         assert result.rounds <= 40 * math.ceil(math.log2(600)) * 11
 
@@ -45,7 +42,6 @@ class TestScale:
 
     def test_proposal_500_nodes(self):
         g = gnp_graph(500, 0.012, seed=8)
-        matching, rounds, _ = general_proposal_matching(g, eps=0.25,
-                                                        seed=9)
-        check_matching(g, [tuple(e) for e in matching])
-        assert rounds <= 300
+        result = solve(Instance(g, eps=0.25, seed=9), "matching-proposal")
+        check_matching(g, [tuple(e) for e in result.solution])
+        assert result.rounds <= 300
