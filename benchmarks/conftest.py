@@ -3,11 +3,12 @@
 The benchmarks are thin declarations over the experiment registry in
 :mod:`repro.experiments` — every ``bench_*.py`` file binds one
 registered experiment via
-:func:`repro.experiments.bench.experiment_bench`.  Run with::
+:func:`repro.experiments.bench.experiment_bench`, and a test fails
+when any of the experiment's checks fails.  Run with::
 
-    PYTHONPATH=src pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/ -q -s
 
-to see the regenerated tables.  The same experiments are available
+(``-s`` shows the regenerated tables).  The same experiments are available
 outside pytest through ``python -m repro bench <name>``.
 
 This conftest makes ``src/`` importable so the suite also works from a

@@ -35,7 +35,7 @@ Examples::
     python -m repro bench smoke --json -
     python -m repro bench table1 --section t1_1a --output out/table1.json
     python -m repro bench --validate BENCH_smoke.json
-    python -m repro bench --diff OLD_perf.json NEW_perf.json
+    python -m repro bench --diff OLD_smoke.json NEW_smoke.json
 """
 
 from __future__ import annotations
@@ -145,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "alias of --json PATH, pass only one)")
     bench.add_argument("--no-artifact", action="store_true",
                        help="do not write any artifact file")
-    bench.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in the artifact "
-                            "(breaks byte-determinism; off by default)")
     bench.add_argument("--workers", type=int, default=None, metavar="N",
                        help="fan trials across N worker processes "
                             "(default serial; artifacts are "
@@ -155,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--backend", choices=("process", "thread"),
                        default="process",
                        help="pool backend for --workers (default process)")
-    bench.add_argument("--repeat", type=int, default=1, metavar="N",
-                       help="with --timing, execute each section N times "
-                            "and report p50/p95 instead of one sample")
     bench.add_argument("--validate", default=None, metavar="FILE",
                        help="validate an existing artifact file and exit")
     bench.add_argument("--render", default=None, metavar="FILE",
@@ -166,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--diff", nargs=2, default=None,
                        metavar=("OLD", "NEW"),
                        help="diff two artifact files (check regressions, "
-                            "row drift, timing trends) and exit; non-zero "
-                            "exit iff a check regressed")
+                            "row drift) and exit; non-zero exit iff a "
+                            "check regressed")
 
     info = sub.add_parser("info", help="print the algorithm inventory")
     info.add_argument("--json", action="store_true", dest="json_registry",
@@ -379,14 +373,8 @@ def _run_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    if args.repeat != 1 and not args.timing:
-        print("bench: --repeat only makes sense with --timing",
-              file=sys.stderr)
-        return 2
-
-    artifact = Runner(spec, timing=args.timing, workers=args.workers,
-                      backend=args.backend,
-                      repeat=args.repeat).run(args.section)
+    artifact = Runner(spec, workers=args.workers,
+                      backend=args.backend).run(args.section)
 
     if args.json_out == "-":
         print(artifact_to_json(artifact), end="")

@@ -10,7 +10,7 @@ the CI smoke gate — is a declarative
 * ``python -m repro bench <experiment>`` — the CLI entry point; lists,
   runs and validates experiments and writes artifacts;
 * ``benchmarks/bench_*.py`` — thin pytest declarations (one line per
-  experiment) that run the same specs under pytest-benchmark;
+  experiment) that run the same specs and fail on any failed check;
 * CI — the smoke-bench job runs ``python -m repro bench smoke --json -``
   and fails on schema violations or regressions past recorded bounds.
 
@@ -37,18 +37,14 @@ snapshot), the reduced table ``rows`` consumed by
 aborting the run.  The ``summary`` block repeats the section/trial/
 check counts so a truncated artifact cannot validate.
 
-Determinism: with default runner options the same spec and seeds
-produce a **byte-identical** artifact (sorted keys, no timestamps, no
-host data) — this is what lets CI diff artifacts across commits.  The
-contract extends to parallel execution: ``--workers N`` fans trials
-across the shared batch engine but merges them in spec order, so the
-artifact is byte-identical at any worker count (CI diffs a
-``--workers 2`` smoke run against the serial one).  Wall-clock
-measurements only appear under the optional top-level ``timing`` block
-when explicitly requested (``--timing``; add ``--repeat N`` for
-p50/p95 percentiles over N executions).  The ``perf`` experiment is
-the deliberate exception — its measures *are* wall-clock numbers — and
-is recorded, never byte-diffed.
+Determinism: the same spec and seeds produce a **byte-identical**
+artifact (sorted keys, no timestamps, no host data, no wall-clock) —
+this is what lets CI diff artifacts across commits.  The contract
+holds for every registered experiment and extends to parallel
+execution: ``--workers N`` fans trials across the shared batch engine
+but merges them in spec order, so the artifact is byte-identical at
+any worker count (CI diffs a ``--workers 2`` smoke run against the
+serial one).  Wall-clock speed is measured only by ``perfbench/``.
 
 How CI consumes it
 ------------------

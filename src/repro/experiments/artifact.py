@@ -30,16 +30,13 @@ Schema ``repro-bench/1``::
         }
       ],
       "summary": {"sections": N, "trials": N,
-                  "checks_total": N, "checks_failed": N, "passed": bool},
-      "timing": {...}    # OPTIONAL, wall-clock; never emitted by default
+                  "checks_total": N, "checks_failed": N, "passed": bool}
     }
 
-Determinism contract: with the default runner options (``timing``
-off), the same spec and seeds produce a **byte-identical** JSON
-artifact across processes and platforms — no timestamps, no host
-information, keys always sorted.  Wall-clock data, being inherently
-non-deterministic, only appears when explicitly requested and lives in
-the separate top-level ``"timing"`` block.
+Determinism contract: the same spec and seeds produce a
+**byte-identical** JSON artifact across processes, worker counts and
+platforms — no timestamps, no host information, no wall-clock, keys
+always sorted.  Wall-clock speed is measured by ``perfbench/``.
 """
 
 from __future__ import annotations

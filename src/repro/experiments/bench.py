@@ -1,4 +1,4 @@
-"""pytest-benchmark glue: run registered experiments under pytest.
+"""pytest glue: run registered experiments as tests.
 
 ``benchmarks/bench_*.py`` files declare exactly one line each::
 
@@ -8,12 +8,9 @@ which expands into a test parameterized over the experiment's
 sections.  Every section runs through the shared
 :class:`~repro.experiments.runner.Runner`, prints its rendered table
 (visible with ``pytest -s``), and fails if any of the section's
-registered checks — the paper's shape claims — fail.
-
-``run_once`` is the shared single-execution benchmark helper the old
-``benchmarks/_helpers.py`` used to carry: the paper's metric is
-synchronous rounds, not wall-clock, so one measured run is enough for
-timing context.
+registered checks — the paper's shape claims — fail.  The paper's
+metric is synchronous rounds, not wall-clock, so nothing here is
+timed; speed is measured by ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -21,13 +18,6 @@ from __future__ import annotations
 from ..analysis import render_section_result
 from .registry import get_experiment
 from .runner import Runner
-
-
-def run_once(benchmark, fn):
-    """Benchmark ``fn`` with a single measured execution and return its
-    result."""
-
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
 def experiment_bench(name: str):
@@ -40,9 +30,8 @@ def experiment_bench(name: str):
     @pytest.mark.parametrize(
         "section", [section.name for section in spec.sections]
     )
-    def bench(benchmark, section):
-        runner = Runner(spec)
-        record = run_once(benchmark, lambda: runner.run_section(section))
+    def bench(section):
+        record = Runner(spec).run_section(section)
         print()
         print(render_section_result(record))
         failed = [

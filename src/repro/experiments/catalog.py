@@ -56,7 +56,7 @@ def _layered_geometric(layers: int, width: int = 6, seed: int = 1,
                        p: float = 1.0):
     """Layered chain with weight ``2^layer`` — the serializing workload
     that realizes Algorithm 2's log W staircase.  ``p < 1`` keeps the
-    inter-layer bipartite edges sparse for the large perf workloads."""
+    inter-layer bipartite edges sparse for large instances."""
 
     g = layered_graph(layers, width, seed=seed, p=p)
     for v, data in g.nodes(data=True):
@@ -1382,263 +1382,6 @@ BUDGETS = register_experiment(ExperimentSpec(
 
 
 # ======================================================================
-# PERF — wall-clock tracking for the batch engine and the simulator
-# ======================================================================
-# The one catalog experiment exempt from the byte-determinism contract:
-# its measures ARE wall-clock numbers (CI records BENCH_perf.json, it
-# never gates on the values; only the schema is smoke-gated).  The
-# deterministic *content* — what the parallel backend computed — is
-# still checked to match the serial backend exactly.
-def _perf_agreement_check(rows):
-    for row in rows:
-        assert row["failed"] == 0, f"{row['failed']} batch tasks failed"
-        assert row["objective_total"] == row["parallel_objective_total"], (
-            "parallel backend computed different objectives "
-            f"({row['parallel_objective_total']} vs "
-            f"{row['objective_total']})"
-        )
-        assert row["rounds_total"] == row["parallel_rounds_total"], (
-            "parallel backend computed different round totals"
-        )
-
-
-def _perf_recorded_check(*keys):
-    def fn(rows):
-        for row in rows:
-            for key in keys:
-                assert row.get(key, 0) > 0, f"{key} not recorded: {row.get(key)}"
-
-    return fn
-
-
-def _backend_agreement_check(rows):
-    """The array backend must compute exactly what the object one did."""
-
-    for row in rows:
-        for key in ("objective", "rounds", "bits"):
-            assert row[key] == row[f"array_{key}"], (
-                f"array backend computed a different {key} "
-                f"({row[f'array_{key}']} vs {row[key]})"
-            )
-
-
-PERF = register_experiment(ExperimentSpec(
-    name="perf",
-    title="PERF: batch-engine and simulator wall-clock tracking",
-    description=(
-        "Records p50/p95 wall-clock and trials/sec for solve_many "
-        "(serial vs process pool) and for full serial simulator runs. "
-        "The only non-byte-deterministic experiment: BENCH_perf.json "
-        "is recorded across commits, never gated on timing values."
-    ),
-    tags=("perf", "timing", "nondeterministic"),
-    sections=(
-        Section(
-            name="solve_many_scaling",
-            title="PERF-a: solve_many serial vs 8-worker process pool "
-                  "(32 Algorithm-2 trials, n=1200 sparse G(n,p))",
-            measurement="batch_perf",
-            grid=(
-                {"graph": _gnp(1200, 0.01, 1,
-                               node_w={"max_weight": 4096,
-                                       "scheme": "log-uniform",
-                                       "seed": 2}),
-                 "trials": 32, "workers": 8,
-                 "algorithm": "maxis-layers"},
-            ),
-            seeds=(0,),
-            checks=(
-                _rows_check("parallel_matches_serial",
-                            _perf_agreement_check),
-                _rows_check(
-                    "timing_recorded",
-                    _perf_recorded_check(
-                        "serial_seconds", "parallel_seconds",
-                        "p50_task_seconds", "p95_task_seconds",
-                        "serial_trials_per_sec",
-                        "parallel_trials_per_sec", "speedup",
-                    ),
-                ),
-            ),
-        ),
-        Section(
-            name="simulator_serial",
-            title="PERF-b: serial simulator wall-clock (wake-list "
-                  "scheduler, sparse late-phase workload)",
-            measurement="simulator_perf",
-            grid=(
-                {"graph": _gnp(1200, 0.006, 1,
-                               node_w={"max_weight": 4096,
-                                       "scheme": "log-uniform",
-                                       "seed": 2}),
-                 "repeats": 5},
-            ),
-            seeds=(0,),
-            checks=(
-                _rows_check(
-                    "timing_recorded",
-                    _perf_recorded_check(
-                        "p50_seconds", "p95_seconds", "rounds_per_sec",
-                        "messages_per_sec", "cache_hit_rate",
-                    ),
-                ),
-            ),
-        ),
-        Section(
-            name="backend_scaling",
-            title="PERF-c: object vs array simulator backend "
-                  "(Algorithm 2; sparse G(n, 6/n) curve up to n=10^5, "
-                  "plus the serializing layered workload at n=10^5)",
-            measurement="backend_perf",
-            grid=(
-                {"graph": _sparse_gnp(1_000, 0.006, 1,
-                                      node_w={"max_weight": 4096,
-                                              "scheme": "log-uniform",
-                                              "seed": 2}),
-                 "repeats": 3, "algorithm": "maxis-layers"},
-                {"graph": _sparse_gnp(10_000, 0.0006, 1,
-                                      node_w={"max_weight": 4096,
-                                              "scheme": "log-uniform",
-                                              "seed": 2}),
-                 "repeats": 3, "algorithm": "maxis-layers"},
-                {"graph": _sparse_gnp(100_000, 0.00006, 1,
-                                      node_w={"max_weight": 4096,
-                                              "scheme": "log-uniform",
-                                              "seed": 2}),
-                 "repeats": 3, "algorithm": "maxis-layers"},
-                # The log W staircase workload: every layer stays an
-                # actor (broadcasting each cycle) until the top layer
-                # retires, so the object backend pays python per
-                # message on every edge every round — the regime the
-                # array backend exists for.
-                {"graph": {"family": "layered_geometric",
-                           "args": {"layers": 40, "width": 2500,
-                                    "seed": 1, "p": 0.006}},
-                 "repeats": 3, "algorithm": "maxis-layers"},
-            ),
-            seeds=(0,),
-            checks=(
-                _rows_check("array_matches_object",
-                            _backend_agreement_check),
-                _rows_check(
-                    "timing_recorded",
-                    _perf_recorded_check(
-                        "object_p50_seconds", "array_p50_seconds",
-                        "speedup",
-                    ),
-                ),
-            ),
-        ),
-    ),
-))
-
-
-# ======================================================================
-# serve_load — solver-service throughput/latency under concurrency
-# ======================================================================
-# Timing values are recorded (BENCH_serve.json), never gated — like
-# `perf`, this experiment is exempt from the byte-determinism contract.
-# The deterministic *content* is still gated: every objective the
-# service returns must equal the direct facade solve of the same spec.
-def _serve_agreement_check(rows):
-    for row in rows:
-        assert row["failed"] == 0, f"{row['failed']} service jobs failed"
-        assert row["objective_total"] == row["direct_objective_total"], (
-            "service computed different objectives than solve() "
-            f"({row['objective_total']} vs "
-            f"{row['direct_objective_total']})"
-        )
-
-
-def _serve_cache_check(rows):
-    for row in rows:
-        assert row["cache_hits"] == 2, (
-            f"expected exactly the 2 resubmissions to hit the cache, "
-            f"got {row['cache_hits']}"
-        )
-
-
-def _serve_truncation_check(rows):
-    """Rows sweep a loosening round budget: the truncated share must
-    fall monotonically from all-truncated toward none."""
-
-    ratios = [row["truncated_ratio"] for row in rows]
-    for ratio in ratios:
-        assert 0.0 <= ratio <= 1.0, f"ratio {ratio} out of range"
-    assert ratios == sorted(ratios, reverse=True), (
-        f"truncated ratio must not grow with budget: {ratios}"
-    )
-    assert ratios[0] > ratios[-1], (
-        f"budget sweep never changed the truncated share: {ratios}"
-    )
-
-
-SERVE_LOAD = register_experiment(ExperimentSpec(
-    name="serve_load",
-    title="SERVE: solver-service throughput, latency and SLA truncation",
-    description=(
-        "Drives the python -m repro serve job manager in-process: a "
-        "mixed batch of jobs per worker count records throughput and "
-        "the service's p50/p95 latency (BENCH_serve.json, recorded "
-        "like perf, never gated on timing), and a round-budget sweep "
-        "records the truncated-vs-complete ratio.  The deterministic "
-        "content is gated: every service objective must equal the "
-        "direct facade solve."
-    ),
-    tags=("serve", "perf", "timing", "nondeterministic"),
-    sections=(
-        Section(
-            name="throughput",
-            title="SERVE-a: throughput and latency vs worker count "
-                  "(12 mixed jobs + 2 cache resubmissions, n=40)",
-            measurement="serve_load",
-            grid=(
-                {"workers": 1, "jobs": 12, "budget_every": 3,
-                 "budget_rounds": 8, "resubmit": 2},
-                {"workers": 2, "jobs": 12, "budget_every": 3,
-                 "budget_rounds": 8, "resubmit": 2},
-                {"workers": 4, "jobs": 12, "budget_every": 3,
-                 "budget_rounds": 8, "resubmit": 2},
-            ),
-            seeds=(0,),
-            checks=(
-                _rows_check("serve_matches_direct",
-                            _serve_agreement_check),
-                _rows_check("cache_hits_deterministic",
-                            _serve_cache_check),
-                _rows_check(
-                    "timing_recorded",
-                    _perf_recorded_check("jobs_per_sec", "p50_ms",
-                                         "p95_ms"),
-                ),
-            ),
-        ),
-        Section(
-            name="sla_truncation",
-            title="SERVE-b: truncated-vs-complete ratio under a "
-                  "loosening round budget (10 budgeted jobs, n=40)",
-            measurement="serve_load",
-            grid=(
-                {"workers": 2, "jobs": 10, "budget_every": 1,
-                 "budget_rounds": 6},
-                {"workers": 2, "jobs": 10, "budget_every": 1,
-                 "budget_rounds": 10},
-                {"workers": 2, "jobs": 10, "budget_every": 1,
-                 "budget_rounds": 1000},
-            ),
-            seeds=(0,),
-            checks=(
-                _rows_check("serve_matches_direct",
-                            _serve_agreement_check),
-                _rows_check("truncation_sweeps_down",
-                            _serve_truncation_check),
-            ),
-        ),
-    ),
-))
-
-
-# ======================================================================
 # smoke — the CI gate (tiny grid, recorded bounds, pinned counters)
 # ======================================================================
 #: Recorded regression bounds for the smoke workloads.  These are NOT
@@ -1746,9 +1489,8 @@ SMOKE = register_experiment(ExperimentSpec(
 # ======================================================================
 # faults — deterministic chaos drills against the solver service
 # ======================================================================
-# Unlike serve_load, every measure here is a counter, flag or objective
-# total — no wall-clock — so the artifact is byte-deterministic at a
-# fixed seed and CI `cmp`-gates the committed BENCH_faults.json.
+# Every measure here is a counter, flag or objective total — no
+# wall-clock — so the artifact is byte-deterministic at a fixed seed and CI `cmp`-gates the committed BENCH_faults.json.
 def _faults_retry_check(rows):
     """Transient faults must be absorbed, never corrupt results, and
     retries must grow with the injection rate from a zero baseline."""

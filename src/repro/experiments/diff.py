@@ -10,12 +10,8 @@ follow-up questions: *what* changed, and is any of it a regression?
   not launder a failure).  These are the gate: ``bench --diff OLD
   NEW`` exits non-zero iff any exist.
 * **Row drift** — per-section, per-row field deltas (absolute and
-  percentage for numeric fields).  For the one non-byte-deterministic
-  artifact, ``BENCH_perf.json``, whose measures *are* wall-clock
-  numbers, this is the timing-trend tracker: diff two recorded
-  artifacts from different commits to see p50/p95/speedup movement.
-* **Timing blocks** — when both artifacts carry the opt-in top-level
-  ``timing`` block, per-section wall-clock deltas are reported too.
+  percentage for numeric fields), e.g. a round count or an
+  approximation ratio that moved between commits.
 
 The diff never mutates or re-runs anything; it is pure artifact
 archaeology, so it works on artifacts recorded by CI for commits you
@@ -25,7 +21,7 @@ never checked out.
 from __future__ import annotations
 
 from numbers import Number
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Section outcome labels used in the diff record.
 _ADDED = "added"
@@ -66,27 +62,13 @@ def _row_drift(old_rows: List[dict], new_rows: List[dict]) -> List[Dict]:
     return drift
 
 
-def _timing_seconds(block) -> Optional[float]:
-    """Flatten a timing section entry (float, or dict with p50) to one
-    representative seconds figure."""
-
-    if _is_number(block):
-        return float(block)
-    if isinstance(block, dict):
-        for key in ("p50", "seconds"):
-            if _is_number(block.get(key)):
-                return float(block[key])
-    return None
-
-
 def diff_artifacts(old: Dict, new: Dict) -> Dict:
     """Compare two ``repro-bench/1`` artifacts.
 
     Returns a JSON-able record with ``regressions`` (checks that went
     passing → failing), ``added_failing`` (checks that only exist in
     the new artifact and fail), ``fixes`` (failing → passing),
-    per-section ``drift`` rows, optional ``timing`` deltas, and the
-    aggregate ``regression_count`` the CLI turns into its exit code.
+    per-section ``drift`` rows, and the aggregate ``regression_count`` the CLI turns into its exit code.
     """
 
     old_sections = {s.get("name"): s for s in old.get("sections", ())}
@@ -143,7 +125,7 @@ def diff_artifacts(old: Dict, new: Dict) -> Dict:
         sections.append({"name": name, "status": status, "drift": drift})
 
     removed_passing = sum(1 for r in removed_checks if r["was_passing"])
-    diff: Dict = {
+    return {
         "old_experiment": old.get("experiment"),
         "new_experiment": new.get("experiment"),
         "regressions": regressions,
@@ -154,19 +136,6 @@ def diff_artifacts(old: Dict, new: Dict) -> Dict:
         "regression_count": (len(regressions) + len(added_failing)
                              + removed_passing),
     }
-
-    old_timing = old.get("timing", {}).get("sections", {})
-    new_timing = new.get("timing", {}).get("sections", {})
-    shared = sorted(set(old_timing) & set(new_timing), key=str)
-    timing = {}
-    for name in shared:
-        old_seconds = _timing_seconds(old_timing[name])
-        new_seconds = _timing_seconds(new_timing[name])
-        if old_seconds is not None and new_seconds is not None:
-            timing[name] = _delta(old_seconds, new_seconds)
-    if timing:
-        diff["timing"] = timing
-    return diff
 
 
 def render_diff(diff: Dict) -> str:
@@ -213,13 +182,6 @@ def render_diff(diff: Dict) -> str:
             else:
                 lines.append(f"  {where}: {entry['old']!r} -> "
                              f"{entry['new']!r}")
-
-    for name, entry in diff.get("timing", {}).items():
-        pct = f" ({entry['pct']:+.1f}%)" if "pct" in entry else ""
-        lines.append(
-            f"  timing {name}: {entry['old']:.4f}s -> "
-            f"{entry['new']:.4f}s{pct}"
-        )
 
     if diff["regression_count"]:
         lines.append(f"{diff['regression_count']} check regression(s)")

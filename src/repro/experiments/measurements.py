@@ -7,8 +7,9 @@ Every adapter has the uniform signature::
 where ``measures`` is a flat JSON-able dict (ints, floats, strings,
 lists) and ``metrics`` is the :class:`~repro.congest.NetworkMetrics`
 of the simulated network when the algorithm runs through the
-simulator, else ``None``.  Adapters never touch wall-clock time — the
-runner owns timing — so trial records stay bit-deterministic.
+simulator, else ``None``.  Adapters never touch wall-clock time —
+speed is measured by ``perfbench/`` — so trial records stay
+bit-deterministic.
 
 Since the :mod:`repro.api` facade landed, adapters that *run* an
 algorithm are one-liners over :func:`repro.api.solve` — the shared
@@ -32,8 +33,6 @@ from ..core import (
     LayerTrace,
     enumerate_augmenting_paths,
     lemma_b13_rounds,
-    maxis_coloring_phases,
-    maxis_layers_phases,
     optimal_k,
     residual_decay_series,
     theorem_2_8_simulation_cost,
@@ -521,170 +520,7 @@ def _figure1_counts(graph, seed, greedy_matching=False):
 
 
 # ----------------------------------------------------------------------
-# Wall-clock perf adapters (the `perf` experiment — NON-deterministic)
-# ----------------------------------------------------------------------
-# Unlike every other adapter, these two measure wall-clock time on
-# purpose: they power BENCH_perf.json, the perf-tracking artifact that
-# is recorded (never gated) by CI.  The `perf` experiment is therefore
-# exempt from the byte-determinism contract; its deterministic content
-# (objective totals, rounds) still is checked for serial/parallel
-# agreement.
-@register_measurement("batch_perf")
-def _batch_perf(graph, seed, algorithm="maxis-layers", trials=16,
-                workers=8, model=None):
-    """``solve_many`` scaling: one instance grid, serial vs N workers.
-
-    Records batch wall-clock, per-task p50/p95 latency, trials/sec on
-    both backends and the resulting speedup, plus the deterministic
-    objective/round totals that let a check assert the parallel
-    backend computed exactly what the serial one did.
-    """
-
-    import os
-
-    from ..api import Instance, solve_many
-    from .runner import percentile
-
-    instances = [
-        Instance(graph, model=model, seed=seed + i) for i in range(trials)
-    ]
-    serial = solve_many(instances, algorithm, executor="serial")
-    parallel = solve_many(instances, algorithm, executor="process",
-                          workers=workers)
-    lat = serial.latencies() or [0.0]
-    speedup = (serial.elapsed / parallel.elapsed
-               if parallel.elapsed > 0 else 0.0)
-    serial_summary = serial.summary()
-    parallel_summary = parallel.summary()
-    empty = {"total": 0}  # every task failed: surface it via `failed`
-    measures = {
-        "trials": trials,
-        "workers": workers,
-        "cpus": os.cpu_count(),
-        "algorithm": algorithm,
-        "serial_seconds": serial.elapsed,
-        "parallel_seconds": parallel.elapsed,
-        "p50_task_seconds": percentile(lat, 50.0),
-        "p95_task_seconds": percentile(lat, 95.0),
-        "serial_trials_per_sec": serial.trials_per_second(),
-        "parallel_trials_per_sec": parallel.trials_per_second(),
-        "speedup": speedup,
-        # deterministic agreement fingerprint (serial vs parallel):
-        "objective_total":
-            serial_summary.get("objective", empty)["total"],
-        "parallel_objective_total":
-            parallel_summary.get("objective", empty)["total"],
-        "rounds_total": serial_summary["rounds_total"],
-        "parallel_rounds_total": parallel_summary["rounds_total"],
-        "failed": len(serial.failures) + len(parallel.failures),
-    }
-    return measures, None
-
-
-@register_measurement("simulator_perf")
-def _simulator_perf(graph, seed, algorithm="maxis-layers", repeats=5,
-                    model="CONGEST"):
-    """Serial simulator wall-clock on one workload (wake-list tracking).
-
-    Repeats one full protocol run ``repeats`` times and reports p50/p95
-    seconds plus derived rounds/sec and messages/sec, so the wake-list
-    scheduler's serial speed is tracked across commits in
-    ``BENCH_perf.json``.
-    """
-
-    import time as _time
-
-    from .runner import percentile
-
-    samples = []
-    report = None
-    for _ in range(repeats):
-        started = _time.perf_counter()
-        report = _solved(graph, seed, algorithm, model=model)
-        samples.append(_time.perf_counter() - started)
-    p50 = percentile(samples, 50.0)
-    return {
-        "repeats": repeats,
-        "rounds": report.rounds,
-        "messages": report.metrics.messages,
-        "p50_seconds": p50,
-        "p95_seconds": percentile(samples, 95.0),
-        "rounds_per_sec": report.rounds / p50 if p50 > 0 else 0.0,
-        "messages_per_sec":
-            report.metrics.messages / p50 if p50 > 0 else 0.0,
-        "cache_hit_rate": report.metrics.cache_hit_rate(),
-    }, report.metrics
-
-
-@register_measurement("backend_perf")
-def _backend_perf(graph, seed, algorithm="maxis-layers", repeats=1):
-    """Object vs array simulator backend on one workload.
-
-    Times the simulator itself — network construction plus protocol
-    run, no facade layers — ``repeats`` times per backend and records
-    p50 seconds for both plus the object/array speedup.  The
-    deterministic outputs (objective, rounds, bits) are recorded per
-    backend so a check can assert the array engine computed exactly
-    what the object engine did; they are bit-identical by contract.
-    """
-
-    import time as _time
-
-    from ..congest import make_network
-    from ..utils import drain
-    from .runner import percentile
-
-    # Phase generator and the rounds it reports, per timeable algorithm.
-    runners = {
-        "maxis-layers": (maxis_layers_phases, lambda res: res.rounds),
-        "maxis-coloring": (maxis_coloring_phases,
-                           lambda res: res.accounted_rounds),
-    }
-    if algorithm not in runners:
-        raise ValueError(
-            f"backend_perf cannot time {algorithm!r}; it needs an "
-            "algorithm that runs on one injected network"
-        )
-    phases, rounds_of = runners[algorithm]
-
-    def run(backend):
-        net = make_network(graph, seed=seed, backend=backend)
-        res = drain(phases(graph, network=net))
-        return res.weight, rounds_of(res), net.metrics.bits
-
-    timing = {}
-    outputs = {}
-    for backend in ("object", "array"):
-        samples = []
-        for _ in range(repeats):
-            started = _time.perf_counter()
-            outputs[backend] = run(backend)
-            samples.append(_time.perf_counter() - started)
-        timing[backend] = percentile(samples, 50.0)
-    object_p50, array_p50 = timing["object"], timing["array"]
-    weight, rounds, bits = outputs["object"]
-    array_weight, array_rounds, array_bits = outputs["array"]
-    measures = {
-        "algorithm": algorithm,
-        "repeats": repeats,
-        "n": graph.number_of_nodes(),
-        "edges": graph.number_of_edges(),
-        "object_p50_seconds": object_p50,
-        "array_p50_seconds": array_p50,
-        "speedup": object_p50 / array_p50 if array_p50 > 0 else 0.0,
-        # deterministic agreement fingerprint (object vs array):
-        "objective": weight,
-        "array_objective": array_weight,
-        "rounds": rounds,
-        "array_rounds": array_rounds,
-        "bits": bits,
-        "array_bits": array_bits,
-    }
-    return measures, None
-
-
-# ----------------------------------------------------------------------
-# Simulator micro-benchmark (CI smoke / perf tracking)
+# Simulator micro-benchmark (CI smoke fingerprint)
 # ----------------------------------------------------------------------
 @register_measurement("simulator_microbench")
 def _simulator_microbench(graph, seed, model="CONGEST"):
@@ -694,7 +530,7 @@ def _simulator_microbench(graph, seed, model="CONGEST"):
     bits — which double as a behavioural fingerprint: any change to
     the message-passing core that alters delivery or metering shows up
     as a diff here, and the smoke gate pins them.  Wall-clock speed is
-    reported by the runner's ``--timing`` mode, never here.
+    measured by ``perfbench/``, never here.
     """
 
     report = _solved(graph, seed, "maxis-layers", model=model)
@@ -708,104 +544,6 @@ def _simulator_microbench(graph, seed, model="CONGEST"):
         "is_weight": report.objective,
         "n": graph.number_of_nodes(),
     }, report.metrics
-
-
-# ----------------------------------------------------------------------
-# Solver-service load adapter (the `serve_load` experiment — NON-
-# deterministic timing, deterministic content)
-# ----------------------------------------------------------------------
-@register_measurement("serve_load")
-def _serve_load(graph, seed, problem="maxis", algorithm="maxis-layers",
-                nodes=40, jobs=12, workers=2, budget_every=0,
-                budget_rounds=8, resubmit=0):
-    """Drive an in-process solver service under a mixed job batch.
-
-    Boots a :class:`repro.serve.jobs.JobManager` with ``workers``
-    concurrent workers, submits ``jobs`` distinct workloads (every
-    ``budget_every``-th one round-budgeted to ``budget_rounds`` so it
-    truncates), waits for the batch, then resubmits the first workload
-    ``resubmit`` times to exercise the result cache.  Records
-    throughput, the service's own p50/p95 latency, the truncated-vs-
-    complete split and cache counters — wall-clock numbers for
-    ``BENCH_serve.json`` (recorded, never gated) — plus the
-    deterministic objective totals against direct facade solves, which
-    a check *does* gate on: the service must compute exactly what
-    ``solve()`` computes.
-    """
-
-    import time as _time
-
-    from ..api import solve
-    from ..api.persist import instance_from_workload
-    from ..serve.jobs import JobManager
-    from ..serve.protocol import spec_cache_key
-
-    specs = []
-    for i in range(jobs):
-        spec = {
-            "workload": {"problem": problem, "nodes": nodes,
-                         "seed": seed + i},
-            "algorithm": algorithm,
-        }
-        if budget_every and i % budget_every == budget_every - 1:
-            spec["max_rounds"] = budget_rounds
-        specs.append(spec)
-
-    manager = JobManager(workers=workers)
-    manager.start()
-    try:
-        started = _time.perf_counter()
-        submitted = [manager.submit(spec) for spec in specs]
-        while not all(job.done for job in submitted):
-            _time.sleep(0.002)
-        # Resubmissions land after the originals are terminal, so every
-        # one is a deterministic cache hit.
-        repeats = [manager.submit(dict(specs[0])) for _ in range(resubmit)]
-        while not all(job.done for job in repeats):
-            _time.sleep(0.002)
-        elapsed = _time.perf_counter() - started
-        submitted += repeats
-        stats = manager.stats()
-    finally:
-        manager.shutdown(wait=True)
-
-    # Deterministic agreement fingerprint: one direct facade solve per
-    # unique spec, summed over the submission list like the service's
-    # objectives (cache hits reuse the direct value by construction).
-    direct: dict = {}
-    serve_total = direct_total = 0
-    for job in submitted:
-        key = spec_cache_key(job.spec)
-        if key not in direct:
-            instance = instance_from_workload(
-                job.spec["workload"], max_rounds=job.spec["max_rounds"],
-            )
-            direct[key] = solve(instance, algorithm).objective
-        serve_total += job.result["objective"] if job.result else 0
-        direct_total += direct[key]
-
-    by_status = stats["jobs"]["by_status"]
-    total = len(submitted)
-    return {
-        "workers": workers,
-        "jobs": total,
-        "algorithm": algorithm,
-        "n": nodes,
-        "elapsed_seconds": elapsed,
-        "jobs_per_sec": total / elapsed if elapsed > 0 else 0.0,
-        "p50_ms": stats["latency"]["p50_ms"],
-        "p95_ms": stats["latency"]["p95_ms"],
-        "complete": by_status["complete"],
-        "truncated": by_status["truncated"],
-        "failed": by_status["failed"],
-        "truncated_ratio": by_status["truncated"] / total,
-        "cache_hits": stats["cache"]["hits"],
-        "cache_hit_rate": stats["cache"]["hit_rate"],
-        "rounds_total": stats["rounds_total"],
-        # deterministic agreement fingerprint (service vs facade):
-        "objective_total": serve_total,
-        "direct_objective_total": direct_total,
-    }, None
 
 
 # ----------------------------------------------------------------------

@@ -22,15 +22,12 @@ pytest suite and the CI smoke gate all funnel through
    recording pass/fail instead of aborting.
 
 The assembled artifact follows the versioned schema documented in
-:mod:`~repro.experiments.artifact`.  Wall-clock timing stays in the
-opt-in ``timing`` block; with ``repeat > 1`` each section is executed
-that many times and the block reports p50/p95 percentiles and
-trials/sec instead of a single sample.
+:mod:`~repro.experiments.artifact`.  It never carries wall-clock
+data; speed is measured by ``perfbench/``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional
 
 from ..utils import stable_rng
@@ -63,21 +60,6 @@ def _default_reduce(trials: List[dict]) -> List[dict]:
         row.update(trial["measures"])
         rows.append(row)
     return rows
-
-
-def percentile(samples: List[float], q: float) -> float:
-    """Linear-interpolation percentile (``q`` in [0, 100]) of a
-    non-empty sample list."""
-
-    if not samples:
-        raise ValueError("percentile() of empty sequence")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * q / 100.0
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
 
 
 #: Per-worker memo of the most recently built graph, keyed by the
@@ -125,30 +107,21 @@ class Runner:
     ----------
     spec:
         The experiment to run.
-    timing:
-        Include wall-clock data in the opt-in ``timing`` block.
     workers:
         ``None``/``0``/``1`` runs trials serially (the historical
         path); ``N > 1`` fans each section's trial plan across ``N``
         workers of the shared batch engine.  Artifacts are
         **byte-identical** at any worker count: trials are merged in
-        plan (spec) order and wall-clock stays in the timing block.
+        plan (spec) order.
     backend:
         ``"process"`` (default for ``workers > 1``) or ``"thread"``.
-    repeat:
-        With ``timing``, execute each section this many times and
-        report p50/p95 across the samples (the artifact's trial data
-        comes from the first execution; repeats are timing-only).
     """
 
-    def __init__(self, spec: ExperimentSpec, timing: bool = False,
-                 workers: Optional[int] = None, backend: str = "process",
-                 repeat: int = 1):
+    def __init__(self, spec: ExperimentSpec,
+                 workers: Optional[int] = None, backend: str = "process"):
         self.spec = spec
-        self.timing = timing
         self.workers = int(workers) if workers else 0
         self.backend = backend
-        self.repeat = max(1, int(repeat)) if timing else 1
         #: Pool shared across sections during run(); standalone
         #: run_section() calls fall back to a per-call pool.
         self._pool = None
@@ -241,17 +214,7 @@ class Runner:
         if isinstance(section, str):
             section = self.spec.section(section)
         plan = self._section_plan(section)
-
-        samples: List[float] = []
-        started = time.perf_counter() if self.timing else 0.0
         results = self._execute(plan)
-        if self.timing:
-            samples.append(time.perf_counter() - started)
-            for _ in range(self.repeat - 1):
-                started = time.perf_counter()
-                self._execute(plan)
-                samples.append(time.perf_counter() - started)
-
         trials = [
             {
                 "cell": entry["cell"],
@@ -281,7 +244,7 @@ class Runner:
             else:
                 checks.append({"name": check.name, "passed": True,
                                "detail": check.description})
-        record = {
+        return {
             "name": section.name,
             "title": section.title,
             "measurement": section.measurement,
@@ -291,27 +254,6 @@ class Runner:
             "rows": rows,
             "checks": checks,
         }
-        if self.timing:
-            record["timing"] = self._timing_block(samples, len(plan))
-        return record
-
-    def _timing_block(self, samples: List[float], trials: int) -> Dict:
-        """One section's timing record: a single sample stays the
-        historical ``{"seconds": s}`` shape; with ``repeat > 1`` the
-        p50/p95 percentiles and trials/sec are reported as well."""
-
-        block: Dict[str, object] = {"seconds": samples[0]}
-        if len(samples) > 1:
-            p50 = percentile(samples, 50.0)
-            block.update({
-                "repeats": len(samples),
-                "p50": p50,
-                "p95": percentile(samples, 95.0),
-                "min": min(samples),
-                "max": max(samples),
-                "trials_per_sec": trials / p50 if p50 > 0 else 0.0,
-            })
-        return block
 
     # ------------------------------------------------------------------
     def run(self, sections: Optional[Iterable[str]] = None) -> Dict:
@@ -323,7 +265,7 @@ class Runner:
         try:
             if self.workers > 1:
                 # One pool for the whole experiment: pool spin-up is
-                # paid once, not once per section (or repeat sample).
+                # paid once, not once per section.
                 from ..api.batch import _make_executor
 
                 self._pool = _make_executor(self.backend, self.workers)
@@ -341,7 +283,7 @@ class Runner:
         checks_failed = sum(
             1 for r in records for c in r["checks"] if not c["passed"]
         )
-        artifact = {
+        return {
             "schema": SCHEMA,
             "experiment": self.spec.name,
             "title": self.spec.title,
@@ -355,25 +297,12 @@ class Runner:
                 "passed": checks_failed == 0,
             },
         }
-        if self.timing:
-            blocks = {r["name"]: r.pop("timing") for r in records}
-            artifact["timing"] = {
-                "sections": {
-                    name: (block["seconds"] if len(block) == 1 else block)
-                    for name, block in blocks.items()
-                },
-                "seconds_total": sum(b["seconds"] for b in blocks.values()),
-            }
-        return artifact
 
 
 def run_experiment(spec: ExperimentSpec,
                    sections: Optional[Iterable[str]] = None,
-                   timing: bool = False,
                    workers: Optional[int] = None,
-                   backend: str = "process",
-                   repeat: int = 1) -> Dict:
+                   backend: str = "process") -> Dict:
     """Convenience wrapper: ``Runner(spec, ...).run(sections)``."""
 
-    return Runner(spec, timing=timing, workers=workers, backend=backend,
-                  repeat=repeat).run(sections)
+    return Runner(spec, workers=workers, backend=backend).run(sections)

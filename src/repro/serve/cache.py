@@ -6,8 +6,7 @@ budget and option set — so two clients asking for the same
 deterministic workload share one solve.  The cache is a plain
 ``OrderedDict`` under a lock (the service's HTTP handlers and worker
 threads both touch it), bounded with least-recently-used eviction, and
-counts hits/misses/evictions for ``GET /stats`` and the ``serve_load``
-experiment.
+counts hits/misses/evictions for ``GET /stats``.
 """
 
 from __future__ import annotations

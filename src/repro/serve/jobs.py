@@ -162,6 +162,21 @@ def _checkpoint_record(checkpoint) -> Dict[str, Any]:
     }
 
 
+def percentile(samples: List[float], q: float) -> float:
+    """Linear-interpolation percentile (``q`` in [0, 100]) of a
+    non-empty sample list."""
+
+    if not samples:
+        raise ValueError("percentile() of empty sequence")
+    ordered = sorted(samples)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (len(ordered) - 1) * q / 100.0
+    lo = int(rank)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
+
+
 class JobManager:
     """Queue, worker pool, cache, journal, health and fault plane."""
 
@@ -420,11 +435,9 @@ class JobManager:
             return [self._jobs[job_id] for job_id in self._order]
 
     def stats(self) -> Dict[str, Any]:
-        """The ``GET /stats`` payload (and the load/faults
-        experiments' raw material): job/queue/cache/latency/round
-        counters plus health, retry and recovery observability."""
-
-        from ..experiments.runner import percentile
+        """The ``GET /stats`` payload (and the faults experiment's raw
+        material): job/queue/cache/latency/round counters plus health,
+        retry and recovery observability."""
 
         with self._lock:
             by_status = {status: 0 for status in STATUSES}

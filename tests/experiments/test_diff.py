@@ -1,4 +1,4 @@
-"""Artifact diffing: check regressions, row drift, timing trends, CLI."""
+"""Artifact diffing: check regressions, row drift, CLI."""
 
 import json
 
@@ -8,7 +8,7 @@ from repro.__main__ import main
 from repro.experiments import diff_artifacts, render_diff
 
 
-def artifact(rows=(), checks=(), timing=None, name="exp"):
+def artifact(rows=(), checks=(), name="exp"):
     sections = [{
         "name": "s1",
         "title": "section one",
@@ -19,7 +19,7 @@ def artifact(rows=(), checks=(), timing=None, name="exp"):
         "rows": list(rows),
         "checks": list(checks),
     }]
-    doc = {
+    return {
         "schema": "repro-bench/1",
         "experiment": name,
         "title": name,
@@ -33,9 +33,6 @@ def artifact(rows=(), checks=(), timing=None, name="exp"):
             "passed": all(c["passed"] for c in checks),
         },
     }
-    if timing is not None:
-        doc["timing"] = timing
-    return doc
 
 
 def check(name, passed, detail=""):
@@ -107,16 +104,6 @@ class TestDiffArtifacts:
         diff = diff_artifacts(old, new)
         fields = [e["field"] for e in diff["sections"][0]["drift"]]
         assert "<row count>" in fields
-
-    def test_timing_blocks_compared(self):
-        old = artifact(timing={"sections": {"s1": 1.0},
-                               "seconds_total": 1.0})
-        new = artifact(timing={"sections": {"s1": {"seconds": 1.2,
-                                                   "p50": 1.1}},
-                               "seconds_total": 1.2})
-        diff = diff_artifacts(old, new)
-        assert diff["timing"]["s1"]["old"] == pytest.approx(1.0)
-        assert diff["timing"]["s1"]["new"] == pytest.approx(1.1)
 
     def test_added_and_removed_sections(self):
         old = artifact()

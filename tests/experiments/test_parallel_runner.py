@@ -1,11 +1,10 @@
-"""Parallel runner: worker-count determinism, repeat timing, CLI flags."""
+"""Parallel runner: worker-count determinism and CLI flags."""
 
 import json
 
 import pytest
 
 from repro.experiments import Runner, artifact_to_json, get_experiment
-from repro.experiments.runner import percentile
 from repro.__main__ import main
 
 SMOKE = get_experiment("smoke")
@@ -36,49 +35,6 @@ class TestWorkerDeterminism:
         assert "definitely-not-registered" in str(err.value)
 
 
-class TestPercentile:
-    def test_endpoints_and_interpolation(self):
-        samples = [4.0, 1.0, 3.0, 2.0]
-        assert percentile(samples, 0.0) == 1.0
-        assert percentile(samples, 100.0) == 4.0
-        assert percentile(samples, 50.0) == 2.5
-        assert percentile([7.0], 95.0) == 7.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50.0)
-
-
-class TestRepeatTiming:
-    def test_single_sample_keeps_legacy_shape(self):
-        artifact = Runner(SMOKE, timing=True).run(["maxis_ratio"])
-        sections = artifact["timing"]["sections"]
-        assert isinstance(sections["maxis_ratio"], float)
-        assert artifact["timing"]["seconds_total"] > 0
-
-    def test_repeat_reports_percentiles(self):
-        artifact = Runner(SMOKE, timing=True, repeat=3).run(["maxis_ratio"])
-        block = artifact["timing"]["sections"]["maxis_ratio"]
-        assert block["repeats"] == 3
-        assert block["p50"] > 0
-        assert block["p95"] >= block["p50"] >= block["min"]
-        assert block["max"] >= block["p95"]
-        assert block["trials_per_sec"] > 0
-        assert artifact["timing"]["seconds_total"] > 0
-
-    def test_repeat_is_timing_only(self):
-        """Repeats never leak into the deterministic artifact body."""
-
-        once = Runner(SMOKE, timing=True).run(["maxis_ratio"])
-        thrice = Runner(SMOKE, timing=True, repeat=3).run(["maxis_ratio"])
-        del once["timing"], thrice["timing"]
-        assert artifact_to_json(once) == artifact_to_json(thrice)
-
-    def test_repeat_ignored_without_timing(self):
-        runner = Runner(SMOKE, repeat=5)
-        assert runner.repeat == 1
-
-
 class TestCli:
     def test_workers_flag_round_trips(self, tmp_path, capsys):
         out = tmp_path / "smoke_workers.json"
@@ -88,17 +44,9 @@ class TestCli:
         artifact = json.loads(out.read_text())
         assert artifact["summary"]["passed"] is True
 
-    def test_repeat_requires_timing(self, capsys):
-        code = main(["bench", "smoke", "--repeat", "3"])
-        assert code == 2
-        assert "--timing" in capsys.readouterr().err
-
-    def test_timing_repeat_emits_percentiles(self, tmp_path):
-        out = tmp_path / "smoke_timed.json"
-        code = main(["bench", "smoke", "--section", "maxis_ratio",
-                     "--timing", "--repeat", "2", "--json", str(out)])
-        assert code == 0
-        artifact = json.loads(out.read_text())
-        block = artifact["timing"]["sections"]["maxis_ratio"]
-        assert block["repeats"] == 2
-        assert "p95" in block
+    @pytest.mark.parametrize("flag", [["--timing"], ["--repeat", "3"]])
+    def test_no_wall_clock_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "smoke", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

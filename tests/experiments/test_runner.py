@@ -147,13 +147,6 @@ class TestDeterminism:
         second = artifact_to_json(Runner(SMOKE).run())
         assert first == second
 
-    def test_timing_block_is_opt_in(self):
-        plain = Runner(SMOKE).run(sections=["maxis_ratio"])
-        timed = Runner(SMOKE, timing=True).run(sections=["maxis_ratio"])
-        assert "timing" not in plain
-        assert timed["timing"]["seconds_total"] > 0
-        assert "maxis_ratio" in timed["timing"]["sections"]
-
 
 class TestArtifact:
     def test_smoke_artifact_validates(self):

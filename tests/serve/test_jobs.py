@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.api import random_instance, solve, solve_iter
 from repro.api.persist import RESUME_FILE_FORMAT
 from repro.serve.daemon import ServerConfig, build_manager
-from repro.serve.jobs import JobManager
+from repro.serve.jobs import JobManager, percentile
 from repro.serve.journal import JOB_FILE_FORMAT, Journal, job_record
 from repro.serve.protocol import SpecError, result_record
 
@@ -58,6 +61,13 @@ class TestExecution:
         assert 0 < job.result["rounds"] <= 18
         assert job.result["resume"] is not None
         assert job.result["resume"]["algorithm"] == "maxis-coloring"
+        # the truncated record, resume payload included, matches the
+        # budgeted facade solve bit for bit
+        direct = result_record(solve(
+            replace(random_instance("maxis", n=40, seed=5), max_rounds=18),
+            "maxis-coloring"))
+        assert json.dumps(job.result, sort_keys=True) == \
+            json.dumps(direct, sort_keys=True)
 
     def test_wall_budget_truncates_with_best_partial(self, manager):
         job = _wait(manager.submit({**MAXIS_SPEC, "max_rounds": 1000,
@@ -98,6 +108,38 @@ class TestExecution:
         assert stats["latency"]["count"] == 1
         assert stats["latency"]["p95_ms"] >= stats["latency"]["p50_ms"]
         assert stats["cache"]["misses"] == 1
+
+
+class TestPercentile:
+    def test_endpoints_and_interpolation(self):
+        samples = [4.0, 1.0, 3.0, 2.0]
+        assert percentile(samples, 0.0) == 1.0
+        assert percentile(samples, 100.0) == 4.0
+        assert percentile(samples, 50.0) == 2.5
+        assert percentile([7.0], 95.0) == 7.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            percentile([], 50.0)
+
+
+def test_stats_does_not_import_the_experiment_layer():
+    """The daemon serves ``GET /stats`` without loading the benchmark
+    catalog: the serve layer sits below ``repro.experiments``."""
+
+    code = (
+        "import sys\n"
+        "from repro.serve.jobs import JobManager\n"
+        "JobManager(workers=1).stats()\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('repro.experiments')))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": "src"}, cwd=root,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestJournal:
