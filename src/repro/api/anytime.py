@@ -64,8 +64,10 @@ class Checkpoint:
     :func:`repro.api.resume` to continue the run as if it had never
     stopped.  Runners attach state when the instance carries a round
     budget (an unbudgeted run cannot be cut, so the common path pays
-    nothing extra); a stream's first checkpoint always carries at
-    least the fresh-start marker.
+    nothing extra); a :func:`~repro.api.solve_iter` stream's first
+    checkpoint always carries at least the fresh-start marker.  An
+    unbudgeted :func:`~repro.api.solve` lets no checkpoint out, so it
+    builds no envelope at all (not even that marker's fingerprint).
     """
 
     phase: str

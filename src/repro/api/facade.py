@@ -132,17 +132,41 @@ def solve_iter(
     if warm_start is not None:
         return resume_iter(warm_start, instance=instance,
                            algorithm=algorithm, problem=problem, **options)
+    spec, instance, model = _resolve(instance, algorithm, problem)
+    return _solve_stream(spec, instance, model, **options)
+
+
+def _resolve(instance: Union[Instance, nx.Graph], algorithm: str,
+             problem: Optional[str]):
+    """Look the algorithm up and pin the instance to its resolved model."""
+
     if isinstance(instance, nx.Graph):
         instance = Instance(instance)
     spec: AlgorithmSpec = get_algorithm(algorithm, problem=problem)
     model = spec.resolve_model(instance)
     if instance.model != model:
         instance = replace(instance, model=model)
-    return _solve_stream(spec, instance, model, **options)
+    return spec, instance, model
+
+
+def _envelope(name: str, fingerprint: str, checkpoint: Checkpoint,
+              raw_state) -> Dict[str, Any]:
+    """The self-describing JSON-safe resume payload of one raw state."""
+
+    return {
+        "version": RESUME_VERSION,
+        "algorithm": name,
+        "fingerprint": fingerprint,
+        "phase": checkpoint.phase,
+        "rounds": checkpoint.rounds,
+        "state": to_jsonable(raw_state),
+    }
 
 
 def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
                   resume_state: Optional[Dict[str, Any]] = None,
+                  fingerprint: Optional[str] = None,
+                  envelope: bool = True,
                   **options) -> Iterator[Checkpoint]:
     """The generator half of :func:`solve_iter` (spec already resolved).
 
@@ -153,6 +177,16 @@ def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
     report carries — is directly persistable.  A stream's first
     checkpoint always gets at least the fresh-start marker, which is
     how coarse algorithms stay (trivially) resumable.
+
+    ``fingerprint`` is the instance's budget-agnostic fingerprint when
+    the caller already computed it (:func:`resume_iter` does, for its
+    mismatch check); otherwise it is computed on first use.
+    ``envelope=False`` is for a caller that never lets a checkpoint
+    out (an unbudgeted :func:`solve`): the checkpoints keep their raw
+    state, and the envelope — fingerprint included — is built once,
+    from the last resumable state, only if the report ends truncated.
+    Unbudgeted runners capture no state, so that state is the
+    fresh-start marker and building it late changes nothing.
     """
 
     if resume_state is not None:
@@ -161,9 +195,10 @@ def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
     else:
         phases = spec.run_iter(instance, **options)
     budget = instance.max_rounds
-    fingerprint: Optional[str] = None
     best: Optional[Checkpoint] = None
-    last_payload: Optional[Dict[str, Any]] = None
+    # The most recent valid admitted checkpoint with state, and that
+    # state in raw form.
+    resumable: Optional[tuple] = None
     report: Optional[SolveReport] = None
     first = True
     while True:
@@ -176,20 +211,11 @@ def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
         if raw_state is None and first:
             raw_state = {"fresh": True}
         first = False
-        if raw_state is not None:
+        if raw_state is not None and envelope:
             if fingerprint is None:
                 fingerprint = _resume_fingerprint(instance)
-            payload = {
-                "version": RESUME_VERSION,
-                "algorithm": spec.name,
-                "fingerprint": fingerprint,
-                "phase": checkpoint.phase,
-                "rounds": checkpoint.rounds,
-                "state": to_jsonable(raw_state),
-            }
-            checkpoint = replace(checkpoint, resume_state=payload)
-        else:
-            payload = None
+            checkpoint = replace(checkpoint, resume_state=_envelope(
+                spec.name, fingerprint, checkpoint, raw_state))
         if budget is not None and checkpoint.rounds > budget:
             # Inadmissible state: close the runner (cooperative stop)
             # and fall back to the best admitted checkpoint.
@@ -197,8 +223,8 @@ def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
             break
         if checkpoint.valid:
             best = checkpoint
-            if payload is not None:
-                last_payload = payload
+            if raw_state is not None:
+                resumable = (checkpoint, raw_state)
         yield checkpoint
     if report is not None and budget is not None and report.rounds > budget:
         # A coarse run that finished over budget: keep only what the
@@ -206,12 +232,19 @@ def _solve_stream(spec: AlgorithmSpec, instance: Instance, model: str,
         report = None
     if report is None:
         report = _truncated_report(instance, best)
-    if report.status == TRUNCATED and report.resume_state is None:
+    if (report.status == TRUNCATED and report.resume_state is None
+            and resumable is not None):
         # The warm-start payload of the most recent resumable state the
         # budget admitted: resuming from it replays the identical
         # stream, so the continuation matches the never-stopped run
         # even when that state precedes the adopted solution.
-        report.resume_state = last_payload
+        checkpoint, raw_state = resumable
+        if envelope:
+            report.resume_state = checkpoint.resume_state
+        else:
+            report.resume_state = _envelope(
+                spec.name, _resume_fingerprint(instance), checkpoint,
+                raw_state)
     return _finalize(spec, instance, model, report)
 
 
@@ -232,15 +265,23 @@ def solve(
     forwards algorithm-specific knobs (``trace=``, ``audit=``, ``k=``,
     …) to the underlying implementation.
 
-    ``solve`` is a thin driver over :func:`solve_iter`: it drains the
-    checkpoint stream and returns the final report.  With no budget
-    set, the run executes with the core implementation's defaults and
-    seed handling, so fixed-seed results are bit-for-bit identical to
-    calling :mod:`repro.core` directly; with
-    ``Instance.max_rounds`` set, an exhausted budget yields
+    ``solve`` is a thin driver over the checkpoint stream of
+    :func:`solve_iter`: it drains the stream and returns the final
+    report.  With no budget set, the run executes with the core
+    implementation's defaults and seed handling, so fixed-seed results
+    are bit-for-bit identical to calling :mod:`repro.core` directly;
+    with ``Instance.max_rounds`` set, an exhausted budget yields
     ``status="truncated"`` and the best valid partial solution instead
     of raising.  The report's solution is validated (certified) before
     it is returned in either case.
+
+    An unbudgeted ``solve`` builds no resume envelope: none of its
+    checkpoints leaves the call and a complete report carries no
+    ``resume_state``, so the instance fingerprint is never computed.
+    Only a run that still ends truncated (an unbudgeted runner that
+    hits its simulator cap) gets the envelope, built once at the end.
+    :func:`solve_iter` streams, budgeted ``solve`` and warm starts
+    still stamp every stream's first checkpoint with the fresh marker.
 
     ``warm_start`` continues a previously truncated run instead of
     starting fresh: pass the truncated report (or a checkpoint /
@@ -249,8 +290,13 @@ def solve(
     :func:`resume`, which this delegates to).
     """
 
-    return drain(solve_iter(instance, algorithm, problem=problem,
-                            warm_start=warm_start, **options))
+    if warm_start is not None:
+        return drain(solve_iter(instance, algorithm, problem=problem,
+                                warm_start=warm_start, **options))
+    spec, instance, model = _resolve(instance, algorithm, problem)
+    return drain(_solve_stream(spec, instance, model,
+                               envelope=instance.max_rounds is not None,
+                               **options))
 
 
 def _resume_payload(source) -> Dict[str, Any]:
@@ -360,9 +406,10 @@ def resume_iter(
         # The begin state (coarse adapters, and any stream's first
         # checkpoint): nothing was executed yet, so a warm start is a
         # deterministic fresh run under the new budget.
-        return _solve_stream(spec, instance, model, **options)
+        return _solve_stream(spec, instance, model,
+                             fingerprint=fingerprint, **options)
     return _solve_stream(spec, instance, model, resume_state=state,
-                         **options)
+                         fingerprint=fingerprint, **options)
 
 
 def resume(

@@ -49,6 +49,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None
 
 from ..errors import InvalidInstance, RoundLimitExceeded
+from ..utils import stable_rng
 from .network import (
     CONGEST,
     NetworkMetrics,
@@ -359,30 +360,13 @@ class ArrayKernel:
         self.proto = proto
 
     def rng(self, i: int):
-        """The per-node RNG, derived lazily but identically to the
-        object backend's ``stable_rng(seed, node, proto)``."""
+        """The per-node RNG ``stable_rng(seed, node, proto)`` — the
+        object backend's stream — derived lazily."""
 
         r = self._rngs.get(i)
         if r is None:
-            # Same derivation as utils.stable_rng, minus the
-            # random.Random.seed python wrapper: seeding through the C
-            # base class directly is state-identical for int seeds
-            # (pinned by tests) and ~3x cheaper, which matters when a
-            # large run touches every node's stream.
-            import _random
-            from hashlib import sha256
-            from random import Random
-
-            key = "|".join(
-                (str(self.net.seed), repr(self.csr.nodes[i]),
-                 repr(self.proto))
-            )
-            a = int.from_bytes(sha256(key.encode("utf-8")).digest()[:8],
-                               "big")
-            r = Random.__new__(Random)
-            _random.Random.seed(r, a)
-            r.gauss_next = None
-            self._rngs[i] = r
+            r = self._rngs[i] = stable_rng(self.net.seed, self.csr.nodes[i],
+                                           self.proto)
         return r
 
     def record_halts(self, indices) -> None:

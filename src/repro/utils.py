@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import math
 import random
@@ -19,7 +20,15 @@ def stable_rng(seed: int, *parts) -> random.Random:
 
     key = "|".join([str(seed)] + [repr(p) for p in parts])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    # Seed through the C base class, skipping random.Random.seed's
+    # Python wrapper: for an int seed the state is identical to
+    # random.Random(int_seed) (pinned by tests) and construction is
+    # cheaper, which matters when a large run derives one stream per
+    # node.
+    rng = random.Random.__new__(random.Random)
+    _random.Random.seed(rng, int.from_bytes(digest[:8], "big"))
+    rng.gauss_next = None
+    return rng
 
 
 def drain(generator):

@@ -92,6 +92,12 @@ class TestSolveIter:
             assert cp.valid
             check_independent_set(general_graph, cp.solution)
         assert report.status == COMPLETE
+        # An unbudgeted stream still opens with the fresh-start marker,
+        # stamped with the instance's (pinned) budget-agnostic
+        # fingerprint; only solve() skips building it.
+        first = checkpoints[0].resume_state
+        assert first["state"] == {"fresh": True}
+        assert first["fingerprint"] == "5e42fe95f54e7b58"
 
     def test_stream_return_matches_solve(self, general_graph):
         instance = Instance(general_graph, seed=SEED)

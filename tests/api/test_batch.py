@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 
+import networkx as nx
 import pytest
 
 from repro.api import (
@@ -26,6 +27,75 @@ def _exit_on_sentinel(x):
     if x == -1:
         os._exit(1)
     return x
+
+
+def _graph(nodes, edges, node_weights=None, edge_weights=None):
+    g = nx.Graph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    if node_weights is not None:
+        nx.set_node_attributes(g, dict(zip(nodes, node_weights)), "weight")
+    if edge_weights is not None:
+        nx.set_edge_attributes(g, dict(zip(edges, edge_weights)), "weight")
+    return g
+
+
+def _pinned_instances():
+    """One instance per id type / weighting / MPC shape the pins cover."""
+
+    ring = _graph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3), (3, 0)])
+    fs = frozenset
+    return {
+        "empty": Instance(nx.Graph()),
+        "int_unweighted": Instance(ring, seed=7),
+        # repr order ('10' < '100' < '2' < '9') differs from int order.
+        "repr_order": Instance(
+            _graph([9, 10, 100, 2], [(9, 10), (100, 9), (2, 10)]), seed=3),
+        "str": Instance(
+            _graph(["b", "a", "B", "aa"],
+                   [("b", "a"), ("aa", "B"), ("a", "aa")]),
+            model="LOCAL"),
+        "tuple": Instance(_graph(
+            [(0, 1), (1, 0), (0, (2,)), (10,)],
+            [((1, 0), (0, 1)), ((0, (2,)), (10,))])),
+        "frozenset": Instance(_graph(
+            [fs({1, 2}), fs({3}), fs()],
+            [(fs({3}), fs({1, 2})), (fs(), fs({3}))])),
+        "mixed": Instance(_graph([1, "1", (1,)], [(1, "1"), ("1", (1,))])),
+        "node_weights": Instance(
+            _graph([0, 1, 2], [(0, 1), (1, 2)], node_weights=[5, 1, 12]),
+            eps=0.25),
+        "node_and_edge_weights": Instance(
+            _graph([0, 1, 2], [(0, 1), (2, 1)], node_weights=[5, 1, 12],
+                   edge_weights=[3, 8]),
+            max_rounds=11, bandwidth_factor=4, strict=True),
+        "mpc_unset": Instance(ring, model="mpc", seed=2),
+        "mpc_set": Instance(ring, model="mpc", seed=2, machines=3,
+                            delta=0.5),
+        "random_maxis": random_instance("maxis", n=40, p=0.12, seed=3),
+        "random_matching": random_instance("matching", n=40, p=0.12,
+                                           seed=3),
+    }
+
+
+#: Fingerprints of :func:`_pinned_instances`, recorded before the
+#: fingerprint's implementation was last rewritten.  Persisted resume
+#: envelopes and batch keys depend on these staying byte-identical.
+PINNED_FINGERPRINTS = {
+    "empty": "f748b5b52a75b396",
+    "int_unweighted": "66f10173642ad325",
+    "repr_order": "6b21d642cc81f2b2",
+    "str": "402684a39cf8f21c",
+    "tuple": "ad8fdcb844e36ef3",
+    "frozenset": "fca5a730ca25660e",
+    "mixed": "3fd3a90cb3fb76b1",
+    "node_weights": "f4b40aceed6b7418",
+    "node_and_edge_weights": "424aac9172aea13f",
+    "mpc_unset": "ed2253473c56a324",
+    "mpc_set": "b25012366a389355",
+    "random_maxis": "674aec0be156ea4b",
+    "random_matching": "76c27ad003964ddd",
+}
 
 
 class TestInstanceFingerprint:
@@ -52,6 +122,14 @@ class TestInstanceFingerprint:
                 != instance_fingerprint(Instance(g, model="CONGEST")))
         assert (instance_fingerprint(Instance(g, eps=0.5))
                 != instance_fingerprint(Instance(g, eps=0.25)))
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_golden_pins(self, name):
+        instance = _pinned_instances()[name]
+        assert instance_fingerprint(instance) == PINNED_FINGERPRINTS[name]
+
+    def test_pins_cover_every_case(self):
+        assert set(_pinned_instances()) == set(PINNED_FINGERPRINTS)
 
 
 class TestExecuteIndexed:
@@ -173,6 +251,20 @@ class TestSolveMany:
         # and the derivation is itself deterministic
         again = solve_many([inst] * 4, "maxis-layers", isolate_seeds=True)
         assert [i.report.instance.seed for i in again] == seeds
+
+    @pytest.mark.parametrize("isolate,expected", [
+        (False, ["58633c542e714b13", "58633c542e714b13",
+                 "af586cfd40e7c65f", "af586cfd40e7c65f"]),
+        (True, ["872d3f11c0681652", "67e1b0de16079f8b",
+                "4951560e90db601d", "e9da5cec26221f92"]),
+    ])
+    def test_item_fingerprints_pinned(self, isolate, expected):
+        # Batch keys: the instance's fingerprint, or with isolated seeds
+        # the re-seeded task instance's (never the discarded original).
+        batch = solve_many(_instances(count=2),
+                           ["maxis-layers", "maxis-greedy"],
+                           isolate_seeds=isolate)
+        assert [item.fingerprint for item in batch] == expected
 
 
 class TestBatchReport:

@@ -444,9 +444,9 @@ class TestSelection:
         assert baseline.outputs  # the pre-mutation run stays intact
 
     def test_kernel_rng_matches_stable_rng(self):
-        # ArrayKernel.rng seeds through the C base class (skipping the
-        # random.Random.seed python wrapper) for speed; the stream must
-        # stay bit-identical to utils.stable_rng(seed, node, proto).
+        # ArrayKernel.rng derives its streams lazily per node position;
+        # each must stay bit-identical to the object backend's
+        # utils.stable_rng(seed, node, proto).
         from repro.utils import stable_rng
 
         graph = gnp_graph(12, 0.3, seed=5)

@@ -1,6 +1,8 @@
 """Unit tests for repro.utils."""
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +40,21 @@ class TestStableRng:
         a = stable_rng(0, (1, 2), 3)
         b = stable_rng(0, (1, 2), 3)
         assert a.random() == b.random()
+
+    @pytest.mark.parametrize("seed,parts", [
+        (0, ()), (1, ("x", 2)), (9, ((1, 2), 3)), (2 ** 40, ("node", 0)),
+    ])
+    def test_state_matches_plain_random(self, seed, parts):
+        # stable_rng seeds through the C base class; the state must be
+        # exactly random.Random(int_seed)'s, gauss cache included.
+        key = "|".join([str(seed)] + [repr(p) for p in parts])
+        int_seed = int.from_bytes(
+            hashlib.sha256(key.encode("utf-8")).digest()[:8], "big")
+        fast, reference = stable_rng(seed, *parts), random.Random(int_seed)
+        assert fast.getstate() == reference.getstate()
+        assert ([fast.gauss(0, 1) for _ in range(3)]
+                == [reference.gauss(0, 1) for _ in range(3)])
+        assert fast.getstate() == reference.getstate()
 
 
 class TestIlog2:
