@@ -149,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan trials across N worker processes "
                             "(default serial; artifacts are "
                             "byte-identical at any worker count)")
-    bench.add_argument("--backend", choices=("process", "thread"),
-                       default="process",
-                       help="pool backend for --workers (default process)")
     bench.add_argument("--validate", default=None, metavar="FILE",
                        help="validate an existing artifact file and exit")
     bench.add_argument("--render", default=None, metavar="FILE",
@@ -373,8 +370,7 @@ def _run_bench(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    artifact = Runner(spec, workers=args.workers,
-                      backend=args.backend).run(args.section)
+    artifact = Runner(spec, workers=args.workers).run(args.section)
 
     if args.json_out == "-":
         print(artifact_to_json(artifact), end="")

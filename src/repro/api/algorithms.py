@@ -19,6 +19,7 @@ reachable here.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from ..congest import RoundLedger
@@ -47,7 +48,7 @@ from ..matching import (
     matching_weight,
 )
 from ..mis import luby_mis
-from ..mpc import MPCNetwork, mpc_general_proposal_phases, mpc_greedy_mis
+from ..mpc import MPCNetwork, mpc_greedy_mis, run_bipartite_proposal
 from .anytime import COMPLETE, TRUNCATED, Checkpoint
 from .instance import CONGEST, LOCAL, MPC, Instance
 from .registry import algorithm
@@ -92,71 +93,35 @@ def _report(instance: Instance, solution, objective, rounds,
     )
 
 
-# ----------------------------------------------------------------------
-# MaxIS (Algorithms 2 and 3) and the MIS baseline
-# ----------------------------------------------------------------------
-def _drive_simulator_phases(phases, network, phase_label: str,
-                            resume_state, solution_key: str,
-                            aux_key: str = "weight", initial_aux=0,
-                            objective_of=None, extras_of=None):
-    """Drive a simulator-backed ``(rounds, solution, aux, final,
-    state)`` phase generator into checkpoints; shared by the MaxIS,
-    line-graph and bipartite-proposal anytime runners.
+def _drive_phases(phases):
+    """Forward a core phase generator's checkpoints unchanged — every
+    generator yields complete :class:`Checkpoint` objects with raw
+    resume state (see :mod:`repro.core.stepwise`) — and return
+    ``(result, last)``: the generator's result (``None`` when the
+    budget stopped it cooperatively) and the last checkpoint it
+    yielded, from which a truncated runner builds its report."""
 
-    ``aux`` is whatever the runner tracks next to the solution — the
-    weight for the weighted runners (and then it *is* the objective),
-    the unlucky-node set for the proposal matcher; ``objective_of(
-    solution, aux)`` / ``extras_of(aux)`` derive the checkpoint fields
-    from it, and ``aux_key`` names it inside the resume payload.
-
-    Opens the stream with the initial (or restored) state, forwards
-    per-phase snapshots as checkpoints with the raw resume state
-    attached, and returns ``(core_result, last_snapshot)`` where
-    ``core_result`` is ``None`` when the budget interrupted the
-    generator cooperatively.  ``network`` may be ``None`` when the
-    simulator lives inside the core generator (the line-graph runner):
-    per-phase bit accounting is then unavailable and reported as 0,
-    matching the historical report shape of those algorithms.
-    """
-
-    if objective_of is None:
-        def objective_of(solution, aux):
-            return aux
-    if extras_of is None:
-        def extras_of(aux):
-            return {}
-    if resume_state is None:
-        last = (0, frozenset(), initial_aux, False, None)
-        yield Checkpoint(phase="init", solution=frozenset(),
-                         objective=objective_of(frozenset(), initial_aux),
-                         rounds=0, extras=extras_of(initial_aux))
-    else:
-        restored = frozenset(resume_state[solution_key])
-        aux = resume_state[aux_key]
-        last = (resume_state["rounds"], restored, aux, False, resume_state)
-        yield Checkpoint(phase="resume", solution=restored,
-                         objective=objective_of(restored, aux),
-                         rounds=resume_state["rounds"],
-                         bits=(resume_state["sim"]["metrics"]["bits"]
-                               if network else 0),
-                         extras=extras_of(aux),
-                         resume_state=resume_state)
-    index = 1
+    last = None
     while True:
         try:
             last = next(phases)
         except StopIteration as stop:
             return stop.value, last
-        rounds, solution, aux, final, state = last
-        yield Checkpoint(phase=f"{phase_label}-{index}", solution=solution,
-                         objective=objective_of(solution, aux),
-                         rounds=rounds,
-                         bits=network.metrics.bits if network else 0,
-                         final=final, extras=extras_of(aux),
-                         resume_state=state)
-        index += 1
+        yield last
 
 
+def _truncated(instance: Instance, last: Checkpoint,
+               **fields) -> SolveReport:
+    """The report of a runner whose budget ran out: the last
+    checkpoint's solution, objective and rounds."""
+
+    return _report(instance, last.solution, last.objective, last.rounds,
+                   status=TRUNCATED, **fields)
+
+
+# ----------------------------------------------------------------------
+# MaxIS (Algorithms 2 and 3) and the MIS baseline
+# ----------------------------------------------------------------------
 @algorithm(name="maxis-layers", problem="maxis", cli="layers",
            paper="Algorithm 2 (Thm 2.3)",
            guarantee="Δ-approx MWIS, O(MIS·log W) rounds",
@@ -185,14 +150,10 @@ def _iter_maxis_layers(instance: Instance, trace=None, resume_state=None):
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )
-    result, last = yield from _drive_simulator_phases(
-        phases, network, "selection", resume_state, "chosen",
-    )
+    result, last = yield from _drive_phases(phases)
     if result is None:
-        rounds, chosen, weight, _final, _state = last
-        return _report(instance, chosen, weight, rounds,
-                       metrics=network.metrics, status=TRUNCATED,
-                       trace=trace)
+        return _truncated(instance, last, metrics=network.metrics,
+                          trace=trace)
     return _report(instance, result.independent_set,
                    result.weight, result.rounds, metrics=network.metrics,
                    trace=trace)
@@ -224,13 +185,9 @@ def _iter_maxis_coloring(instance: Instance, coloring=None,
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )
-    result, last = yield from _drive_simulator_phases(
-        phases, network, "sweep", resume_state, "chosen",
-    )
+    result, last = yield from _drive_phases(phases)
     if result is None:
-        rounds, chosen, weight, _final, _state = last
-        return _report(instance, chosen, weight, rounds,
-                       metrics=network.metrics, status=TRUNCATED)
+        return _truncated(instance, last, metrics=network.metrics)
     return _report(instance, result.independent_set,
                    result.weight, result.accounted_rounds,
                    metrics=network.metrics,
@@ -275,13 +232,9 @@ def _iter_greedy_mis(instance: Instance, resume_state=None,
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )
-    result, last = yield from _drive_simulator_phases(
-        phases, None, "peel", resume_state, "chosen",
-    )
+    result, last = yield from _drive_phases(phases)
     if result is None:
-        rounds, chosen, weight, _final, _state = last
-        return _report(instance, chosen, weight, rounds,
-                       status=TRUNCATED)
+        return _truncated(instance, last)
     return _report(instance, result.independent_set, result.weight,
                    result.rounds, ledger=result.ledger)
 
@@ -321,13 +274,9 @@ def _iter_matching_lines(instance: Instance, method: str = "layers",
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )
-    result, last = yield from _drive_simulator_phases(
-        lines, None, "selection", resume_state, "matching",
-    )
+    result, last = yield from _drive_phases(lines)
     if result is None:
-        rounds, matching, weight, _final, _state = last
-        return _report(instance, matching, weight, rounds,
-                       status=TRUNCATED, audit=audit, method=method)
+        return _truncated(instance, last, audit=audit, method=method)
     return _report(instance, result.matching,
                    result.weight, result.rounds, audit=result.audit,
                    method=method)
@@ -383,30 +332,6 @@ def _run_fast2eps_weighted(instance: Instance, beta_bucket=None
 # ----------------------------------------------------------------------
 # (1+ε) matchings (Appendix B.3 / Theorems B.4, B.12)
 # ----------------------------------------------------------------------
-def _checkpoint_matching_phases(phases, label: str):
-    """Drive a core ``(rounds, matching, extras, state)`` phase
-    generator into checkpoints; shared by the three (1+ε) anytime
-    runners.  The raw resume state rides along on each checkpoint
-    (the facade wraps it into the persistable envelope).
-
-    Returns ``(core_result, last_snapshot)`` where ``core_result`` is
-    ``None`` when the budget interrupted the generator cooperatively.
-    """
-
-    last = (0, frozenset(), {}, None)
-    index = 0
-    while True:
-        try:
-            last = next(phases)
-        except StopIteration as stop:
-            return stop.value, last
-        rounds, matching, extras, state = last
-        yield Checkpoint(phase=f"{label}-{index}", solution=matching,
-                         objective=len(matching), rounds=rounds,
-                         extras=extras, resume_state=state)
-        index += 1
-
-
 @algorithm(name="matching-oneeps", problem="matching", cli="oneeps",
            paper="Theorem B.4",
            guarantee="(1+ε)-approx MCM, LOCAL model",
@@ -426,11 +351,9 @@ def _iter_oneeps_local(instance: Instance, k: float = 2.0,
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )
-    result, last = yield from _checkpoint_matching_phases(phases, "hk-phase")
+    result, last = yield from _drive_phases(phases)
     if result is None:
-        rounds, matching, extras, _state = last
-        return _report(instance, matching, len(matching), rounds,
-                       status=TRUNCATED, **extras)
+        return _truncated(instance, last, **last.extras)
     return _report(instance, result.matching,
                    result.cardinality, result.rounds, ledger=result.ledger,
                    deactivated=result.deactivated,
@@ -459,11 +382,9 @@ def _iter_oneeps_congest(instance: Instance, k: float = 2.0,
         capture_state=instance.max_rounds is not None,
         resume=resume_state, notify_wave=notify_wave,
     )
-    result, last = yield from _checkpoint_matching_phases(phases, "stage")
+    result, last = yield from _drive_phases(phases)
     if result is None:
-        rounds, matching, extras, _state = last
-        return _report(instance, matching, len(matching), rounds,
-                       status=TRUNCATED, **extras)
+        return _truncated(instance, last, **last.extras)
     return _report(instance, result.matching,
                    result.cardinality, result.rounds, ledger=result.ledger,
                    deactivated=result.deactivated, stages=result.stages)
@@ -490,11 +411,9 @@ def _iter_oneeps_bipartite(instance: Instance, k: float = 2.0,
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )
-    result, last = yield from _checkpoint_matching_phases(phases, "length")
+    result, last = yield from _drive_phases(phases)
     if result is None:
-        rounds, matching, extras, _state = last
-        return _report(instance, matching, len(matching), rounds,
-                       status=TRUNCATED, **extras)
+        return _truncated(instance, last, **last.extras)
     matching, deactivated = result
     return _report(instance, matching,
                    len(matching), ledger.total, ledger=ledger,
@@ -522,40 +441,21 @@ def _iter_proposal(instance: Instance, k=None, repetitions=None,
     per-machine ledger summary attached as ``extras["mpc"]``.
     """
 
-    network = None
+    network = bipartite = None
     if instance.model == MPC:
         network = _mpc_network(instance, capacity_factor, sparsify)
-        phases = mpc_general_proposal_phases(
-            instance.graph, eps=instance.eps, k=k, seed=instance.seed,
-            repetitions=repetitions, max_rounds=instance.max_rounds,
-            capture_state=instance.max_rounds is not None,
-            resume=resume_state, network=network,
-        )
-    else:
-        phases = general_proposal_phases(
-            instance.graph, eps=instance.eps, k=k, seed=instance.seed,
-            repetitions=repetitions, max_rounds=instance.max_rounds,
-            capture_state=instance.max_rounds is not None,
-            resume=resume_state, backend=instance.backend,
-        )
-    last = (0, frozenset(), False, None)
-    index = 0
-    while True:
-        try:
-            last = next(phases)
-        except StopIteration as stop:
-            result = stop.value
-            break
-        rounds, matching, final, state = last
-        yield Checkpoint(phase=f"repetition-{index}", solution=matching,
-                         objective=len(matching), rounds=rounds,
-                         final=final, resume_state=state)
-        index += 1
+        bipartite = functools.partial(run_bipartite_proposal, network)
+    phases = general_proposal_phases(
+        instance.graph, eps=instance.eps, k=k, seed=instance.seed,
+        repetitions=repetitions, max_rounds=instance.max_rounds,
+        capture_state=instance.max_rounds is not None,
+        resume=resume_state, backend=instance.backend,
+        bipartite=bipartite,
+    )
+    result, last = yield from _drive_phases(phases)
     extras = {} if network is None else {"mpc": network.summary()}
     if result is None:
-        rounds, matching, _final, _state = last
-        return _report(instance, matching, len(matching), rounds,
-                       status=TRUNCATED, **extras)
+        return _truncated(instance, last, **extras)
     matching, rounds, ledger = result
     return _report(instance, matching, len(matching),
                    rounds, ledger=ledger, **extras)
@@ -582,17 +482,10 @@ def _iter_proposal_bipartite(instance: Instance, k=None, phases=None,
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )
-    result, last = yield from _drive_simulator_phases(
-        stream, network, "proposal", resume_state, "matching",
-        aux_key="unlucky", initial_aux=set(),
-        objective_of=lambda solution, aux: len(solution),
-        extras_of=lambda aux: {"unlucky": set(aux)},
-    )
+    result, last = yield from _drive_phases(stream)
     if result is None:
-        rounds, matching, unlucky, _final, _state = last
-        return _report(instance, matching, len(matching), rounds,
-                       metrics=network.metrics, status=TRUNCATED,
-                       unlucky=set(unlucky))
+        return _truncated(instance, last, metrics=network.metrics,
+                          unlucky=set(last.extras["unlucky"]))
     return _report(instance, result.matching,
                    len(result.matching), result.rounds,
                    metrics=network.metrics, unlucky=result.unlucky,

@@ -32,6 +32,7 @@ from typing import Dict, Hashable, List
 
 import numpy as np
 
+from ..utils import rng_state
 from .array_network import (
     MAX_EXACT_INT,
     TAG_BITS,
@@ -387,7 +388,7 @@ class MaxISLayersKernel(_LocalRatioKernel):
             program["neighbor_layers"] = layers
             program["bid"] = int(self.bid[i]) if self.has_bid[i] else None
             program["eligible"] = bool(self.eligible[i])
-            live[nodes[i]] = {"sleeping": False, "rng": self.export_rng(i),
+            live[nodes[i]] = {"sleeping": False, "rng": rng_state(self.rng(i)),
                               "program": program}
         return live
 
@@ -531,7 +532,7 @@ class MaxISColoringKernel(_LocalRatioKernel):
         live: Dict[Hashable, dict] = {}
         for i in np.flatnonzero(~self.halted):
             i = int(i)
-            live[nodes[i]] = {"sleeping": False, "rng": self.export_rng(i),
+            live[nodes[i]] = {"sleeping": False, "rng": rng_state(self.rng(i)),
                               "program": self._base_program_state(i)}
         return live
 
@@ -695,7 +696,7 @@ class ProposalKernel(ArrayKernel):
                 if self.has_proposed[i] else None
             live[nodes[i]] = {
                 "sleeping": False,
-                "rng": self.export_rng(i),
+                "rng": rng_state(self.rng(i)),
                 "program": {"live": members, "proposed_to": proposed},
             }
         return live

@@ -49,7 +49,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None
 
 from ..errors import InvalidInstance, RoundLimitExceeded
-from ..utils import stable_rng
+from ..utils import restore_rng, stable_rng
 from .network import (
     CONGEST,
     NetworkMetrics,
@@ -512,25 +512,15 @@ class ArrayKernel:
             )
         if entry["sleeping"]:
             raise ArrayBackendUnsupported("sleeping nodes are not modeled")
-        self.restore_rng(i, entry["rng"])
+        if entry["rng"] is not None:
+            # A ``None`` RNG is a fresh entry spliced in by the
+            # dynamic-graph compat policy: it keeps the lazily-derived
+            # stable stream, matching the object backend bit for bit.
+            restore_rng(self.rng(i), entry["rng"])
         return entry["program"]
 
     def _restore(self, state: dict) -> None:  # pragma: no cover
         raise NotImplementedError
-
-    # -- shared export helpers -----------------------------------------
-    def export_rng(self, i: int) -> list:
-        version, internals, gauss = self.rng(i).getstate()
-        return [version, list(internals), gauss]
-
-    def restore_rng(self, i: int, state) -> None:
-        if state is None:
-            # Fresh entry spliced in by the dynamic-graph compat
-            # policy: keep the lazily-derived stable stream, matching
-            # the object backend's fresh-node behavior bit for bit.
-            return
-        version, internals, gauss = state
-        self.rng(i).setstate((version, tuple(internals), gauss))
 
 
 #: Registry of vectorized kernels, keyed by the fully-qualified name of

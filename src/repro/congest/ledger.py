@@ -49,3 +49,14 @@ class RoundLedger:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.breakdown, total=self.total)
+
+    def state(self) -> dict:
+        """The resume payload ``{"total", "breakdown"}`` (a copy)."""
+
+        return {"total": self.total, "breakdown": dict(self.breakdown)}
+
+    def restore(self, state: dict) -> None:
+        """Overwrite this ledger with a :meth:`state` payload."""
+
+        self.total = state["total"]
+        self.breakdown = dict(state["breakdown"])

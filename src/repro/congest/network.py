@@ -25,7 +25,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional
 import networkx as nx
 
 from ..errors import BandwidthViolation, RoundLimitExceeded, SimulationError
-from ..utils import stable_rng
+from ..utils import restore_rng, rng_state, stable_rng
 from .message import Envelope, payload_bits
 from .node import NodeContext, NodeProgram
 
@@ -368,13 +368,11 @@ class SynchronousNetwork:
                     raise SimulationError(
                         f"resume state knows nothing about node {ctx.node!r}"
                     )
-                if state["rng"] is not None:
-                    version, internals, gauss = state["rng"]
-                    ctx.rng.setstate((version, tuple(internals), gauss))
                 # A ``None`` RNG marks a *fresh* entry (spliced in by the
                 # dynamic-graph compat policy): the node keeps the
                 # stable per-node stream it was built with, exactly as
                 # on a fresh run, so both backends derive identically.
+                restore_rng(ctx.rng, state["rng"])
                 program.restore_state(state["program"])
                 if state["sleeping"]:
                     ctx._sleeping = True
@@ -513,10 +511,9 @@ class SynchronousNetwork:
                     if ctx._halted:
                         halted_outputs[ctx.node] = ctx.output
                         continue
-                    version, internals, gauss = ctx.rng.getstate()
                     live[ctx.node] = {
                         "sleeping": ctx._sleeping,
-                        "rng": [version, list(internals), gauss],
+                        "rng": rng_state(ctx.rng),
                         "program": program.export_state(),
                     }
                 state = {

@@ -3,11 +3,11 @@ the time-optimal (2+ε)/(1+ε) matching approximations.
 
 The paper's phase programs are exposed as phase generators
 (``maxis_layers_phases``, ``congest_matching_1eps_stages``, …) that
-yield a snapshot at every phase boundary and return their result
-dataclass; drain one with :func:`repro.utils.drain` to run it to
-completion.  Most callers want the unified facade instead, which runs
-the same generators with the same seeds and returns one uniform
-:class:`repro.api.SolveReport`::
+yield a :class:`~repro.core.stepwise.Checkpoint` at every phase
+boundary and return their result dataclass; drain one with
+:func:`repro.utils.drain` to run it to completion.  Most callers
+want the unified facade instead, which runs the same generators with
+the same seeds and returns one uniform :class:`repro.api.SolveReport`::
 
     from repro.api import Instance, solve
     report = solve(Instance(graph, seed=3), "maxis-layers")

@@ -54,7 +54,8 @@ from ..congest import (
 )
 from ..errors import AlgorithmContractViolation, InvalidInstance
 from ..graphs import check_matching, is_augmenting_path, max_degree
-from ..utils import drain, stable_rng
+from ..utils import drain, restore_rng, rng_state, stable_rng
+from .stepwise import Checkpoint, phase_names
 
 Path = Tuple[Hashable, ...]
 
@@ -414,15 +415,15 @@ def bipartite_matching_1eps_phases(
 ):
     """Run the length-1,3,…,L phase loop on a bipartite graph.
 
-    Yields ``(rounds, matching, extras, state)`` after the initial
-    state and after every length-d phase; the matching is valid at
-    every phase boundary.  With ``max_rounds`` set, stops before
+    Yields ``length-i`` checkpoints for the initial state and after
+    every length-d phase (``extras["deactivated"]``); the matching is
+    valid at every phase boundary.  With ``max_rounds`` set, stops before
     launching a phase once ``ledger.total`` has reached the budget and
     returns ``None``; otherwise returns the final
     ``(matching, deactivated)`` pair.
 
     ``capture_state=True`` attaches a resume payload to every
-    snapshot; ``resume=`` restarts the phase loop there (phase
+    checkpoint; ``resume=`` restarts the phase loop there (phase
     randomness is keyed ``seed + 101·d``, so the continuation replays
     the uncut run's exact stream).
     """
@@ -439,14 +440,14 @@ def bipartite_matching_1eps_phases(
         start_d = resume["next_d"]
         matching = set(resume["matching"])
         deactivated = set(resume["deactivated"])
-        ledger.total = resume["ledger"]["total"]
-        ledger.breakdown = dict(resume["ledger"]["breakdown"])
+        ledger.restore(resume["ledger"])
         # The payload pins the resolved options so the continuation
         # replays the identical phase parameters even when the caller
         # omits them on resume.
         k = resume["options"]["k"]
         failure_delta = resume["options"]["failure_delta"]
         max_iterations = resume["options"]["max_iterations"]
+    names = phase_names("length")
 
     def snapshot(next_d):
         state = None
@@ -456,14 +457,15 @@ def bipartite_matching_1eps_phases(
                 "next_d": next_d,
                 "matching": set(matching),
                 "deactivated": set(deactivated),
-                "ledger": {"total": ledger.total,
-                           "breakdown": dict(ledger.breakdown)},
+                "ledger": ledger.state(),
                 "options": {"k": k, "failure_delta": failure_delta,
                             "max_iterations": max_iterations},
             }
-        return ledger.total, frozenset(matching), {
-            "deactivated": set(deactivated),
-        }, state
+        return Checkpoint(
+            phase=next(names), solution=frozenset(matching),
+            objective=len(matching), rounds=ledger.total,
+            extras={"deactivated": set(deactivated)}, resume_state=state,
+        )
 
     yield snapshot(start_d)
     for d in range(start_d, max_length + 1, 2):
@@ -495,7 +497,7 @@ def congest_matching_1eps_stages(
     resume: Optional[dict] = None,
     notify_wave: bool = False,
 ):
-    """Anytime Theorem B.12: one snapshot per bipartition stage.
+    """Anytime Theorem B.12: one checkpoint per bipartition stage.
 
     (1+ε)-approximate MCM in general graphs (CONGEST): runs
     2^{O(1/ε)} random red/blue bipartition stages; each stage's
@@ -504,17 +506,18 @@ def congest_matching_1eps_stages(
     early when a stage leaves the matching unchanged and no short
     augmenting path survives among active nodes.
 
-    Yields ``(rounds, matching, extras, state)`` after the initial
-    state and after every red/blue stage (the matching is
-    vertex-disjoint at every stage boundary, so each snapshot is a
-    valid partial solution).  With ``max_rounds`` set, the generator
-    stops *before* launching a stage once the ledger has consumed the
-    budget — cooperatively, so truncation costs nothing beyond the
-    rounds actually accounted — and returns ``None``; otherwise it
-    returns the usual :class:`CongestOneEpsResult`.
+    Yields ``stage-i`` checkpoints for the initial state and after
+    every red/blue stage (the matching is vertex-disjoint at every
+    stage boundary, so each checkpoint is a valid partial solution;
+    ``extras`` count the stages run and the deactivated nodes).  With
+    ``max_rounds`` set, the generator stops *before* launching a stage
+    once the ledger has consumed the budget — cooperatively, so
+    truncation costs nothing beyond the rounds actually accounted — and
+    returns ``None``; otherwise it returns the usual
+    :class:`CongestOneEpsResult`.
 
     ``capture_state=True`` attaches a resume payload to every
-    snapshot, including the stage-coloring RNG state; ``resume=``
+    checkpoint, including the stage-coloring RNG state; ``resume=``
     restores it, so the continuation draws the exact red/blue colors
     the uncut run would have drawn.
 
@@ -523,7 +526,7 @@ def congest_matching_1eps_stages(
     every stage: free nodes flood a depth-``L`` probe so matched
     waiters parked on the wake list learn the stage boundary passed.
     The wave's rounds are charged to the ledger under
-    ``"waiting-wave"`` (so budgets and snapshots account for it) and
+    ``"waiting-wave"`` (so budgets and checkpoints account for it) and
     the matching itself is untouched; the option is pinned into resume
     payloads like every other stage parameter.  Default off — the
     historical round accounting is bit-identical.
@@ -549,10 +552,8 @@ def congest_matching_1eps_stages(
         finished = resume["finished"]
         matching = set(resume["matching"])
         deactivated = set(resume["deactivated"])
-        ledger.total = resume["ledger"]["total"]
-        ledger.breakdown = dict(resume["ledger"]["breakdown"])
-        version, internals, gauss = resume["rng"]
-        rng.setstate((version, tuple(internals), gauss))
+        ledger.restore(resume["ledger"])
+        restore_rng(rng, resume["rng"])
         # The payload pins the resolved options (most importantly the
         # total stage count) so the continuation replays the identical
         # stage loop even when the caller omits them on resume.
@@ -562,11 +563,11 @@ def congest_matching_1eps_stages(
         max_iterations = resume["options"]["max_iterations"]
         # Pre-wave payloads carry no wave flag; they resume wave-less.
         notify_wave = resume["options"].get("notify_wave", False)
+    names = phase_names("stage")
 
     def snapshot(next_stage):
         state = None
         if capture_state:
-            version, internals, gauss = rng.getstate()
             options = {"k": k, "failure_delta": failure_delta,
                        "stages": stages,
                        "max_iterations": max_iterations}
@@ -581,9 +582,8 @@ def congest_matching_1eps_stages(
                 "finished": finished,
                 "matching": set(matching),
                 "deactivated": set(deactivated),
-                "ledger": {"total": ledger.total,
-                           "breakdown": dict(ledger.breakdown)},
-                "rng": [version, list(internals), gauss],
+                "ledger": ledger.state(),
+                "rng": rng_state(rng),
                 "options": options,
             }
         extras = {
@@ -592,7 +592,9 @@ def congest_matching_1eps_stages(
         }
         if notify_wave:
             extras["notify_waves"] = executed
-        return ledger.total, frozenset(matching), extras, state
+        return Checkpoint(phase=next(names), solution=frozenset(matching),
+                          objective=len(matching), rounds=ledger.total,
+                          extras=extras, resume_state=state)
 
     yield snapshot(start_stage)
     for stage in range(start_stage, stages):
@@ -657,7 +659,7 @@ def congest_matching_1eps_stages(
             from .augmenting import shortest_augmenting_path_length
 
             # Evaluated before the yield (it is deterministic, so the
-            # order is observationally identical) so the snapshot's
+            # order is observationally identical) so the checkpoint's
             # resume payload already knows whether the stage loop is
             # over — a resumed run must not launch stages the uncut
             # run would never have run.

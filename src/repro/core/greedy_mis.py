@@ -21,6 +21,7 @@ import networkx as nx
 
 from ..congest import RoundLedger
 from ..graphs import check_independent_set, node_weight
+from .stepwise import Checkpoint, opening_checkpoint, phase_names
 
 
 def greedy_priorities(graph: nx.Graph) -> Dict[Hashable, Tuple[int, int]]:
@@ -46,17 +47,17 @@ def greedy_mis_phases(
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
-    """Anytime greedy MIS: one snapshot per peeling sweep.
+    """Anytime greedy MIS: one checkpoint per peeling sweep.
 
-    Yields ``(rounds, chosen, weight, final, state)`` tuples — the
-    shape :func:`repro.api.algorithms._drive_simulator_phases` drives —
-    after the initial state, after the priority-exchange charge, and
-    after every sweep.  The partial set is independent at every
-    boundary (a sweep only adds nodes whose neighbors it knocks out
-    in the same step).  With ``max_rounds`` set, stops cooperatively
-    before any charge past the budget and returns ``None``; otherwise
-    returns a :class:`GreedyMISResult`.  Fully deterministic, so a
-    resumed run trivially reproduces the uncut one.
+    Opens with ``init`` (or ``resume``), then yields ``peel-i``
+    checkpoints for the initial state, after the priority-exchange
+    charge, and after every sweep.  The partial set is independent at
+    every boundary (a sweep only adds nodes whose neighbors it knocks
+    out in the same step).  With ``max_rounds`` set, stops
+    cooperatively before any charge past the budget and returns
+    ``None``; otherwise returns a :class:`GreedyMISResult`.  Fully
+    deterministic, so a resumed run trivially reproduces the uncut
+    one.
     """
 
     order = sorted(graph.nodes, key=repr)
@@ -74,8 +75,8 @@ def greedy_mis_phases(
             if v not in survivors:
                 undecided.discard(v)
         exchanged = resume["exchanged"]
-        ledger.total = resume["ledger"]["total"]
-        ledger.breakdown = dict(resume["ledger"]["breakdown"])
+        ledger.restore(resume["ledger"])
+    names = phase_names("peel", start=1)
 
     def snapshot():
         state = None
@@ -86,12 +87,13 @@ def greedy_mis_phases(
                 "weight": weight,
                 "undecided": set(undecided),
                 "exchanged": exchanged,
-                "ledger": {"total": ledger.total,
-                           "breakdown": dict(ledger.breakdown)},
+                "ledger": ledger.state(),
             }
-        return ledger.total, frozenset(chosen), weight, \
-            not undecided, state
+        return Checkpoint(phase=next(names), solution=frozenset(chosen),
+                          objective=weight, rounds=ledger.total,
+                          final=not undecided, resume_state=state)
 
+    yield opening_checkpoint(resume, chosen, weight)
     yield snapshot()
     if undecided and not exchanged:
         if max_rounds is not None and ledger.total >= max_rounds:

@@ -37,6 +37,7 @@ from .augmenting import (
     verify_hk_phase,
 )
 from .hypergraph_matching import nearly_maximal_hypergraph_matching
+from .stepwise import Checkpoint, phase_names
 
 
 @dataclass
@@ -66,12 +67,12 @@ def local_matching_1eps_phases(
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
-    """Anytime Theorem B.4: one snapshot per Hopcroft–Karp phase.
+    """Anytime Theorem B.4: one checkpoint per Hopcroft–Karp phase.
 
-    A generator yielding ``(rounds, matching, extras, state)`` tuples —
-    the initial state and then one snapshot after every length-ℓ phase.
-    The matching is vertex-disjoint at every phase boundary, so each
-    snapshot is a valid partial solution; ``extras`` carries the
+    A phase generator yielding ``hk-phase-i`` checkpoints — the
+    initial state and then one after every length-ℓ phase.  The
+    matching is vertex-disjoint at every phase boundary, so each
+    checkpoint is a valid partial solution; its ``extras`` carry the
     ``deactivated`` node set and ``truncated_phases`` so far.
 
     With ``max_rounds`` set, the generator stops *before* launching a
@@ -80,10 +81,10 @@ def local_matching_1eps_phases(
     run that finishes within the budget — and any run without one —
     returns the usual :class:`OneEpsResult`.
 
-    With ``capture_state=True`` every snapshot's ``state`` is a resume
-    payload; feeding one back as ``resume=`` restarts the phase loop
-    at the captured boundary with the matching, deactivations and
-    ledger restored.  Phase randomness is keyed per phase length
+    With ``capture_state=True`` every checkpoint's ``resume_state`` is
+    a resume payload; feeding one back as ``resume=`` restarts the
+    phase loop at the captured boundary with the matching,
+    deactivations and ledger restored.  Phase randomness is keyed per phase length
     (``seed + 31·ℓ``), so a resumed loop replays the exact random
     stream the uncut run would have used — resume ≡ never-stopped.
     """
@@ -105,14 +106,14 @@ def local_matching_1eps_phases(
         matching = set(resume["matching"])
         active -= set(resume["deactivated"])
         truncated = list(resume["truncated_phases"])
-        ledger.total = resume["ledger"]["total"]
-        ledger.breakdown = dict(resume["ledger"]["breakdown"])
+        ledger.restore(resume["ledger"])
         # The payload pins the options the original run resolved, so
         # the continuation replays the identical phase parameters even
         # when the caller omits them on resume.
         k = resume["options"]["k"]
         failure_delta = resume["options"]["failure_delta"]
         path_cap = resume["options"]["path_cap"]
+    names = phase_names("hk-phase")
 
     def snapshot(next_length):
         deactivated = set(graph.nodes) - active
@@ -124,15 +125,17 @@ def local_matching_1eps_phases(
                 "matching": set(matching),
                 "deactivated": set(deactivated),
                 "truncated_phases": list(truncated),
-                "ledger": {"total": ledger.total,
-                           "breakdown": dict(ledger.breakdown)},
+                "ledger": ledger.state(),
                 "options": {"k": k, "failure_delta": failure_delta,
                             "path_cap": path_cap},
             }
-        return ledger.total, frozenset(matching), {
-            "deactivated": deactivated,
-            "truncated_phases": list(truncated),
-        }, state
+        return Checkpoint(
+            phase=next(names), solution=frozenset(matching),
+            objective=len(matching), rounds=ledger.total,
+            extras={"deactivated": deactivated,
+                    "truncated_phases": list(truncated)},
+            resume_state=state,
+        )
 
     yield snapshot(start_length)
     for length in range(start_length, max_length + 1, 2):

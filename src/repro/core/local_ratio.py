@@ -26,6 +26,7 @@ import networkx as nx
 from ..errors import InvalidInstance
 from ..graphs import check_independent_set, node_weight
 from ..utils import stable_rng
+from .stepwise import Checkpoint
 
 
 def split_weights(
@@ -114,15 +115,17 @@ def sequential_local_ratio_iter(
     selector: Optional[SelectorFn] = None,
     trace: Optional[List[dict]] = None,
 ):
-    """Anytime Algorithm 1: one snapshot per exchange level.
+    """Anytime Algorithm 1: one checkpoint per exchange level.
 
     Generator form of :func:`sequential_local_ratio`: after the
-    descent, every Lemma 2.2 exchange step yields ``(level,
-    solution)`` with the partially assembled independent set — each
-    intermediate state is itself independent (the exchange only adds
-    nodes with no chosen neighbor), so every snapshot is a valid
-    partial solution.  Returns the final set; draining the generator
-    reproduces :func:`sequential_local_ratio` exactly.
+    descent, every Lemma 2.2 exchange step yields a ``level-<i>``
+    checkpoint (``i`` counts down to 0) with the partially assembled
+    independent set and its weight — each intermediate state is itself
+    independent (the exchange only adds nodes with no chosen
+    neighbor), so every checkpoint is a valid partial solution.  The
+    algorithm is sequential, so checkpoints report no rounds.  Returns
+    the final set; draining the generator reproduces
+    :func:`sequential_local_ratio` exactly.
     """
 
     if weights is None:
@@ -163,7 +166,10 @@ def sequential_local_ratio_iter(
     solution: Set[Hashable] = set()
     for level in range(len(levels) - 1, -1, -1):
         solution = exchange_step(graph, levels[level], solution)
-        yield level, frozenset(solution)
+        yield Checkpoint(phase=f"level-{level}",
+                         solution=frozenset(solution),
+                         objective=sum(weights[v] for v in solution),
+                         rounds=0)
     check_independent_set(graph, solution)
     return solution
 

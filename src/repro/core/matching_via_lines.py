@@ -30,7 +30,7 @@ from ..mis.coloring import delta_plus_one_coloring
 from .maxis_coloring import MaxISColoringProgram
 from .maxis_coloring import IN_IS as COLORING_IN_IS
 from .maxis_layers import IN_IS, MaxISLayersProgram
-from .stepwise import stepper_snapshots
+from .stepwise import opening_checkpoint, stepper_checkpoints
 
 
 @dataclass
@@ -52,14 +52,16 @@ def matching_lines_phases(
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
-    """Anytime Theorem 2.10: MaxIS on ``L(G)``, one snapshot per
+    """Anytime Theorem 2.10: MaxIS on ``L(G)``, one checkpoint per
     selection phase of the underlying MaxIS engine.
 
-    Yields ``(rounds, matching, weight, final, state)`` tuples; the
+    Opens with ``init`` (or ``resume``) and yields ``selection-i``
+    checkpoints whose objective is the matching's weight; the
     matching is vertex-disjoint at every boundary because the line
-    graph's independent-set invariant holds at every prefix.  Returns
-    the usual :class:`MatchingResult` on completion, ``None`` when
-    ``max_rounds`` cuts the run cooperatively.
+    graph's independent-set invariant holds at every prefix.  The
+    simulator runs on ``L(G)``, so checkpoints report no bits.
+    Returns the usual :class:`MatchingResult` on completion, ``None``
+    when ``max_rounds`` cuts the run cooperatively.
 
     ``method`` selects the MaxIS engine: ``"layers"`` (Algorithm 2,
     randomized, O(MIS·log W) rounds) or ``"coloring"`` (Algorithm 3,
@@ -71,6 +73,14 @@ def matching_lines_phases(
     serialized.
     """
 
+    matching: Set[frozenset] = set()
+    weight = 0
+    sim_state = None
+    if resume is not None:
+        matching = set(resume["matching"])
+        weight = resume["weight"]
+        sim_state = resume["sim"]
+    yield opening_checkpoint(resume, matching, weight)
     if graph.number_of_edges() == 0:
         return MatchingResult(matching=set(), weight=0, rounds=0,
                               audit=audit)
@@ -125,13 +135,6 @@ def matching_lines_phases(
 
         network.trace = trace
 
-    matching: Set[frozenset] = set()
-    weight = 0
-    sim_state = None
-    if resume is not None:
-        matching = set(resume["matching"])
-        weight = resume["weight"]
-        sim_state = resume["sim"]
     stepper = network.run_stepwise(
         factory,
         max_rounds=budget,
@@ -155,7 +158,8 @@ def matching_lines_phases(
                 "matching": set(matching), "weight": objective,
                 "sim": sim}
 
-    result = yield from stepper_snapshots(stepper, fold, make_state)
+    result = yield from stepper_checkpoints(stepper, "selection", fold,
+                                            make_state)
     check_matching(graph, [tuple(e) for e in matching])
     if not result.completed:
         return None

@@ -37,7 +37,7 @@ from ..congest import (
 from ..errors import InvalidInstance
 from ..graphs import check_independent_set, node_weight
 from ..mis.coloring import ColoringResult, delta_plus_one_coloring
-from .stepwise import stepper_snapshots
+from .stepwise import opening_checkpoint, stepper_checkpoints
 
 IN_IS = "InIS"
 NOT_IN_IS = "NotInIS"
@@ -153,24 +153,25 @@ def maxis_coloring_phases(
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
-    """Anytime Algorithm 3: one snapshot per local-ratio sweep round.
+    """Anytime Algorithm 3: one checkpoint per local-ratio sweep round.
 
-    Yields ``(rounds, chosen, weight, final, state)`` tuples where
-    ``rounds`` is the paper-*accounted* cumulative count — the
-    O(Δ + log* n) coloring charge (``accounted_bek14_rounds``) plus
-    the local-ratio rounds simulated so far — matching what
-    :class:`MaxISColoringResult.accounted_rounds` reports at the end.
-    ``chosen`` is independent at every boundary (same stack discipline
-    as Algorithm 2), so every snapshot is a valid partial solution.
+    Opens with ``init`` (or ``resume``) and yields ``sweep-i``
+    checkpoints whose ``rounds`` is the paper-*accounted* cumulative
+    count — the O(Δ + log* n) coloring charge
+    (``accounted_bek14_rounds``) plus the local-ratio rounds simulated
+    so far — matching what :class:`MaxISColoringResult.accounted_rounds`
+    reports at the end.  The chosen set is independent at every
+    boundary (same stack discipline as Algorithm 2), so every
+    checkpoint is a valid partial solution.
 
     ``max_rounds`` budgets the accounted count: a budget below the
     coloring charge stops before simulating anything (the generator
-    returns ``None`` without yielding), and otherwise the local-ratio
-    simulation is capped at the remainder.  Returns the usual
-    :class:`MaxISColoringResult` on completion, ``None`` on a budget
-    cut.  ``capture_state`` / ``resume`` follow the
-    :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol: the
-    final snapshot's ``state`` resumes the run bit-for-bit (the
+    returns ``None`` right after its ``init`` checkpoint), and
+    otherwise the local-ratio simulation is capped at the remainder.
+    Returns the usual :class:`MaxISColoringResult` on completion,
+    ``None`` on a budget cut.  ``capture_state`` / ``resume`` follow
+    the :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol:
+    the final checkpoint's state resumes the run bit-for-bit (the
     coloring itself is deterministic and recomputed, not serialized).
     """
 
@@ -180,6 +181,14 @@ def maxis_coloring_phases(
     if network is None:
         network = make_network(graph, seed=0)
     base = coloring.accounted_bek14_rounds
+    chosen: Set[Hashable] = set()
+    weight = 0
+    sim_state = None
+    if resume is not None:
+        chosen = set(resume["chosen"])
+        weight = resume["weight"]
+        sim_state = resume["sim"]
+    yield opening_checkpoint(resume, chosen, weight, network.metrics)
     if max_rounds is None:
         sim_cap = 20 * (coloring.palette + 2) + 4 * graph.number_of_nodes()
     else:
@@ -197,13 +206,6 @@ def maxis_coloring_phases(
             neighbor_colors=neighbor_colors,
         )
 
-    chosen: Set[Hashable] = set()
-    weight = 0
-    sim_state = None
-    if resume is not None:
-        chosen = set(resume["chosen"])
-        weight = resume["weight"]
-        sim_state = resume["sim"]
     stepper = network.run_stepwise(
         factory,
         max_rounds=sim_cap,
@@ -226,8 +228,9 @@ def maxis_coloring_phases(
         return {"rounds": rounds, "chosen": set(chosen),
                 "weight": objective, "sim": sim}
 
-    result = yield from stepper_snapshots(stepper, fold, make_state,
-                                          rounds_offset=base)
+    result = yield from stepper_checkpoints(
+        stepper, "sweep", fold, make_state, metrics=network.metrics,
+        rounds_offset=base)
     check_independent_set(graph, chosen)
     if not result.completed:
         return None

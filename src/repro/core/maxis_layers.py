@@ -51,7 +51,7 @@ from ..congest import (
 from ..errors import InvalidInstance
 from ..graphs import check_independent_set, max_node_weight
 from ..utils import geometric_layers
-from .stepwise import stepper_snapshots
+from .stepwise import opening_checkpoint, stepper_checkpoints
 
 IN_IS = "InIS"
 NOT_IN_IS = "NotInIS"
@@ -246,31 +246,33 @@ def maxis_layers_phases(
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
-    """Anytime Algorithm 2: one snapshot per selection phase.
+    """Anytime Algorithm 2: one checkpoint per selection phase.
 
-    A generator that drives the protocol through
-    :meth:`~repro.congest.SynchronousNetwork.run_stepwise` and yields a
-    ``(rounds, chosen, weight, final, state)`` tuple at every
-    selection-phase boundary (one phase = 3 simulator rounds;
-    ``final`` marks the run's last snapshot).  ``chosen`` is the set
-    of nodes that have joined the independent set so far — independent
-    at *every* prefix of the execution, because the stack discipline
-    only lets a node join once every undecided neighbor has declined —
-    so each snapshot is a valid partial solution in its own right (the
-    "expected value by round T" object of the MaxIS analysis).
+    A phase generator (:mod:`repro.core.stepwise`) that drives the
+    protocol through
+    :meth:`~repro.congest.SynchronousNetwork.run_stepwise`: it opens
+    with an ``init`` (or ``resume``) checkpoint and yields
+    ``selection-i`` at every selection-phase boundary (one phase = 3
+    simulator rounds; ``final`` marks the run's last snapshot).  The
+    solution is the set of nodes that have joined the independent set
+    so far — independent at *every* prefix of the execution, because
+    the stack discipline only lets a node join once every undecided
+    neighbor has declined — so each checkpoint is a valid partial
+    solution in its own right (the "expected value by round T" object
+    of the MaxIS analysis); its objective is the set's weight.
 
     Returns (as ``StopIteration.value``) the usual :class:`MaxISResult`
     when the protocol completes, or ``None`` when the ``max_rounds``
-    budget interrupts it cooperatively; the last yielded snapshot then
-    holds the best partial solution, and no rounds beyond the budget
-    are executed.
+    budget interrupts it cooperatively; the last yielded checkpoint
+    then holds the best partial solution, and no rounds beyond the
+    budget are executed.
 
-    With ``capture_state=True`` the final snapshot's ``state`` holds a
-    resume payload (the simulator execution state plus the partial
-    solution); passing it back as ``resume=`` continues the protocol
-    from that boundary — same messages, same randomness, continued
-    round/metric accounting — as if the budget had never cut it.
-    ``max_rounds`` stays cumulative across the hops.
+    With ``capture_state=True`` the final checkpoint's
+    ``resume_state`` holds a resume payload (the simulator execution
+    state plus the partial solution); passing it back as ``resume=``
+    continues the protocol from that boundary — same messages, same
+    randomness, continued round/metric accounting — as if the budget
+    had never cut it.  ``max_rounds`` stays cumulative across the hops.
     """
 
     if network is None:
@@ -288,6 +290,7 @@ def maxis_layers_phases(
         chosen = set(resume["chosen"])
         weight = resume["weight"]
         sim_state = resume["sim"]
+    yield opening_checkpoint(resume, chosen, weight, network.metrics)
     stepper = network.run_stepwise(
         lambda node: MaxISLayersProgram(weights[node], trace),
         max_rounds=max_rounds,
@@ -310,7 +313,8 @@ def maxis_layers_phases(
         return {"rounds": rounds, "chosen": set(chosen),
                 "weight": objective, "sim": sim}
 
-    result = yield from stepper_snapshots(stepper, fold, make_state)
+    result = yield from stepper_checkpoints(
+        stepper, "selection", fold, make_state, metrics=network.metrics)
     check_independent_set(graph, chosen)
     if not result.completed:
         return None

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Optional, Set
+from typing import Callable, Hashable, Optional, Set
 
 import networkx as nx
 
@@ -34,7 +34,13 @@ from ..congest import (
 )
 from ..errors import InvalidInstance
 from ..graphs import check_matching, max_degree
-from ..utils import drain, stable_rng
+from ..utils import drain, restore_rng, rng_state, stable_rng
+from .stepwise import (
+    Checkpoint,
+    opening_checkpoint,
+    phase_names,
+    stepper_checkpoints,
+)
 
 MATCHED = "matched"
 UNLUCKY = "unlucky"
@@ -165,19 +171,20 @@ def bipartite_proposal_phases(
     snapshots: bool = True,
     backend: Optional[str] = None,
 ):
-    """Anytime Lemma B.13: one snapshot per propose/respond phase.
+    """Anytime Lemma B.13: one checkpoint per propose/respond phase.
 
-    Yields ``(rounds, matching, unlucky, final, state)`` tuples every
-    two simulator rounds (one proposal phase); the matching is
-    vertex-disjoint at every boundary because pairs retire atomically.
-    Returns the usual :class:`ProposalResult` on completion, ``None``
-    when ``max_rounds`` cuts the protocol cooperatively (the
-    simulator stops at the budget; no further rounds are executed).
-    ``capture_state`` / ``resume`` follow the
+    Opens with ``init`` (or ``resume``) and yields a ``proposal-i``
+    checkpoint every two simulator rounds (one proposal phase), with
+    the unlucky left nodes so far in ``extras["unlucky"]``; the
+    matching is vertex-disjoint at every boundary because pairs retire
+    atomically.  Returns the usual :class:`ProposalResult` on
+    completion, ``None`` when ``max_rounds`` cuts the protocol
+    cooperatively (the simulator stops at the budget; no further
+    rounds are executed).  ``capture_state`` / ``resume`` follow the
     :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol.
     ``snapshots=False`` is the fast-drain form the general matcher's
-    per-repetition loop uses: no mid-run snapshots are yielded or paid
-    for, and the matching is read off the final outputs instead —
+    per-repetition loop uses: no mid-run checkpoints are yielded or
+    paid for, and the matching is read off the final outputs instead —
     identical result, zero per-phase bookkeeping.  ``backend`` picks
     the simulator engine when ``network`` is not supplied (results are
     bit-identical either way).
@@ -196,13 +203,6 @@ def bipartite_proposal_phases(
         phases = resume["phases"]
     if network is None:
         network = make_network(graph, seed=seed, backend=backend)
-    sides = {v: ("L" if v in left else "R") for v in graph.nodes}
-    for u, v in graph.edges:
-        if sides[u] == sides[v]:
-            raise InvalidInstance(
-                f"edge ({u!r}, {v!r}) does not cross the bipartition"
-            )
-    cap = 2 * phases + 4 if max_rounds is None else max_rounds
     matching: Set[frozenset] = set()
     unlucky: Set[Hashable] = set()
     sim_state = None
@@ -210,6 +210,16 @@ def bipartite_proposal_phases(
         matching = set(resume["matching"])
         unlucky = set(resume["unlucky"])
         sim_state = resume["sim"]
+    yield opening_checkpoint(resume, matching, len(matching),
+                             network.metrics,
+                             extras={"unlucky": set(unlucky)})
+    sides = {v: ("L" if v in left else "R") for v in graph.nodes}
+    for u, v in graph.edges:
+        if sides[u] == sides[v]:
+            raise InvalidInstance(
+                f"edge ({u!r}, {v!r}) does not cross the bipartition"
+            )
+    cap = 2 * phases + 4 if max_rounds is None else max_rounds
     stepper = network.run_stepwise(
         lambda node: ProposalProgram(sides[node], phases),
         max_rounds=cap,
@@ -219,39 +229,28 @@ def bipartite_proposal_phases(
         capture_state=capture_state,
         resume_state=sim_state,
     )
-    while True:
-        try:
-            snapshot = next(stepper)
-        except StopIteration as stop:
-            result = stop.value
-            break
-        for node, output in snapshot.newly_halted:
+
+    def fold(newly_halted):
+        for node, output in newly_halted:
             status, partner = output if output else (UNLUCKY, None)
             if status == MATCHED:
                 matching.add(frozenset((node, partner)))
             elif status == UNLUCKY:
                 unlucky.add(node)
-        state = None
-        if snapshot.state is not None:
-            state = {
-                "rounds": snapshot.rounds,
-                "k": k,
-                "phases": phases,
-                "matching": set(matching),
-                "unlucky": set(unlucky),
-                "sim": snapshot.state,
-            }
-        yield snapshot.rounds, frozenset(matching), set(unlucky), \
-            snapshot.final, state
+        return frozenset(matching), len(matching)
+
+    def make_state(rounds, objective, sim):
+        return {"rounds": rounds, "k": k, "phases": phases,
+                "matching": set(matching), "unlucky": set(unlucky),
+                "sim": sim}
+
+    result = yield from stepper_checkpoints(
+        stepper, "proposal", fold, make_state, metrics=network.metrics,
+        extras=lambda: {"unlucky": set(unlucky)})
     if not snapshots:
         # Fast-drain form: the stepper yielded nothing, so read the
         # outcome off the final outputs (the historical code path).
-        for node, output in result.outputs.items():
-            status, partner = output if output else (UNLUCKY, None)
-            if status == MATCHED:
-                matching.add(frozenset((node, partner)))
-            elif status == UNLUCKY:
-                unlucky.add(node)
+        fold(result.outputs.items())
     check_matching(graph, [tuple(e) for e in matching])
     if not result.completed:
         return None
@@ -273,28 +272,45 @@ def general_proposal_phases(
     capture_state: bool = False,
     resume: Optional[dict] = None,
     backend: Optional[str] = None,
+    bipartite: Optional[Callable] = None,
 ):
-    """Anytime Lemma B.14: one snapshot per bipartition repetition.
+    """Anytime Lemma B.14: one checkpoint per bipartition repetition.
 
     O(log 1/ε) random-bipartition repetitions: each splits the
     remaining nodes uniformly into left/right, keeps crossing edges,
     and runs the bipartite algorithm; matched nodes leave the pool.
 
-    Yields ``(rounds, matching, final, state)`` after the initial
-    state and after every repetition; the matching is vertex-disjoint
-    at every boundary (repetitions only ever add disjoint pairs).
-    With ``max_rounds`` set, stops before launching a repetition once
-    the ledger has consumed the budget and returns ``None``;
-    otherwise returns the usual ``(matching, rounds, ledger)`` triple.
+    Yields ``repetition-i`` checkpoints for the initial state and after
+    every repetition (``final`` on the last one); the matching is
+    vertex-disjoint at every boundary (repetitions only ever add
+    disjoint pairs).  With ``max_rounds`` set, stops before launching
+    a repetition once the ledger has consumed the budget and returns
+    ``None``; otherwise returns the usual ``(matching, rounds,
+    ledger)`` triple.
+
+    ``bipartite(sub, left, eps=, k=, seed=)`` runs one Lemma B.13 pass
+    on the crossing subgraph and returns ``(matching, unlucky,
+    rounds)``.  The default drains :func:`bipartite_proposal_phases`
+    on the simulator ``backend`` selects; the MPC model passes
+    :func:`repro.mpc.run_bipartite_proposal` bound to its fleet, which
+    replays the same per-node RNG streams, so matchings and round
+    counts are identical either way.
 
     ``capture_state=True`` attaches a resume payload (matching,
-    surviving node pool, ledger, split-RNG state) to every snapshot;
+    surviving node pool, ledger, split-RNG state) to every checkpoint;
     ``resume=`` restores it.  The surviving pool is rebuilt with the
     exact insert-then-discard history of the uncut run so the split
     comprehension's iteration order — and with it the RNG assignment —
     is reproduced verbatim.
     """
 
+    if bipartite is None:
+        def bipartite(sub, left, eps, k, seed):
+            outcome = drain(bipartite_proposal_phases(
+                sub, left, sub.nodes - left, eps=eps, k=k, seed=seed,
+                snapshots=False, backend=backend,
+            ))
+            return outcome.matching, outcome.unlucky, outcome.rounds
     if repetitions is None:
         repetitions = max(1, math.ceil(2.0 * math.log(2.0 / eps))) + 1
     rng = stable_rng(seed, "b14-splits")
@@ -310,27 +326,26 @@ def general_proposal_phases(
         for v in graph.nodes:
             if v not in survivors:
                 remaining.discard(v)
-        ledger.total = resume["ledger"]["total"]
-        ledger.breakdown = dict(resume["ledger"]["breakdown"])
-        version, internals, gauss = resume["rng"]
-        rng.setstate((version, tuple(internals), gauss))
+        ledger.restore(resume["ledger"])
+        restore_rng(rng, resume["rng"])
+    names = phase_names("repetition")
 
     def snapshot(next_rep):
         state = None
         if capture_state:
-            version, internals, gauss = rng.getstate()
             state = {
                 "rounds": ledger.total,
                 "repetition": next_rep,
                 "repetitions": repetitions,
                 "matching": set(matching),
                 "remaining": set(remaining),
-                "ledger": {"total": ledger.total,
-                           "breakdown": dict(ledger.breakdown)},
-                "rng": [version, list(internals), gauss],
+                "ledger": ledger.state(),
+                "rng": rng_state(rng),
             }
-        return ledger.total, frozenset(matching), \
-            next_rep >= repetitions, state
+        return Checkpoint(phase=next(names), solution=frozenset(matching),
+                          objective=len(matching), rounds=ledger.total,
+                          final=next_rep >= repetitions,
+                          resume_state=state)
 
     yield snapshot(start_rep)
     for repetition in range(start_rep, repetitions):
@@ -346,16 +361,13 @@ def general_proposal_phases(
         )
         ledger.charge(1, "bipartition")
         if sub.number_of_edges() > 0:
-            outcome = drain(bipartite_proposal_phases(
-                sub, left, right, eps=eps, k=k,
-                seed=seed + 13 * (repetition + 1), snapshots=False,
-                backend=backend,
-            ))
-            ledger.charge(outcome.rounds, "bipartite-proposals")
-            matching |= outcome.matching
-            for e in outcome.matching:
+            rep_matching, _unlucky, rep_rounds = bipartite(
+                sub, left, eps=eps, k=k, seed=seed + 13 * (repetition + 1),
+            )
+            ledger.charge(rep_rounds, "bipartite-proposals")
+            matching |= rep_matching
+            for e in rep_matching:
                 remaining -= set(e)
         yield snapshot(repetition + 1)
     check_matching(graph, [tuple(e) for e in matching])
     return matching, ledger.total, ledger
-

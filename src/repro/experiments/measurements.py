@@ -158,21 +158,6 @@ def _matching_lines(graph, seed, method="layers", oracle=False, audit=False):
     return measures, None
 
 
-@register_measurement("weight_groups")
-def _weight_groups(graph, seed, oracle=False):
-    """Footnote-5 weight-group 2-approx MWM directly on G."""
-
-    report = _solved(graph, seed, "matching-groups")
-    measures = {
-        "rounds": report.rounds,
-        "size": report.size,
-        "weight": report.objective,
-    }
-    if oracle:
-        _oracle(measures, report)
-    return measures, None
-
-
 @register_measurement("fast2eps")
 def _fast2eps(graph, seed, eps=0.5, k=None, oracle=False):
     """(2+ε)-approx MCM (Theorem 3.2)."""

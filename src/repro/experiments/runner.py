@@ -10,7 +10,7 @@ pytest suite and the CI smoke gate all funnel through
    plan (each entry carries the cell's graph spec, parameters and the
    derived trial seed),
 2. executes the plan — serially with the cell's graph materialized
-   once per seed sweep, or fanned across a process/thread pool via the
+   once per seed sweep, or fanned across a process pool via the
    shared batch engine (:func:`repro.api.batch.execute_indexed`) when
    ``workers > 1``, each worker rebuilding its trial's graph from the
    (deterministic) spec,
@@ -113,15 +113,12 @@ class Runner:
         workers of the shared batch engine.  Artifacts are
         **byte-identical** at any worker count: trials are merged in
         plan (spec) order.
-    backend:
-        ``"process"`` (default for ``workers > 1``) or ``"thread"``.
     """
 
     def __init__(self, spec: ExperimentSpec,
-                 workers: Optional[int] = None, backend: str = "process"):
+                 workers: Optional[int] = None):
         self.spec = spec
         self.workers = int(workers) if workers else 0
-        self.backend = backend
         #: Pool shared across sections during run(); standalone
         #: run_section() calls fall back to a per-call pool.
         self._pool = None
@@ -189,7 +186,7 @@ class Runner:
 
         outcomes = execute_indexed(
             _run_trial_task, [self._task(entry) for entry in plan],
-            executor=self._pool if self._pool is not None else self.backend,
+            executor=self._pool if self._pool is not None else "process",
             workers=self.workers,
         )
         results: List[tuple] = []
@@ -268,7 +265,7 @@ class Runner:
                 # paid once, not once per section.
                 from ..api.batch import _make_executor
 
-                self._pool = _make_executor(self.backend, self.workers)
+                self._pool = _make_executor("process", self.workers)
             records = [self.run_section(section) for section in selected]
         finally:
             if self._pool is not None:
@@ -301,8 +298,7 @@ class Runner:
 
 def run_experiment(spec: ExperimentSpec,
                    sections: Optional[Iterable[str]] = None,
-                   workers: Optional[int] = None,
-                   backend: str = "process") -> Dict:
+                   workers: Optional[int] = None) -> Dict:
     """Convenience wrapper: ``Runner(spec, ...).run(sections)``."""
 
-    return Runner(spec, workers=workers, backend=backend).run(sections)
+    return Runner(spec, workers=workers).run(sections)

@@ -13,18 +13,22 @@ check) and the adaptive sparsification of outcome-neutral traffic
 (``retired`` notices addressed to nodes that already halted — the
 object simulator drops those at delivery anyway).
 
-One :class:`MPCNetwork` is shared across the B.14 repetitions so the
-machine ledgers accumulate the whole run.
+The B.14 repetition loop itself is not duplicated here:
+:func:`~repro.core.proposal_matching.general_proposal_phases` takes the
+per-repetition bipartite runner as a callable, and the MPC model passes
+:func:`run_bipartite_proposal` bound to one :class:`MPCNetwork`, shared
+across the repetitions so the machine ledgers accumulate the whole
+run.  After a resume the protocol state is replayed verbatim but the
+(freshly built) machine ledgers restart at zero — ledgers describe the
+machines that actually ran, not the pre-truncation fleet.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..congest import RoundLedger
 from ..core.proposal_matching import (
     ISOLATED,
     MATCHED,
@@ -32,7 +36,7 @@ from ..core.proposal_matching import (
     lemma_b13_rounds,
     optimal_k,
 )
-from ..graphs import check_matching, max_degree
+from ..graphs import max_degree
 from ..utils import stable_rng
 from .network import MPCMessage, MPCNetwork
 
@@ -148,100 +152,4 @@ def run_bipartite_proposal(
     return matching, unlucky, rounds
 
 
-def mpc_general_proposal_phases(
-    graph: nx.Graph,
-    eps: float = 0.25,
-    k: Optional[int] = None,
-    seed: int = 0,
-    repetitions: Optional[int] = None,
-    max_rounds: Optional[int] = None,
-    capture_state: bool = False,
-    resume: Optional[dict] = None,
-    network: Optional[MPCNetwork] = None,
-):
-    """Anytime Lemma B.14 over the MPC fleet.
-
-    A structural twin of
-    :func:`~repro.core.proposal_matching.general_proposal_phases` —
-    same split RNG (``stable_rng(seed, "b14-splits")``), repetition
-    budget, ledger charges, yield tuples
-    ``(rounds, matching, final, state)`` and resume payloads — with the
-    object-simulator bipartite run swapped for
-    :func:`run_bipartite_proposal`.  Draining it yields the exact
-    matching and round count of the object simulator; the network's
-    machine ledgers accumulate across repetitions.  After a resume the
-    protocol state is replayed verbatim but the (freshly built)
-    machine ledgers restart at zero — ledgers describe the machines
-    that actually ran, not the pre-truncation fleet.
-    """
-
-    if network is None:
-        network = MPCNetwork(graph, seed=seed)
-    if repetitions is None:
-        repetitions = max(1, math.ceil(2.0 * math.log(2.0 / eps))) + 1
-    rng = stable_rng(seed, "b14-splits")
-    ledger = RoundLedger()
-    matching: Set[frozenset] = set()
-    remaining: Set[Hashable] = set(graph.nodes)
-    start_rep = 0
-    if resume is not None:
-        start_rep = resume["repetition"]
-        repetitions = resume["repetitions"]
-        matching = set(resume["matching"])
-        survivors = resume["remaining"]
-        for v in graph.nodes:
-            if v not in survivors:
-                remaining.discard(v)
-        ledger.total = resume["ledger"]["total"]
-        ledger.breakdown = dict(resume["ledger"]["breakdown"])
-        version, internals, gauss = resume["rng"]
-        rng.setstate((version, tuple(internals), gauss))
-
-    def snapshot(next_rep):
-        state = None
-        if capture_state:
-            version, internals, gauss = rng.getstate()
-            state = {
-                "rounds": ledger.total,
-                "repetition": next_rep,
-                "repetitions": repetitions,
-                "matching": set(matching),
-                "remaining": set(remaining),
-                "ledger": {"total": ledger.total,
-                           "breakdown": dict(ledger.breakdown)},
-                "rng": [version, list(internals), gauss],
-            }
-        return ledger.total, frozenset(matching), \
-            next_rep >= repetitions, state
-
-    yield snapshot(start_rep)
-    for repetition in range(start_rep, repetitions):
-        if max_rounds is not None and ledger.total >= max_rounds:
-            return None
-        left = {v for v in remaining if rng.random() < 0.5}
-        right = remaining - left
-        sub = nx.Graph()
-        sub.add_nodes_from(remaining)
-        sub.add_edges_from(
-            (u, v) for u, v in graph.edges
-            if (u in left and v in right) or (u in right and v in left)
-        )
-        ledger.charge(1, "bipartition")
-        if sub.number_of_edges() > 0:
-            rep_matching, _unlucky, rep_rounds = run_bipartite_proposal(
-                network, sub, left, eps=eps, k=k,
-                seed=seed + 13 * (repetition + 1),
-            )
-            ledger.charge(rep_rounds, "bipartite-proposals")
-            matching |= rep_matching
-            for e in rep_matching:
-                remaining -= set(e)
-        yield snapshot(repetition + 1)
-    check_matching(graph, [tuple(e) for e in matching])
-    return matching, ledger.total, ledger
-
-
-__all__ = [
-    "mpc_general_proposal_phases",
-    "run_bipartite_proposal",
-]
+__all__ = ["run_bipartite_proposal"]

@@ -31,6 +31,26 @@ def stable_rng(seed: int, *parts) -> random.Random:
     return rng
 
 
+def rng_state(rng: random.Random) -> list:
+    """The JSON-safe resume payload of an RNG: ``[version, internals,
+    gauss]`` (the ``getstate()`` triple with the internal tuple as a
+    list).  Every resume payload encodes RNG state through this one
+    helper pair."""
+
+    version, internals, gauss = rng.getstate()
+    return [version, list(internals), gauss]
+
+
+def restore_rng(rng: random.Random, state) -> None:
+    """Restore an :func:`rng_state` payload into ``rng``.  ``None``
+    keeps the stream ``rng`` already has (the fresh stream it was
+    built with)."""
+
+    if state is not None:
+        version, internals, gauss = state
+        rng.setstate((version, tuple(internals), gauss))
+
+
 def drain(generator):
     """Consume a generator for its return value (``StopIteration.value``).
 

@@ -216,13 +216,11 @@ class TestNotifyWave:
             drain(congest_matching_1eps_stages(g, seed=0)).rounds
         # extras advertise the wave only when it ran
         stream = congest_matching_1eps_stages(g, seed=0)
-        _rounds, _m, extras, _state = next(stream)
-        assert "notify_waves" not in extras
+        assert "notify_waves" not in next(stream).extras
         stream.close()
         waved = congest_matching_1eps_stages(g, seed=0,
                                              notify_wave=True)
-        _rounds, _m, extras, _state = next(waved)
-        assert "notify_waves" in extras
+        assert "notify_waves" in next(waved).extras
         waved.close()
 
     @staticmethod
@@ -245,7 +243,7 @@ class TestNotifyWave:
         last, cut = self._drain(cut_stream)
         if cut is not None:
             pytest.skip(f"budget {budget} did not truncate this run")
-        state = last[3]
+        state = last.resume_state
         # the payload pins the wave flag: resume without re-passing it
         assert state["options"]["notify_wave"] is True
         _last, resumed = self._drain(congest_matching_1eps_stages(
@@ -259,7 +257,7 @@ class TestNotifyWave:
         g = self._graph(seed=9)
         stream = congest_matching_1eps_stages(g, seed=1,
                                               capture_state=True)
-        _rounds, _m, _extras, state = next(stream)
+        state = next(stream).resume_state
         stream.close()
         assert "notify_wave" not in state["options"]
         # and a pre-wave payload resumes wave-less (back-compat)

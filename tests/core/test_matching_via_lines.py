@@ -94,7 +94,7 @@ class TestTwoApproximation:
             except StopIteration as stop:
                 assert stop.value is None
                 break
-        assert all(snapshot[0] == 0 for snapshot in snapshots)
+        assert all(snapshot.rounds == 0 for snapshot in snapshots)
 
 
 class TestCongestionClaim:

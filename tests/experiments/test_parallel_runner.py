@@ -16,16 +16,9 @@ class TestWorkerDeterminism:
         pooled = artifact_to_json(Runner(SMOKE, workers=2).run())
         assert serial == pooled
 
-    def test_thread_backend_matches_too(self):
-        serial = artifact_to_json(Runner(SMOKE).run(["maxis_ratio"]))
-        threaded = artifact_to_json(
-            Runner(SMOKE, workers=2, backend="thread").run(["maxis_ratio"])
-        )
-        assert serial == threaded
-
     def test_parallel_trial_failure_aborts_with_context(self):
         spec = get_experiment("smoke")
-        runner = Runner(spec, workers=2, backend="thread")
+        runner = Runner(spec, workers=2)
         # sabotage the plan: an unknown measurement fails in the worker
         section = spec.section("maxis_ratio")
         plan = runner._section_plan(section)
@@ -48,5 +41,12 @@ class TestCli:
     def test_no_wall_clock_flags(self, flag, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["bench", "smoke", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_pool_backend_flag(self, capsys):
+        # workers > 1 always means the process pool.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "smoke", "--backend", "thread"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
