@@ -74,14 +74,29 @@ def _as_int(value) -> int:
     return operator.index(value)
 
 
-def _int64_array(values, count: int):
-    """``np.fromiter(..., int64)`` that degrades to a fallback instead
-    of crashing when a Python int exceeds the machine word."""
+def _int_column(table: dict, name: str, count: int):
+    """Table column ``name`` as int64; anything but ``count`` machine
+    integers (floats, oversized ints, other objects) is left to the
+    object engine."""
 
-    try:
-        return np.fromiter(values, dtype=np.int64, count=count)
-    except OverflowError as exc:
-        raise ArrayBackendUnsupported(str(exc)) from exc
+    values = np.asarray(table[name])
+    if values.shape != (count,) or values.dtype.kind not in "ib":
+        raise ArrayBackendUnsupported(f"{name} is not {count} int64 values")
+    return values.astype(np.int64)
+
+
+def _positive_weights(table: dict, csr, probe):
+    """The ``weight`` column, gated for exact arithmetic.  Non-positive
+    weights are left to the object engine, whose programs reject
+    them."""
+
+    weights = _int_column(table, "weight", csr.n)
+    if int(weights.min()) <= 0:
+        raise ArrayBackendUnsupported("non-positive weights")
+    if probe.weight != weights[0]:
+        raise ArrayBackendUnsupported("the probe disagrees with the table")
+    _check_weights(weights, int(csr.degree.max(initial=0)))
+    return weights
 
 
 class _LocalRatioKernel(ArrayKernel):
@@ -96,12 +111,10 @@ class _LocalRatioKernel(ArrayKernel):
     active_neighbors").
     """
 
-    def __init__(self, net, csr, programs):
-        super().__init__(net, csr, programs)
+    def __init__(self, net, csr, probe, table):
+        super().__init__(net, csr, probe, table)
         n, m2 = csr.n, csr.m2
-        weights = _int64_array((p.weight for p in programs), n)
-        _check_weights(weights, int(csr.degree.max(initial=0)))
-        self.weight = weights
+        self.weight = _positive_weights(table, csr, probe)
         self.candidate = np.zeros(n, dtype=bool)
         self.active_e = np.zeros(m2, dtype=bool)
         self.wait_e = np.zeros(m2, dtype=bool)
@@ -229,14 +242,16 @@ class MaxISLayersKernel(_LocalRatioKernel):
     PROGRAM = "repro.core.maxis_layers.MaxISLayersProgram"
     KINDS = ("reduce", "removed", "join", "info", "bid")
 
-    def __init__(self, net, csr, programs):
-        super().__init__(net, csr, programs)
+    def __init__(self, net, csr, probe, table):
+        """Table: ``weight`` per node, plus the ``trace`` every node
+        shares (``None`` for none)."""
+
+        super().__init__(net, csr, probe, table)
         if not csr.unique_reprs:
             raise ArrayBackendUnsupported("bid ties need unique node reprs")
-        traces = {id(p.trace) for p in programs}
-        if len(traces) > 1:
-            raise ArrayBackendUnsupported("per-node trace objects differ")
-        self.trace = programs[0].trace
+        self.trace = table.get("trace")
+        if probe.trace is not self.trace:
+            raise ArrayBackendUnsupported("the probe's trace is not shared")
         self.bid_bound = max(2, csr.n) ** 3
         if self.bid_bound >= MAX_EXACT_INT:
             raise ArrayBackendUnsupported("bid range exceeds exact bit math")
@@ -443,32 +458,18 @@ class MaxISColoringKernel(_LocalRatioKernel):
     PROGRAM = "repro.core.maxis_coloring.MaxISColoringProgram"
     KINDS = ("reduce", "removed", "join")
 
-    def __init__(self, net, csr, programs):
-        super().__init__(net, csr, programs)
-        index = csr.index
-        colors = []
-        for program in programs:
-            color = program.color
-            if not isinstance(color, int) or isinstance(color, bool):
-                raise ArrayBackendUnsupported("non-integer colors")
-            colors.append(color)
-        color = _int64_array(colors, csr.n)
+    def __init__(self, net, csr, probe, table):
+        """Table: ``weight`` and ``color`` per node.  One color array
+        serves every node, so the programs' local ``neighbor_colors``
+        views cannot disagree with it."""
+
+        super().__init__(net, csr, probe, table)
+        color = _int_column(table, "color", csr.n)
         if color.size and int(np.abs(color).max()) >= (1 << 62):
             raise ArrayBackendUnsupported("color values too large")
-        # Each node consults only its *own* neighbor_colors dict; the
-        # vectorized comparison uses the global color array, which is
-        # only equivalent when every local view agrees with it.
-        nodes = csr.nodes
-        for i, program in enumerate(programs):
-            view = program.neighbor_colors
-            for j in csr.indices[self._row(i)]:
-                u = nodes[int(j)]
-                if u not in view or view[u] != colors[int(j)]:
-                    raise ArrayBackendUnsupported(
-                        "neighbor_colors disagrees with the coloring"
-                    )
+        if probe.color != color[0]:
+            raise ArrayBackendUnsupported("the probe disagrees with the table")
         self.color = color
-        self._index = index
 
     def start(self) -> None:
         self.active_e[:] = True
@@ -572,21 +573,24 @@ class ProposalKernel(ArrayKernel):
     PROGRAM = "repro.core.proposal_matching.ProposalProgram"
     KINDS = ("propose", "retired", "accept")
 
-    def __init__(self, net, csr, programs):
-        super().__init__(net, csr, programs)
+    def __init__(self, net, csr, probe, table):
+        """Table: ``side`` (``"L"``/``"R"``) per node, plus the
+        ``phases`` deadline every node shares."""
+
+        super().__init__(net, csr, probe, table)
         if not csr.unique_reprs:
             raise ArrayBackendUnsupported("proposals need unique node reprs")
         n, m2 = csr.n, csr.m2
-        self.is_left = np.fromiter((p.side == "L" for p in programs),
-                                   dtype=bool, count=n)
-        phases = []
-        for program in programs:
-            if not isinstance(program.phases, int):
-                raise ArrayBackendUnsupported("non-integer phase deadline")
-            phases.append(program.phases)
-        self.phases = _int64_array(phases, n)
-        if self.phases.size and int(np.abs(self.phases).max()) >= (1 << 60):
-            raise ArrayBackendUnsupported("phase deadline too large")
+        side = np.asarray(table["side"])
+        self.is_left = side == "L"
+        if side.shape != (n,) or not (self.is_left | (side == "R")).all():
+            raise ArrayBackendUnsupported("sides other than 'L'/'R'")
+        self.phases = table["phases"]
+        if not isinstance(self.phases, int):
+            raise ArrayBackendUnsupported("non-integer phase deadline")
+        if (probe.side != ("L" if self.is_left[0] else "R")
+                or probe.phases != self.phases):
+            raise ArrayBackendUnsupported("the probe disagrees with the table")
         self.live_e = np.zeros(m2, dtype=bool)
         self.has_proposed = np.zeros(n, dtype=bool)
         self.proposed_idx = np.zeros(n, dtype=np.int64)

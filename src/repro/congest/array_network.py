@@ -52,6 +52,7 @@ from ..errors import InvalidInstance, RoundLimitExceeded
 from ..utils import restore_rng, stable_rng
 from .network import (
     CONGEST,
+    LOCAL,
     NetworkMetrics,
     RunResult,
     StepSnapshot,
@@ -132,7 +133,7 @@ class GraphCSR:
     __slots__ = ("nodes", "index", "indptr", "indices", "mirror", "rank",
                  "degree", "rows", "n", "m2", "unique_reprs", "_edge_pos")
 
-    def __init__(self, graph: nx.Graph, adjacency: Dict[Hashable, tuple]):
+    def __init__(self, graph: nx.Graph, adjacency):
         nodes = list(graph.nodes)
         n = len(nodes)
         self.nodes = nodes
@@ -188,6 +189,47 @@ class GraphCSR:
         self.mirror = mirror
         self._edge_pos = None
 
+    def restrict(self, members, keep) -> "GraphCSR":
+        """The CSR a fresh compile of a sub-graph would produce, sliced
+        from this one without touching networkx.
+
+        ``members`` lists the sub-graph's nodes as positions of this
+        CSR, in the sub-graph's node order; ``keep`` marks the directed
+        positions of its edges and must be symmetric
+        (``keep[mirror] == keep``) with both ends in ``members``.  Rows
+        keep their rank order, which is the sub-graph's ``repr`` order
+        as long as reprs are unique — the one case this supports.
+        """
+
+        if not self.unique_reprs:
+            raise ValueError("restrict needs unique node reprs")
+        n = int(members.size)
+        renumber = np.full(self.n, -1, dtype=np.int64)
+        renumber[members] = np.arange(n, dtype=np.int64)
+        kept = np.flatnonzero(keep)
+        rows = renumber[self.rows[kept]]
+        order = np.argsort(rows, kind="stable")
+        kept = kept[order]
+        sub = GraphCSR.__new__(GraphCSR)
+        sub.n = n
+        sub.m2 = int(kept.size)
+        sub.rows = rows[order]
+        sub.indices = renumber[self.indices[kept]]
+        sub.degree = np.bincount(sub.rows, minlength=n).astype(np.int64)
+        sub.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(sub.degree, out=sub.indptr[1:])
+        position = np.empty(self.m2, dtype=np.int64)
+        position[kept] = np.arange(sub.m2, dtype=np.int64)
+        sub.mirror = position[self.mirror[kept]]
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.argsort(self.rank[members])] = np.arange(n, dtype=np.int64)
+        sub.rank = rank
+        sub.nodes = [self.nodes[i] for i in members.tolist()]
+        sub.index = {v: i for i, v in enumerate(sub.nodes)}
+        sub.unique_reprs = True
+        sub._edge_pos = None
+        return sub
+
     @property
     def edge_pos(self) -> Dict[tuple, int]:
         """``(row, col) -> position`` map, built lazily.
@@ -213,7 +255,7 @@ class GraphCSR:
 _CSR_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _shared_csr(graph: nx.Graph, adjacency: Dict[Hashable, tuple]) -> GraphCSR:
+def graph_csr(graph: nx.Graph) -> GraphCSR:
     """The cached :class:`GraphCSR` for ``graph``, compiled on first use.
 
     A cache hit is validated against the current node list and degree
@@ -223,6 +265,9 @@ def _shared_csr(graph: nx.Graph, adjacency: Dict[Hashable, tuple]) -> GraphCSR:
     graphs at all, let alone that way.)
     """
 
+    # networkx's node -> neighbor-dict map: iterating an entry walks
+    # the neighbors in ``graph.neighbors`` order, with no view objects.
+    adjacency = graph._adj
     try:
         cached = _CSR_CACHE.get(graph)
     except TypeError:  # unhashable / un-weakref-able graph subclass
@@ -230,7 +275,7 @@ def _shared_csr(graph: nx.Graph, adjacency: Dict[Hashable, tuple]) -> GraphCSR:
     if cached is not None and cached.n == graph.number_of_nodes():
         try:
             degrees = np.fromiter(
-                (len(adjacency[v]) for v in cached.nodes),
+                map(len, map(adjacency.__getitem__, cached.nodes)),
                 dtype=np.int64, count=cached.n,
             )
         except KeyError:  # node set changed
@@ -243,11 +288,6 @@ def _shared_csr(graph: nx.Graph, adjacency: Dict[Hashable, tuple]) -> GraphCSR:
     except TypeError:  # pragma: no cover - unhashable graph subclass
         pass
     return csr
-
-    def row(self, i: int) -> slice:
-        """The ``indices`` slice of node ``i``'s neighbors."""
-
-        return slice(int(self.indptr[i]), int(self.indptr[i + 1]))
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +362,11 @@ class ArrayKernel:
 
     Subclasses implement the whole protocol in array form and are
     responsible for *exact* metric accounting (they update the
-    network's counters through :meth:`charge`).  The engine drives:
+    network's counters through :meth:`charge`).  They are built from
+    the run's per-node parameter table (columns in CSR node order)
+    plus the probe program, and raise :class:`ArrayBackendUnsupported`
+    when the table holds values they cannot model or disagrees with
+    the probe.  The engine drives:
 
     * :meth:`start` — ``on_start`` semantics (before round 0),
     * :meth:`step` — one synchronous round,
@@ -339,7 +383,7 @@ class ArrayKernel:
     KINDS: tuple = ()
 
     def __init__(self, net: "ArrayNetwork", csr: GraphCSR,
-                 programs: List[NodeProgram]):
+                 probe: NodeProgram, table: dict):
         self.net = net
         self.csr = csr
         self.total = csr.n
@@ -555,22 +599,56 @@ class ArrayNetwork(SynchronousNetwork):
 
     Construction is identical; behaviour is identical (bit-for-bit,
     including metrics and checkpoint payloads).  The only difference is
-    *how* a run executes: when the program has a registered kernel and
-    the run uses no object-only feature, the whole protocol runs as
-    batched numpy operations over a CSR adjacency; otherwise the
-    inherited object path runs.  The parity suite in
-    ``tests/congest/test_array_backend.py`` pins the equivalence.
+    *how* a run executes: when the program has a registered kernel, the
+    caller passes its per-node parameter table and the run uses no
+    object-only feature, the whole protocol runs as batched numpy
+    operations over a CSR adjacency; otherwise the inherited object path
+    runs.  The parity suite in ``tests/congest/test_array_backend.py``
+    pins the equivalence.
     """
 
     def __init__(self, graph: nx.Graph, model: str = CONGEST, seed: int = 0,
                  bandwidth_factor: int = 8, strict: bool = False):
+        self._build_graph = None
         super().__init__(graph, model=model, seed=seed,
                          bandwidth_factor=bandwidth_factor, strict=strict)
         self._csr: Optional[GraphCSR] = None
 
+    @classmethod
+    def over_csr(cls, csr: GraphCSR, build_graph: Callable[[], nx.Graph],
+                 model: str = CONGEST, seed: int = 0,
+                 bandwidth_factor: int = 8,
+                 strict: bool = False) -> "ArrayNetwork":
+        """A network over an already compiled CSR (say, one
+        :meth:`GraphCSR.restrict` sliced out of a parent's).
+
+        It behaves exactly like ``ArrayNetwork(build_graph(), ...)``,
+        but ``build_graph`` runs only if something needs the networkx
+        graph — in practice, a run that falls back to the object engine.
+        """
+
+        if model not in (LOCAL, CONGEST):
+            raise ValueError(f"unknown model {model!r}")
+        net = cls.__new__(cls)
+        net._graph = None
+        net._build_graph = build_graph
+        net._configure(csr.n, model, seed, bandwidth_factor, strict)
+        net._csr = csr
+        return net
+
+    @property
+    def graph(self) -> nx.Graph:
+        if self._graph is None:
+            self._graph = self._build_graph()
+        return self._graph
+
+    @graph.setter
+    def graph(self, value: nx.Graph) -> None:
+        self._graph = value
+
     def _ensure_csr(self) -> GraphCSR:
         if self._csr is None:
-            self._csr = _shared_csr(self.graph, self._adjacency)
+            self._csr = graph_csr(self.graph)
         return self._csr
 
     def run_stepwise(
@@ -584,12 +662,21 @@ class ArrayNetwork(SynchronousNetwork):
         checkpoint_every: Optional[int] = None,
         capture_state: bool = False,
         resume_state: Optional[dict] = None,
+        table: Optional[dict] = None,
     ):
         """Array-dispatching twin of the object backend's generator.
 
+        ``table`` maps parameter names to per-node columns in graph
+        node order (or to one value shared by every node); each
+        kernel documents the names it reads.  The kernel is built from
+        the table: ``program_factory`` runs once, for a *probe* program
+        on the first node, whose class picks the kernel from
+        :data:`KERNELS` and whose parameters must agree with the
+        table's first row.
+
         Falls back to the inherited implementation whenever the array
-        engine cannot guarantee bit-compatibility: numpy missing, a
-        participant subset, quiescence scheduling, a trace or
+        engine cannot guarantee bit-compatibility: numpy missing, no
+        table, a participant subset, quiescence scheduling, a trace or
         round-end hook, ``strict`` bandwidth enforcement (the exact
         violating ``(src, dst)`` pair matters there), an unregistered
         program class, or kernel-level feasibility checks failing.
@@ -602,18 +689,17 @@ class ArrayNetwork(SynchronousNetwork):
             checkpoint_every=checkpoint_every, capture_state=capture_state,
             resume_state=resume_state,
         )
-        if (np is None or participants is not None or quiescence_halts
-                or self.strict or self.trace is not None
+        if (np is None or table is None or participants is not None
+                or quiescence_halts or self.strict or self.trace is not None
                 or self.on_round_end is not None or self._n == 0):
             return object_path(program_factory, **kwargs)
-        nodes = list(self.graph.nodes)
-        probe = program_factory(nodes[0])
+        csr = self._ensure_csr()
+        probe = program_factory(csr.nodes[0])
         kernel_cls = KERNELS.get(_program_path(probe))
         if kernel_cls is None:
             return object_path(program_factory, **kwargs)
-        programs = [probe] + [program_factory(v) for v in nodes[1:]]
         try:
-            kernel = kernel_cls(self, self._ensure_csr(), programs)
+            kernel = kernel_cls(self, csr, probe, table)
             if resume_state is not None:
                 kernel.validate_resume(resume_state)
         except ArrayBackendUnsupported:
@@ -734,6 +820,7 @@ __all__ = [
     "OBJECT_BACKEND",
     "TAG_BITS",
     "bit_lengths",
+    "graph_csr",
     "int_word_bits",
     "make_network",
     "register_kernel",

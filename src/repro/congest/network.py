@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 import networkx as nx
@@ -162,20 +163,20 @@ class SynchronousNetwork:
         if model not in (LOCAL, CONGEST):
             raise ValueError(f"unknown model {model!r}")
         self.graph = graph
+        self._configure(graph.number_of_nodes(), model, seed,
+                        bandwidth_factor, strict)
+
+    def _configure(self, n: int, model: str, seed: int,
+                   bandwidth_factor: int, strict: bool) -> None:
+        """Everything but the graph: model, seed, bandwidth, counters."""
+
         self.model = model
         self.seed = seed
         self.strict = strict
-        n = max(2, graph.number_of_nodes())
-        self.bandwidth = bandwidth_factor * math.ceil(math.log2(n))
+        self.bandwidth = bandwidth_factor * math.ceil(math.log2(max(2, n)))
         self.metrics = NetworkMetrics()
         self._protocol_index = 0
-        self._max_degree = max((d for _, d in graph.degree()), default=0)
-        #: Adjacency computed once per network; every run() reuses it
-        #: instead of re-walking the networkx structure.
-        self._adjacency: Dict[Hashable, tuple] = {
-            node: tuple(graph.neighbors(node)) for node in graph.nodes
-        }
-        self._n = graph.number_of_nodes()
+        self._n = n
         #: Payloads repeat heavily (broadcasts send one tuple to every
         #: neighbor, protocols reuse the same tags round after round), so
         #: bit-accounting is memoised per payload tuple.  The cache is
@@ -195,6 +196,19 @@ class SynchronousNetwork:
         #: Optional callback ``(round_index, active, delivered)`` invoked
         #: at the end of every round; used by ExecutionRecorder.
         self.on_round_end: Optional[Callable[[int, int, int], None]] = None
+
+    @cached_property
+    def _adjacency(self) -> Dict[Hashable, tuple]:
+        """Adjacency computed once, on the first object-engine run;
+        every later run reuses it instead of re-walking the networkx
+        structure (a vectorised run never needs it)."""
+
+        graph = self.graph
+        return {node: tuple(graph.neighbors(node)) for node in graph.nodes}
+
+    @cached_property
+    def _max_degree(self) -> int:
+        return max((d for _, d in self.graph.degree()), default=0)
 
     # ------------------------------------------------------------------
     # protocol execution
@@ -257,6 +271,7 @@ class SynchronousNetwork:
         checkpoint_every: Optional[int] = None,
         capture_state: bool = False,
         resume_state: Optional[dict] = None,
+        table: Optional[dict] = None,
     ):
         """Generator form of :meth:`run` for anytime consumers.
 
@@ -290,6 +305,11 @@ class SynchronousNetwork:
           hit/miss/eviction diagnostics describe *this process's*
           memo cache (cold after a resume), so they are neither
           captured nor merged.
+
+        ``table`` is the per-node parameter table the array engine
+        builds its round kernel from (see
+        :meth:`repro.congest.ArrayNetwork.run_stepwise`); this engine
+        builds every program with ``program_factory`` and ignores it.
         """
 
         if checkpoint_every is not None and checkpoint_every < 1:

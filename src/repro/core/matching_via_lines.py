@@ -22,12 +22,17 @@ from typing import Optional, Set
 
 import networkx as nx
 
-from ..congest import CongestionAudit, line_graph
-from ..congest.network import CONGEST, SynchronousNetwork
+from ..congest import (
+    OBJECT_BACKEND,
+    CongestionAudit,
+    line_graph,
+    make_network,
+)
+from ..congest.network import CONGEST
 from ..errors import InvalidInstance
 from ..graphs import check_matching, edge_weight, max_node_weight
 from ..mis.coloring import delta_plus_one_coloring
-from .maxis_coloring import MaxISColoringProgram
+from .maxis_coloring import MaxISColoringProgram, coloring_table
 from .maxis_coloring import IN_IS as COLORING_IN_IS
 from .maxis_layers import IN_IS, MaxISLayersProgram
 from .stepwise import opening_checkpoint, stepper_checkpoints
@@ -51,6 +56,7 @@ def matching_lines_phases(
     max_rounds: Optional[int] = None,
     capture_state: bool = False,
     resume: Optional[dict] = None,
+    backend: str = OBJECT_BACKEND,
 ):
     """Anytime Theorem 2.10: MaxIS on ``L(G)``, one checkpoint per
     selection phase of the underlying MaxIS engine.
@@ -70,7 +76,12 @@ def matching_lines_phases(
     1).  ``capture_state`` / ``resume`` follow the
     :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol; the
     line graph is deterministic and rebuilt at resume, never
-    serialized.
+    serialized.  ``backend`` picks the simulator engine for ``L(G)``:
+    the object engine by default (the ``REPRO_BACKEND`` variable does
+    not apply, so the registry entry's resume payloads keep their
+    bytes), or ``"array"`` for the vectorised kernels — same results
+    either way.  An audited run always executes on the object engine,
+    whose messages the audit records.
     """
 
     matching: Set[frozenset] = set()
@@ -99,6 +110,8 @@ def matching_lines_phases(
         def factory(e):
             return MaxISLayersProgram(lg.nodes[e].get("weight", 1))
 
+        table = {"weight": [w for _, w in lg.nodes(data="weight",
+                                                   default=1)]}
         winner_output = IN_IS
         run_label = "mwm-2approx-layers"
         checkpoint_every = 3
@@ -118,6 +131,7 @@ def matching_lines_phases(
         budget = max_rounds if max_rounds is not None else (
             20 * (coloring.palette + 2) + 4 * lg.number_of_nodes()
         )
+        table = coloring_table(lg, coloring.colors)
         winner_output = COLORING_IN_IS
         run_label = "mwm-2approx-coloring"
         checkpoint_every = 1
@@ -126,7 +140,7 @@ def matching_lines_phases(
 
     # Same construction as run_on_line_graph, unrolled because the
     # audit hook and the stepwise driver both need the network object.
-    network = SynchronousNetwork(lg, model=CONGEST, seed=seed)
+    network = make_network(lg, model=CONGEST, seed=seed, backend=backend)
     if audit is not None:
         def trace(round_index, envelope):
             audit.record_line_message(round_index, envelope.src,
@@ -143,6 +157,7 @@ def matching_lines_phases(
         checkpoint_every=checkpoint_every,
         capture_state=capture_state,
         resume_state=sim_state,
+        table=table,
     )
 
     def fold(newly_halted):

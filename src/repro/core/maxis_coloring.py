@@ -121,6 +121,15 @@ class MaxISColoringProgram(NodeProgram):
             ctx.halt(IN_IS)
 
 
+def coloring_table(graph: nx.Graph, colors: Dict[Hashable, int]) -> dict:
+    """The array engine's per-node parameter table for Algorithm 3."""
+
+    return {
+        "weight": [w for _, w in graph.nodes(data="weight", default=1)],
+        "color": [colors[v] for v in graph.nodes],
+    }
+
+
 @dataclass
 class MaxISColoringResult:
     """Outcome of Algorithm 3 plus coloring round accounting."""
@@ -214,6 +223,7 @@ def maxis_coloring_phases(
         checkpoint_every=checkpoint_every,
         capture_state=capture_state,
         resume_state=sim_state,
+        table=coloring_table(graph, colors),
     )
 
     def fold(newly_halted):

@@ -299,6 +299,7 @@ def maxis_layers_phases(
         checkpoint_every=checkpoint_every,
         capture_state=capture_state,
         resume_state=sim_state,
+        table={"weight": list(weights.values()), "trace": trace},
     )
 
     def fold(newly_halted):

@@ -25,14 +25,23 @@ from typing import Callable, Hashable, Optional, Set
 
 import networkx as nx
 
+try:  # numpy is optional: without it every repetition takes the
+    import numpy as np  # networkx path on the object engine.
+except ImportError:  # pragma: no cover - the image bakes numpy in
+    np = None
+
 from ..congest import (
+    ARRAY_BACKEND,
+    ArrayNetwork,
     NodeContext,
     NodeProgram,
     RoundLedger,
     SynchronousNetwork,
     make_network,
+    resolve_backend,
 )
-from ..errors import InvalidInstance
+from ..congest.array_network import graph_csr
+from ..errors import AlgorithmContractViolation, InvalidInstance
 from ..graphs import check_matching, max_degree
 from ..utils import drain, restore_rng, rng_state, stable_rng
 from .stepwise import (
@@ -148,6 +157,19 @@ class ProposalProgram(NodeProgram):
             ctx.halt((MATCHED, winner))
 
 
+def _absorb(outputs, matching: Set[frozenset],
+            unlucky: Set[Hashable]) -> None:
+    """Fold halted nodes' ``(node, output)`` pairs into the matching
+    and the unlucky set."""
+
+    for node, output in outputs:
+        status, partner = output if output else (UNLUCKY, None)
+        if status == MATCHED:
+            matching.add(frozenset((node, partner)))
+        elif status == UNLUCKY:
+            unlucky.add(node)
+
+
 @dataclass
 class ProposalResult:
     matching: Set[frozenset]
@@ -228,15 +250,11 @@ def bipartite_proposal_phases(
         checkpoint_every=2 if snapshots else None,
         capture_state=capture_state,
         resume_state=sim_state,
+        table={"side": list(sides.values()), "phases": phases},
     )
 
     def fold(newly_halted):
-        for node, output in newly_halted:
-            status, partner = output if output else (UNLUCKY, None)
-            if status == MATCHED:
-                matching.add(frozenset((node, partner)))
-            elif status == UNLUCKY:
-                unlucky.add(node)
+        _absorb(newly_halted, matching, unlucky)
         return frozenset(matching), len(matching)
 
     def make_state(rounds, objective, sim):
@@ -260,6 +278,104 @@ def bipartite_proposal_phases(
         rounds=result.rounds,
         phases=phases,
     )
+
+
+def crossing_subgraph(graph: nx.Graph, remaining: Set[Hashable],
+                      left: Set[Hashable],
+                      right: Set[Hashable]) -> nx.Graph:
+    """One Lemma B.14 repetition's graph: every remaining node, and the
+    edges that cross the ``left``/``right`` split."""
+
+    sub = nx.Graph()
+    sub.add_nodes_from(remaining)
+    sub.add_edges_from(
+        (u, v) for u, v in graph.edges
+        if (u in left and v in right) or (u in right and v in left)
+    )
+    return sub
+
+
+def _maskable_csr(graph: nx.Graph, backend: Optional[str]):
+    """The parent CSR the repetitions can be sliced from, or ``None``
+    when they take the networkx path (object engine, no numpy, or node
+    reprs that tie, which :meth:`GraphCSR.restrict` cannot order)."""
+
+    if resolve_backend(backend) != ARRAY_BACKEND or np is None:
+        return None
+    if graph.number_of_nodes() == 0:
+        return None
+    csr = graph_csr(graph)
+    return csr if csr.unique_reprs else None
+
+
+def crossing_csr(parent, remaining: Set[Hashable], left: Set[Hashable]):
+    """:func:`crossing_subgraph` as a mask of the parent graph's CSR.
+
+    Returns ``(sub, on_left)`` — the sub-CSR, equal to a fresh compile
+    of the sub-graph (same nodes in ``remaining``'s order, rank-sorted
+    rows), and each of its nodes' side — or ``None`` when no edge
+    crosses the split.
+    """
+
+    count = len(remaining)
+    members = np.fromiter(map(parent.index.__getitem__, remaining),
+                          dtype=np.int64, count=count)
+    on_left = np.fromiter((v in left for v in remaining), dtype=bool,
+                          count=count)
+    alive = np.zeros(parent.n, dtype=bool)
+    alive[members] = True
+    side = np.zeros(parent.n, dtype=bool)
+    side[members] = on_left
+    rows, cols = parent.rows, parent.indices
+    keep = alive[rows] & alive[cols] & (side[rows] != side[cols])
+    if not keep.any():
+        return None
+    return parent.restrict(members, keep), on_left
+
+
+def _masked_repetition(graph, parent, remaining, left, right, eps, k,
+                       seed):
+    """One Lemma B.13 pass of Lemma B.14 on a sub-CSR of ``parent``.
+
+    Bit for bit what :func:`bipartite_proposal_phases` does on
+    :func:`crossing_subgraph` (``snapshots=False``): the sub-CSR has the
+    same nodes in the same order, rank-sorted rows, and the network the
+    same seed, bandwidth and protocol index.  The networkx sub-graph is
+    built only if the run falls back to the object engine.  Returns
+    ``(matching, unlucky, rounds)``, or ``None`` when no edge crosses
+    the split.
+    """
+
+    sliced = crossing_csr(parent, remaining, left)
+    if sliced is None:
+        return None
+    sub, on_left = sliced
+    if (on_left[sub.rows] == on_left[sub.indices]).any():
+        raise InvalidInstance("a sliced edge does not cross the bipartition")
+    delta = int(sub.degree.max())
+    if k is None:
+        k = optimal_k(delta, eps)
+    phases = lemma_b13_rounds(delta, eps, k)
+    network = ArrayNetwork.over_csr(
+        sub, lambda: crossing_subgraph(graph, remaining, left, right),
+        seed=seed)
+    result = drain(network.run_stepwise(
+        lambda node: ProposalProgram("L" if node in left else "R", phases),
+        max_rounds=2 * phases + 4,
+        label="proposal-matching",
+        table={"side": np.where(on_left, "L", "R"), "phases": phases},
+    ))
+    matching: Set[frozenset] = set()
+    unlucky: Set[Hashable] = set()
+    _absorb(result.outputs.items(), matching, unlucky)
+    # check_matching on the sub-graph, without building it.
+    pairs = [tuple(e) for e in matching]
+    check_matching(graph, pairs)
+    if not all((u in left and v in right) or (u in right and v in left)
+               for u, v in pairs):
+        raise AlgorithmContractViolation(
+            "a matched pair is not a crossing edge")
+    return matching, unlucky, result.rounds
 
 
 def general_proposal_phases(
@@ -304,6 +420,9 @@ def general_proposal_phases(
     is reproduced verbatim.
     """
 
+    # On the array engine each repetition runs on a mask of the parent
+    # graph's cached CSR instead of a fresh networkx sub-graph.
+    parent = _maskable_csr(graph, backend) if bipartite is None else None
     if bipartite is None:
         def bipartite(sub, left, eps, k, seed):
             outcome = drain(bipartite_proposal_phases(
@@ -353,17 +472,18 @@ def general_proposal_phases(
             return None
         left = {v for v in remaining if rng.random() < 0.5}
         right = remaining - left
-        sub = nx.Graph()
-        sub.add_nodes_from(remaining)
-        sub.add_edges_from(
-            (u, v) for u, v in graph.edges
-            if (u in left and v in right) or (u in right and v in left)
-        )
         ledger.charge(1, "bipartition")
-        if sub.number_of_edges() > 0:
-            rep_matching, _unlucky, rep_rounds = bipartite(
-                sub, left, eps=eps, k=k, seed=seed + 13 * (repetition + 1),
-            )
+        rep_seed = seed + 13 * (repetition + 1)
+        if parent is not None:
+            outcome = _masked_repetition(graph, parent, remaining, left,
+                                         right, eps, k, rep_seed)
+        else:
+            sub = crossing_subgraph(graph, remaining, left, right)
+            outcome = None
+            if sub.number_of_edges() > 0:
+                outcome = bipartite(sub, left, eps=eps, k=k, seed=rep_seed)
+        if outcome is not None:
+            rep_matching, _unlucky, rep_rounds = outcome
             ledger.charge(rep_rounds, "bipartite-proposals")
             matching |= rep_matching
             for e in rep_matching:

@@ -78,7 +78,9 @@ def check_matching(graph: nx.Graph,
 
 def check_coloring(graph: nx.Graph, colors: dict,
                    palette_size: int | None = None) -> None:
-    """Verify that ``colors`` is a proper coloring (optionally ≤ palette)."""
+    """Verify that ``colors`` is a proper coloring; with
+    ``palette_size``, also that every color is an int in
+    ``range(palette_size)``."""
 
     for v in graph.nodes:
         if v not in colors:
@@ -89,11 +91,14 @@ def check_coloring(graph: nx.Graph, colors: dict,
                 f"adjacent nodes {u!r}, {v!r} share color {colors[u]!r}"
             )
     if palette_size is not None:
-        used = set(colors.values())
-        if len(used) > palette_size:
-            raise AlgorithmContractViolation(
-                f"coloring uses {len(used)} colors, allowed {palette_size}"
-            )
+        for v in graph.nodes:
+            color = colors[v]
+            if (not isinstance(color, int) or isinstance(color, bool)
+                    or not 0 <= color < palette_size):
+                raise AlgorithmContractViolation(
+                    f"node {v!r} has color {color!r}, "
+                    f"outside range({palette_size})"
+                )
 
 
 def matched_nodes(matching: Iterable) -> Set[Hashable]:

@@ -18,6 +18,20 @@ Step 2 costs O(Δ²) rounds rather than BEK14's O(Δ); DESIGN.md §4 records
 this substitution.  :class:`ColoringResult` reports both the measured
 rounds of this pipeline and the analytic O(Δ + log* n) the paper charges
 with [BEK14] as a black box.
+
+Two implementations compute the same pipeline.  When numpy is
+importable (the rule :func:`~repro.congest.make_network` uses to pick
+the array simulator), :func:`delta_plus_one_coloring` runs both steps
+vectorised over the graph's cached
+:class:`~repro.congest.array_network.GraphCSR`: ``csr.rank`` is the
+``repr``-sorted id coloring, a Linial step tries one evaluation point
+at a time for the nodes still unresolved, and the reduction buckets
+the color classes once.  Otherwise — and for graphs with self-loops,
+which no proper coloring exists for — it runs the pure-Python
+functions below, which also serve as the reference.  The two paths
+return identical colors, rounds and dict order (pinned by
+``tests/mis/test_coloring_pins.py``); since the paper charges the
+black box analytically, the choice changes no simulated round either.
 """
 
 from __future__ import annotations
@@ -27,6 +41,11 @@ from dataclasses import dataclass
 from typing import Dict, Hashable
 
 import networkx as nx
+
+try:  # numpy is an optional accelerator; see the module docstring.
+    import numpy as np
+except ImportError:  # pragma: no cover - the image bakes numpy in
+    np = None
 
 from ..errors import AlgorithmContractViolation
 from ..graphs import check_coloring, max_degree
@@ -165,13 +184,158 @@ def reduce_palette(graph: nx.Graph, colors: Dict[Hashable, int],
     return colors, rounds
 
 
+# ----------------------------------------------------------------------
+# The vectorised pipeline (numpy over the cached GraphCSR)
+# ----------------------------------------------------------------------
+def _check_array_coloring(csr, colors, palette_size=None) -> None:
+    """:func:`~repro.graphs.check_coloring` over a CSR color array."""
+
+    clash = np.flatnonzero(colors[csr.rows] == colors[csr.indices])
+    if clash.size:
+        p = int(clash[0])
+        u, v = csr.nodes[int(csr.rows[p])], csr.nodes[int(csr.indices[p])]
+        raise AlgorithmContractViolation(
+            f"adjacent nodes {u!r}, {v!r} share color "
+            f"{int(colors[csr.rows[p]])!r}"
+        )
+    if palette_size is not None and colors.size:
+        outside = np.flatnonzero((colors < 0) | (colors >= palette_size))
+        if outside.size:
+            i = int(outside[0])
+            raise AlgorithmContractViolation(
+                f"node {csr.nodes[i]!r} has color {int(colors[i])} "
+                f"outside range({palette_size})"
+            )
+
+
+def _linial_step_array(csr, colors, q: int, k: int):
+    """:func:`linial_step` on a color array.
+
+    Evaluation points are tried in increasing order, each only for the
+    nodes still unresolved (most resolve at x ≤ 1), so every node lands
+    on the first point where its polynomial differs from all of its
+    neighbors' — exactly the point the per-node loop picks.
+    """
+
+    digits = []
+    rest = colors
+    for _ in range(k):
+        digits.append(rest % q)
+        rest = rest // q
+    rows, indices = csr.rows, csr.indices
+    new = np.empty_like(colors)
+    pending = np.arange(csr.n)
+    edges = np.arange(csr.m2)  # the positions in pending rows
+    for x in range(q):
+        value = np.zeros_like(colors)
+        for coefficient in reversed(digits):
+            value = (value * x + coefficient) % q
+        src = rows[edges]
+        blocked = np.zeros(csr.n, dtype=bool)
+        blocked[src[value[src] == value[indices[edges]]]] = True
+        done = pending[~blocked[pending]]
+        new[done] = x * q + value[done]
+        pending = pending[blocked[pending]]
+        if not pending.size:
+            return new
+        edges = edges[blocked[src]]
+    raise AlgorithmContractViolation(  # pragma: no cover - q > Δ(k-1)
+        f"no good evaluation point for node {csr.nodes[int(pending[0])]!r} "
+        f"(q={q}, k={k})"
+    )
+
+
+def _greedy_class_colors(csr, colors, members):
+    """The smallest color no neighbor of each member holds (its mex).
+
+    A node's mex is at most its degree, so each member gets ``deg + 1``
+    slots in one flat presence array, and the first empty slot of each
+    segment is its new color.
+    """
+
+    degree = csr.degree[members]
+    owner = np.repeat(np.arange(members.size), degree)
+    first = np.cumsum(degree) - degree
+    positions = (csr.indptr[members][owner]
+                 + np.arange(owner.size) - first[owner])
+    taken = colors[csr.indices[positions]]
+    useful = taken <= degree[owner]
+    slots = degree + 1
+    base = np.cumsum(slots) - slots
+    present = np.zeros(int(slots.sum()), dtype=bool)
+    present[base[owner[useful]] + taken[useful]] = True
+    local = np.arange(present.size) - np.repeat(base, slots)
+    return np.minimum.reduceat(np.where(present, present.size, local), base)
+
+
+def _reduce_palette_array(csr, colors, target: int):
+    """:func:`reduce_palette` on a color array.
+
+    Classes are bucketed once: a class keeps its members until its own
+    round (recolored nodes always land below ``target``), and each class
+    is independent, so all members take their mex at once.
+    """
+
+    palette = int(colors.max(initial=-1)) + 1
+    if palette <= target:
+        return colors, 0
+    colors = colors.copy()
+    order = np.argsort(colors, kind="stable")
+    bounds = np.searchsorted(colors[order], np.arange(palette + 1))
+    for c in range(palette - 1, target - 1, -1):
+        members = order[bounds[c]:bounds[c + 1]]
+        if members.size:
+            colors[members] = _greedy_class_colors(csr, colors, members)
+    return colors, palette - target
+
+
+def _array_coloring(graph: nx.Graph):
+    """The whole pipeline on numpy arrays: ``(colors, delta,
+    linial_rounds, reduction_rounds)``, or ``None`` when the pure-Python
+    path must run (no nodes, or self-loops)."""
+
+    from ..congest.array_network import graph_csr
+
+    if graph.number_of_nodes() == 0:
+        return None
+    csr = graph_csr(graph)
+    if (csr.rows == csr.indices).any():
+        return None
+    delta = int(csr.degree.max())
+    colors = csr.rank
+    m = max(csr.n, 2)
+    linial_rounds = 0
+    while True:
+        q, k = _linial_parameters(m, delta)
+        if q * q >= m:
+            break
+        colors = _linial_step_array(csr, colors, q, k)
+        _check_array_coloring(csr, colors)
+        m = q * q
+        linial_rounds += 1
+    colors, reduction_rounds = _reduce_palette_array(csr, colors, delta + 1)
+    _check_array_coloring(csr, colors, palette_size=delta + 1)
+    # Same key order as the Python path: a Linial step rebuilds the
+    # dict in graph order, the id coloring is in repr order.
+    order = (np.arange(csr.n) if linial_rounds
+             else np.argsort(csr.rank, kind="stable"))
+    nodes = csr.nodes
+    colors_by_node = {nodes[i]: c for i, c in zip(order.tolist(),
+                                                  colors[order].tolist())}
+    return colors_by_node, delta, linial_rounds, reduction_rounds
+
+
 def delta_plus_one_coloring(graph: nx.Graph) -> ColoringResult:
     """Full deterministic (Δ+1)-coloring pipeline with round accounting."""
 
-    delta = max_degree(graph)
-    colors, linial_rounds, _ = linial_coloring(graph)
-    colors, reduction_rounds = reduce_palette(graph, colors, delta + 1)
-    check_coloring(graph, colors, palette_size=delta + 1)
+    computed = _array_coloring(graph) if np is not None else None
+    if computed is not None:
+        colors, delta, linial_rounds, reduction_rounds = computed
+    else:
+        delta = max_degree(graph)
+        colors, linial_rounds, _ = linial_coloring(graph)
+        colors, reduction_rounds = reduce_palette(graph, colors, delta + 1)
+        check_coloring(graph, colors, palette_size=delta + 1)
     n = max(2, graph.number_of_nodes())
     accounted = delta + log_star(n) + 1
     return ColoringResult(

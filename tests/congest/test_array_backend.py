@@ -16,10 +16,19 @@ The contract this suite pins (the PR-6 tentpole):
   oversized weights, …) instead of diverging or crashing;
 * backend selection plumbing works: ``make_network``, the
   ``REPRO_BACKEND`` environment variable, ``Instance(backend=...)``
-  validation, and the registry's ``backends`` capability column.
+  validation, and the registry's ``backends`` capability column;
+* the parity above is not a silent fallback: every core call site that
+  passes a parameter table builds its registered kernel from it and
+  runs its program factory once, for the probe, and each Lemma B.14
+  repetition runs on a mask of the parent CSR that equals a fresh
+  compile of the networkx sub-graph it replaces.
 """
 
+import collections
+import random
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.congest import (
@@ -32,22 +41,32 @@ from repro.congest import (
     make_network,
     resolve_backend,
 )
-from repro.congest import array_kernels
-from repro.core import maxis_coloring, maxis_layers, proposal_matching
+from repro.congest import array_kernels, array_network
+from repro.congest.array_network import GraphCSR, graph_csr
+from repro.core import (
+    matching_via_lines,
+    maxis_coloring,
+    maxis_layers,
+    proposal_matching,
+)
 from repro.core.maxis_coloring import MaxISColoringProgram
 from repro.core.maxis_layers import LayerTrace, MaxISLayersProgram
 from repro.core.proposal_matching import ProposalProgram
 from repro.errors import InvalidInstance, SimulationError
-from repro.graphs import assign_node_weights, gnp_graph
+from repro.graphs import FAMILIES, assign_node_weights, gnp_graph
 from repro.mis.coloring import delta_plus_one_coloring
 from repro.utils import drain
 
 
 def layers_factory(graph, trace=None):
+    """Algorithm 2's ``(factory, table)`` pair: the object engine builds
+    a program per node, the array engine a kernel from the table."""
+
     def factory(node):
         return MaxISLayersProgram(graph.nodes[node].get("weight", 1), trace)
 
-    return factory
+    weights = [w for _, w in graph.nodes(data="weight", default=1)]
+    return factory, {"weight": weights, "trace": trace}
 
 
 def coloring_factory(graph):
@@ -60,7 +79,7 @@ def coloring_factory(graph):
             neighbor_colors={u: colors[u] for u in graph.neighbors(node)},
         )
 
-    return factory
+    return factory, maxis_coloring.coloring_table(graph, colors)
 
 
 def proposal_factory(graph, phases=6):
@@ -69,7 +88,14 @@ def proposal_factory(graph, phases=6):
     def factory(node):
         return ProposalProgram(sides[node], phases)
 
-    return factory
+    return factory, {"side": list(sides.values()), "phases": phases}
+
+
+def stepwise(network, protocol, **kwargs):
+    """``network.run_stepwise`` for a ``(factory, table)`` pair."""
+
+    factory, table = protocol
+    return network.run_stepwise(factory, table=table, **kwargs)
 
 
 def bipartite_graph(nl, nr, p, seed):
@@ -104,8 +130,8 @@ def run_both(graph, factory_of, seed=0, max_rounds=10_000, **run_kwargs):
     out = []
     for backend in (OBJECT_BACKEND, ARRAY_BACKEND):
         network = make_network(graph, seed=seed, backend=backend)
-        result = drain(network.run_stepwise(
-            factory_of(graph), max_rounds=max_rounds, **run_kwargs
+        result = drain(stepwise(
+            network, factory_of(graph), max_rounds=max_rounds, **run_kwargs
         ))
         out.append((result, metrics_tuple(network)))
     return out
@@ -149,8 +175,8 @@ class TestKernelParity:
         for backend in (OBJECT_BACKEND, ARRAY_BACKEND):
             trace = LayerTrace()
             network = make_network(graph, seed=0, backend=backend)
-            drain(network.run_stepwise(
-                layers_factory(graph, trace), max_rounds=10_000
+            drain(stepwise(
+                network, layers_factory(graph, trace), max_rounds=10_000
             ))
             traces[backend] = trace
         assert (traces[ARRAY_BACKEND].occupancy
@@ -185,7 +211,7 @@ class TestEdgeCases:
     def test_empty_graph_falls_back_cleanly(self):
         graph = nx.Graph()
         network = make_network(graph, backend=ARRAY_BACKEND)
-        result = drain(network.run_stepwise(layers_factory(graph)))
+        result = drain(stepwise(network, layers_factory(graph)))
         assert result.outputs == {}
         assert result.completed
 
@@ -215,9 +241,9 @@ class TestEdgeCases:
         graph = weighted_gnp(30, 0.1, seed=7)
         for backend in (OBJECT_BACKEND, ARRAY_BACKEND):
             network = make_network(graph, backend=backend)
-            result = drain(network.run_stepwise(
-                layers_factory(graph), max_rounds=0, stop_on_limit=True,
-                capture_state=True, checkpoint_every=1,
+            result = drain(stepwise(
+                network, layers_factory(graph), max_rounds=0,
+                stop_on_limit=True, capture_state=True, checkpoint_every=1,
             ))
             assert not result.completed
             assert result.rounds == 0
@@ -249,22 +275,22 @@ def truncate_then_resume(graph, factory_of, cut, first, second,
     """Truncate at ``cut`` rounds on ``first``, resume on ``second``."""
 
     reference = make_network(graph, seed=seed, backend=OBJECT_BACKEND)
-    full = drain(reference.run_stepwise(
-        factory_of(graph), max_rounds=10_000, label=label
+    full = drain(stepwise(
+        reference, factory_of(graph), max_rounds=10_000, label=label
     ))
     if cut >= full.rounds:
         pytest.skip(f"run finishes in {full.rounds} rounds; cut={cut} "
                     f"is not interior")
     head_net = make_network(graph, seed=seed, backend=first)
-    head, state = drain_with_state(head_net.run_stepwise(
-        factory_of(graph), max_rounds=cut, label=label,
+    head, state = drain_with_state(stepwise(
+        head_net, factory_of(graph), max_rounds=cut, label=label,
         stop_on_limit=True, capture_state=True, checkpoint_every=1,
     ))
     assert not head.completed
     assert state is not None
     tail_net = make_network(graph, seed=seed, backend=second)
-    tail = drain(tail_net.run_stepwise(
-        factory_of(graph), max_rounds=10_000, label=label,
+    tail = drain(stepwise(
+        tail_net, factory_of(graph), max_rounds=10_000, label=label,
         resume_state=state,
     ))
     assert tail.outputs == full.outputs
@@ -304,8 +330,8 @@ class TestTruncateAndResume:
         # both backends, not a silent fallback.
         graph = weighted_gnp(30, 0.1, seed=12)
         net = make_network(graph, backend=ARRAY_BACKEND)
-        _head, state = drain_with_state(net.run_stepwise(
-            layers_factory(graph), max_rounds=2, stop_on_limit=True,
+        _head, state = drain_with_state(stepwise(
+            net, layers_factory(graph), max_rounds=2, stop_on_limit=True,
             capture_state=True, checkpoint_every=1,
         ))
         missing = next(iter(state["live"]))
@@ -314,7 +340,7 @@ class TestTruncateAndResume:
             fresh = make_network(graph, backend=backend)
             with pytest.raises(SimulationError,
                                match="knows nothing about"):
-                drain(fresh.run_stepwise(layers_factory(graph),
+                drain(stepwise(fresh, layers_factory(graph),
                                          resume_state=state))
 
 
@@ -334,8 +360,8 @@ class TestFallback:
         sub = sorted(graph.nodes)[:10]
         arr = make_network(graph, backend=ARRAY_BACKEND)
         obj = make_network(graph, backend=OBJECT_BACKEND)
-        a = drain(arr.run_stepwise(layers_factory(graph), participants=sub))
-        b = drain(obj.run_stepwise(layers_factory(graph), participants=sub))
+        a = drain(stepwise(arr, layers_factory(graph), participants=sub))
+        b = drain(stepwise(obj, layers_factory(graph), participants=sub))
         assert a.outputs == b.outputs
         assert metrics_tuple(arr) == metrics_tuple(obj)
 
@@ -348,8 +374,42 @@ class TestFallback:
     def test_strict_mode_falls_back(self):
         graph = weighted_gnp(20, 0.2, seed=16)
         network = make_network(graph, backend=ARRAY_BACKEND, strict=True)
-        result = drain(network.run_stepwise(layers_factory(graph)))
+        result = drain(stepwise(network, layers_factory(graph)))
         assert result.completed
+
+    def test_no_table_runs_on_object_engine(self, spy):
+        graph = weighted_gnp(30, 0.1, seed=18)
+        factory, _table = layers_factory(graph)
+        arr = make_network(graph, backend=ARRAY_BACKEND)
+        obj = make_network(graph, backend=OBJECT_BACKEND)
+        a = drain(arr.run_stepwise(factory))
+        b = drain(obj.run_stepwise(factory))
+        assert a.outputs == b.outputs
+        assert metrics_tuple(arr) == metrics_tuple(obj)
+        assert spy["MaxISLayersKernel"] == 0
+        assert spy["fallbacks"] == 1
+
+    @pytest.mark.parametrize("column,value", [
+        ("weight", 2.5),        # not an integer
+        ("weight", 1 << 70),    # beyond int64
+        ("weight", 0),          # the programs reject it
+        ("weight", 999),        # disagrees with the probe's program
+        ("trace", LayerTrace()),
+    ])
+    def test_unusable_table_falls_back(self, spy, column, value):
+        graph = weighted_gnp(30, 0.1, seed=19)
+        factory, table = layers_factory(graph)
+        if column == "weight":
+            table["weight"] = [value] + table["weight"][1:]
+        else:
+            table[column] = value
+        network = make_network(graph, backend=ARRAY_BACKEND)
+        reference = drain(make_network(
+            graph, backend=OBJECT_BACKEND).run_stepwise(factory))
+        assert drain(network.run_stepwise(factory, table=table)).outputs \
+            == reference.outputs
+        assert spy["MaxISLayersKernel"] == 0
+        assert spy["fallbacks"] == 1
 
     def test_fallback_preserves_protocol_round_labels(self):
         # A fallback must not double-charge the per-protocol round
@@ -358,7 +418,7 @@ class TestFallback:
         for node in graph.nodes:
             graph.nodes[node]["weight"] = 1 << 90  # forces fallback
         network = make_network(graph, backend=ARRAY_BACKEND)
-        drain(network.run_stepwise(layers_factory(graph), label="one"))
+        drain(stepwise(network, layers_factory(graph), label="one"))
         assert set(network.metrics.round_breakdown) == {"one"}
 
 
@@ -430,7 +490,7 @@ class TestSelection:
         second = make_network(graph, seed=2, backend=ARRAY_BACKEND)
         assert first._ensure_csr() is second._ensure_csr()
 
-        baseline = drain(first.run_stepwise(layers_factory(graph)))
+        baseline = drain(stepwise(first, layers_factory(graph)))
         graph.add_edge(0, len(graph) + 5)  # new node + edge
         third = make_network(graph, seed=1, backend=ARRAY_BACKEND)
         csr = third._ensure_csr()
@@ -438,8 +498,8 @@ class TestSelection:
         assert csr.n == graph.number_of_nodes()
         # and the recompiled network still matches the object backend
         mirror = make_network(graph, seed=1, backend=OBJECT_BACKEND)
-        array_result = drain(third.run_stepwise(layers_factory(graph)))
-        object_result = drain(mirror.run_stepwise(layers_factory(graph)))
+        array_result = drain(stepwise(third, layers_factory(graph)))
+        object_result = drain(stepwise(mirror, layers_factory(graph)))
         assert array_result.outputs == object_result.outputs
         assert baseline.outputs  # the pre-mutation run stays intact
 
@@ -452,10 +512,9 @@ class TestSelection:
         graph = gnp_graph(12, 0.3, seed=5)
         network = make_network(graph, seed=9, backend=ARRAY_BACKEND)
         csr = network._ensure_csr()
+        factory, table = layers_factory(graph)
         kernel = array_kernels.MaxISLayersKernel(
-            network, csr,
-            [MaxISLayersProgram(graph.nodes[v].get("weight", 1))
-             for v in csr.nodes],
+            network, csr, factory(csr.nodes[0]), table,
         )
         kernel.bind(proto=2)
         for i, node in enumerate(csr.nodes):
@@ -465,3 +524,195 @@ class TestSelection:
             assert [fast.random() for _ in range(3)] == [
                 reference.random() for _ in range(3)
             ]
+
+
+# ----------------------------------------------------------------------
+# the kernel path is really taken (no silent fallback)
+# ----------------------------------------------------------------------
+PROGRAMS = (MaxISLayersProgram, MaxISColoringProgram, ProposalProgram)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Count kernel builds (per kernel class), program constructions
+    (``"programs"``) and object-engine runs of array networks
+    (``"fallbacks"``)."""
+
+    counts = collections.Counter()
+
+    def counting(cls, key):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            counts[key] += 1
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for kernel_cls in set(array_network.KERNELS.values()):
+        counting(kernel_cls, kernel_cls.__name__)
+    for program_cls in PROGRAMS:
+        counting(program_cls, "programs")
+    object_run = SynchronousNetwork.run_stepwise
+
+    def run_stepwise(self, *args, **kwargs):
+        if isinstance(self, ArrayNetwork):
+            counts["fallbacks"] += 1
+        return object_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(SynchronousNetwork, "run_stepwise", run_stepwise)
+    return counts
+
+
+class TestKernelPath:
+    def test_maxis_layers_phases(self, spy):
+        graph = weighted_gnp(60, 0.08, seed=1)
+        network = make_network(graph, seed=1, backend=ARRAY_BACKEND)
+        drain(maxis_layers.maxis_layers_phases(graph, seed=1,
+                                               network=network))
+        assert spy == {"MaxISLayersKernel": 1, "programs": 1}
+
+    def test_maxis_coloring_phases(self, spy):
+        graph = weighted_gnp(60, 0.08, seed=2)
+        network = make_network(graph, backend=ARRAY_BACKEND)
+        drain(maxis_coloring.maxis_coloring_phases(graph, network=network))
+        assert spy == {"MaxISColoringKernel": 1, "programs": 1}
+
+    def test_bipartite_proposal_phases(self, spy):
+        graph = bipartite_graph(20, 24, 0.18, seed=3)
+        left = {v for v in graph.nodes if v % 2 == 0}
+        drain(proposal_matching.bipartite_proposal_phases(
+            graph, left, set(graph.nodes) - left, seed=3,
+            backend=ARRAY_BACKEND,
+        ))
+        assert spy == {"ProposalKernel": 1, "programs": 1}
+
+    @pytest.mark.parametrize("method,kernel", [
+        ("layers", "MaxISLayersKernel"),
+        ("coloring", "MaxISColoringKernel"),
+    ])
+    def test_matching_lines_phases(self, spy, method, kernel):
+        graph = gnp_graph(30, 0.12, seed=4)
+        for i, (u, v) in enumerate(graph.edges):
+            graph.edges[u, v]["weight"] = 1 + (7 * i) % 13
+        drain(matching_via_lines.matching_lines_phases(
+            graph, method=method, seed=4, backend=ARRAY_BACKEND,
+        ))
+        assert spy == {kernel: 1, "programs": 1}
+
+    def test_general_proposal_repetitions(self, spy, monkeypatch):
+        built = []
+        crossing = proposal_matching.crossing_subgraph
+        monkeypatch.setattr(proposal_matching, "crossing_subgraph",
+                            lambda *args: built.append(1) or crossing(*args))
+        graph = gnp_graph(80, 0.06, seed=5)
+        drain(proposal_matching.general_proposal_phases(
+            graph, seed=5, backend=ARRAY_BACKEND,
+        ))
+        repetitions = spy["ProposalKernel"]
+        assert repetitions >= 2
+        assert spy == {"ProposalKernel": repetitions,
+                       "programs": repetitions}
+        assert not built  # no networkx sub-graph on the kernel path
+
+
+# ----------------------------------------------------------------------
+# Lemma B.14 repetitions on a mask of the parent CSR
+# ----------------------------------------------------------------------
+def random_splits(graph, seed, count=4):
+    """``(remaining, left, right)`` triples shaped like Lemma B.14's:
+    a shrinking pool (random nodes leave, as if matched) and a random
+    split of it."""
+
+    rng = random.Random(seed)
+    remaining = set(graph.nodes)
+    for _ in range(count):
+        for v in [v for v in remaining if rng.random() < 0.2]:
+            remaining.discard(v)
+        left = {v for v in remaining if rng.random() < 0.5}
+        yield remaining, left, remaining - left
+
+
+def assert_same_csr(sliced, fresh):
+    assert sliced.nodes == fresh.nodes
+    assert sliced.index == fresh.index
+    assert sliced.n == fresh.n and sliced.m2 == fresh.m2
+    assert sliced.unique_reprs == fresh.unique_reprs
+    for name in ("rank", "degree", "indptr", "rows", "indices", "mirror"):
+        assert np.array_equal(getattr(sliced, name), getattr(fresh, name)), \
+            name
+    # Row contents as neighbor ids (not just positions).
+    for i in range(fresh.n):
+        row = slice(int(fresh.indptr[i]), int(fresh.indptr[i + 1]))
+        assert ([sliced.nodes[j] for j in sliced.indices[row]]
+                == [fresh.nodes[j] for j in fresh.indices[row]])
+
+
+class TestMaskedRepetition:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_sub_csr_equals_a_fresh_compile(self, family):
+        graph = FAMILIES[family](40, 3)
+        parent = graph_csr(graph)
+        for remaining, left, right in random_splits(graph, family):
+            sub = proposal_matching.crossing_subgraph(graph, remaining,
+                                                      left, right)
+            sliced = proposal_matching.crossing_csr(parent, remaining, left)
+            if sub.number_of_edges() == 0:
+                assert sliced is None
+                continue
+            csr, on_left = sliced
+            assert_same_csr(csr, GraphCSR(sub, sub._adj))
+            assert on_left.tolist() == [v in left for v in sub.nodes]
+
+    def test_networks_match_the_networkx_path(self, monkeypatch):
+        # Same seed, bandwidth, protocol index and metrics per
+        # repetition as the networks the sub-graph path builds.
+        graph = gnp_graph(90, 0.05, seed=6)
+        captured = {"masked": [], "networkx": []}
+        over_csr = ArrayNetwork.over_csr.__func__
+
+        def capture_masked(cls, *args, **kwargs):
+            network = over_csr(cls, *args, **kwargs)
+            captured["masked"].append(network)
+            return network
+
+        make = proposal_matching.make_network
+
+        def capture_networkx(*args, **kwargs):
+            network = make(*args, **kwargs)
+            captured["networkx"].append(network)
+            return network
+
+        monkeypatch.setattr(ArrayNetwork, "over_csr",
+                            classmethod(capture_masked))
+        monkeypatch.setattr(proposal_matching, "make_network",
+                            capture_networkx)
+        masked = drain(proposal_matching.general_proposal_phases(
+            graph, seed=6, backend=ARRAY_BACKEND))
+        monkeypatch.setattr(proposal_matching, "_maskable_csr",
+                            lambda graph, backend: None)
+        reference = drain(proposal_matching.general_proposal_phases(
+            graph, seed=6, backend=ARRAY_BACKEND))
+        assert masked[0] == reference[0]
+        assert masked[1] == reference[1]
+        assert masked[2].breakdown == reference[2].breakdown
+        assert len(captured["masked"]) == len(captured["networkx"]) >= 2
+        for a, b in zip(captured["masked"], captured["networkx"]):
+            assert (a.seed, a.bandwidth, a._protocol_index, a.model) == \
+                (b.seed, b.bandwidth, b._protocol_index, b.model)
+            assert metrics_tuple(a) == metrics_tuple(b)
+            assert a._graph is None  # never built on the kernel path
+
+    def test_kernel_fallback_builds_the_subgraph(self, monkeypatch):
+        # A run the kernel cannot model still reproduces the object
+        # engine, building the networkx sub-graph on demand.
+        graph = gnp_graph(60, 0.08, seed=7)
+        reference = drain(proposal_matching.general_proposal_phases(
+            graph, seed=7, backend=OBJECT_BACKEND))
+        monkeypatch.setitem(array_network.KERNELS,
+                            array_kernels.ProposalKernel.PROGRAM,
+                            None)
+        masked = drain(proposal_matching.general_proposal_phases(
+            graph, seed=7, backend=ARRAY_BACKEND))
+        assert masked[0] == reference[0]
+        assert masked[1] == reference[1]

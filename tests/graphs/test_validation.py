@@ -89,6 +89,14 @@ class TestColoring:
         with pytest.raises(AlgorithmContractViolation):
             check_coloring(g, {0: 0, 1: 1, 2: 2}, palette_size=2)
 
+    @pytest.mark.parametrize("bad", [7, 2, -1, 1.0, "1", True, None])
+    def test_rejects_colors_outside_the_palette_range(self, bad):
+        # Two distinct colors fit a palette of 2 by count; each must
+        # also be an int in range(2).
+        g = path_graph(2)
+        with pytest.raises(AlgorithmContractViolation, match="outside"):
+            check_coloring(g, {0: 0, 1: bad}, palette_size=2)
+
 
 class TestAugmentingPath:
     def test_simple_free_edge(self):
