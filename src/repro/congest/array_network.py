@@ -52,7 +52,6 @@ from ..errors import InvalidInstance, RoundLimitExceeded
 from ..utils import restore_rng, stable_rng
 from .network import (
     CONGEST,
-    LOCAL,
     NetworkMetrics,
     RunResult,
     StepSnapshot,
@@ -133,7 +132,10 @@ class GraphCSR:
     __slots__ = ("nodes", "index", "indptr", "indices", "mirror", "rank",
                  "degree", "rows", "n", "m2", "unique_reprs", "_edge_pos")
 
-    def __init__(self, graph: nx.Graph, adjacency):
+    def __init__(self, graph: nx.Graph):
+        # networkx's node -> neighbor-dict map: iterating an entry walks
+        # the neighbors in ``graph.neighbors`` order, with no views.
+        adjacency = graph._adj
         nodes = list(graph.nodes)
         n = len(nodes)
         self.nodes = nodes
@@ -265,24 +267,21 @@ def graph_csr(graph: nx.Graph) -> GraphCSR:
     graphs at all, let alone that way.)
     """
 
-    # networkx's node -> neighbor-dict map: iterating an entry walks
-    # the neighbors in ``graph.neighbors`` order, with no view objects.
-    adjacency = graph._adj
     try:
         cached = _CSR_CACHE.get(graph)
     except TypeError:  # unhashable / un-weakref-able graph subclass
-        return GraphCSR(graph, adjacency)
+        return GraphCSR(graph)
     if cached is not None and cached.n == graph.number_of_nodes():
         try:
             degrees = np.fromiter(
-                map(len, map(adjacency.__getitem__, cached.nodes)),
+                map(len, map(graph._adj.__getitem__, cached.nodes)),
                 dtype=np.int64, count=cached.n,
             )
         except KeyError:  # node set changed
             degrees = None
         if degrees is not None and np.array_equal(degrees, cached.degree):
             return cached
-    csr = GraphCSR(graph, adjacency)
+    csr = GraphCSR(graph)
     try:
         _CSR_CACHE[graph] = csr
     except TypeError:  # pragma: no cover - unhashable graph subclass
@@ -609,7 +608,6 @@ class ArrayNetwork(SynchronousNetwork):
 
     def __init__(self, graph: nx.Graph, model: str = CONGEST, seed: int = 0,
                  bandwidth_factor: int = 8, strict: bool = False):
-        self._build_graph = None
         super().__init__(graph, model=model, seed=seed,
                          bandwidth_factor=bandwidth_factor, strict=strict)
         self._csr: Optional[GraphCSR] = None
@@ -627,8 +625,6 @@ class ArrayNetwork(SynchronousNetwork):
         graph — in practice, a run that falls back to the object engine.
         """
 
-        if model not in (LOCAL, CONGEST):
-            raise ValueError(f"unknown model {model!r}")
         net = cls.__new__(cls)
         net._graph = None
         net._build_graph = build_graph

@@ -160,8 +160,6 @@ class SynchronousNetwork:
 
     def __init__(self, graph: nx.Graph, model: str = CONGEST, seed: int = 0,
                  bandwidth_factor: int = 8, strict: bool = False):
-        if model not in (LOCAL, CONGEST):
-            raise ValueError(f"unknown model {model!r}")
         self.graph = graph
         self._configure(graph.number_of_nodes(), model, seed,
                         bandwidth_factor, strict)
@@ -170,6 +168,8 @@ class SynchronousNetwork:
                    bandwidth_factor: int, strict: bool) -> None:
         """Everything but the graph: model, seed, bandwidth, counters."""
 
+        if model not in (LOCAL, CONGEST):
+            raise ValueError(f"unknown model {model!r}")
         self.model = model
         self.seed = seed
         self.strict = strict

@@ -28,10 +28,10 @@ vectorised over the graph's cached
 at a time for the nodes still unresolved, and the reduction buckets
 the color classes once.  Otherwise — and for graphs with self-loops,
 which no proper coloring exists for — it runs the pure-Python
-functions below, which also serve as the reference.  The two paths
-return identical colors, rounds and dict order (pinned by
-``tests/mis/test_coloring_pins.py``); since the paper charges the
-black box analytically, the choice changes no simulated round either.
+functions below, which also serve as the reference.  The two paths return identical colors, rounds and dict
+order (pinned by ``tests/mis/test_coloring_pins.py``); since the paper
+charges the black box analytically, the choice changes no simulated
+round either.
 """
 
 from __future__ import annotations

@@ -661,7 +661,7 @@ class TestMaskedRepetition:
                 assert sliced is None
                 continue
             csr, on_left = sliced
-            assert_same_csr(csr, GraphCSR(sub, sub._adj))
+            assert_same_csr(csr, GraphCSR(sub))
             assert on_left.tolist() == [v in left for v in sub.nodes]
 
     def test_networks_match_the_networkx_path(self, monkeypatch):

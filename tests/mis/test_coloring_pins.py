@@ -13,6 +13,10 @@ the ``repr`` order keep graph insertion order), and the n=1.5·10⁴
 sparse benchmark graph.  Every case runs on both coloring paths: the
 numpy path, and the pure-Python path with numpy hidden.
 
+Beyond the pins, both paths must return the same
+:class:`~repro.mis.coloring.ColoringResult` with its colors dict in
+the same key order, and both must reject a self-loop.
+
 The golden file is ``coloring_pins.json`` next to this module.
 Re-record it with ``PYTHONPATH=src python tests/mis/test_coloring_pins.py``,
 and only for a deliberate behaviour change — never to make a test pass.
@@ -27,6 +31,7 @@ import networkx as nx
 import pytest
 
 from repro.congest import line_graph
+from repro.errors import AlgorithmContractViolation
 from repro.graphs import FAMILIES, sparse_gnp_graph
 from repro.mis import coloring
 
@@ -112,6 +117,30 @@ def test_golden_file_covers_every_case(golden):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_coloring_matches_golden_pin(case, path, golden):
     assert pin(CASES[case]()) == golden[case]
+
+
+@pytest.mark.parametrize("case", [
+    "path-0",           # a Linial step: the dict is in graph order
+    "gnp-sparse-1",     # no Linial step: the dict is in repr order
+    "colliding-reprs",
+    "tuple-ids",
+])
+def test_both_paths_return_the_same_result(case, monkeypatch):
+    if getattr(coloring, "np", None) is None:
+        pytest.skip("numpy is not installed")
+    graph = CASES[case]()
+    fast = coloring.delta_plus_one_coloring(graph)
+    monkeypatch.setattr(coloring, "np", None)
+    reference = coloring.delta_plus_one_coloring(graph)
+    assert fast == reference
+    assert list(fast.colors.items()) == list(reference.colors.items())
+
+
+def test_self_loops_violate_the_contract_on_both_paths(path):
+    graph = nx.path_graph(5)
+    graph.add_edge(2, 2)
+    with pytest.raises(AlgorithmContractViolation, match="share color"):
+        coloring.delta_plus_one_coloring(graph)
 
 
 def record() -> None:  # pragma: no cover - run by hand
