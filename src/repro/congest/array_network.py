@@ -662,8 +662,9 @@ class ArrayNetwork(SynchronousNetwork):
     ):
         """Array-dispatching twin of the object backend's generator.
 
-        ``table`` maps parameter names to per-node columns in graph
-        node order (or to one value shared by every node); each
+        ``table`` maps parameter names to per-node columns in this
+        network's node order, ``self.graph``'s (or to one value shared
+        by every node); each
         kernel documents the names it reads.  The kernel is built from
         the table: ``program_factory`` runs once, for a *probe* program
         on the first node, whose class picks the kernel from

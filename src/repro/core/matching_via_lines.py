@@ -22,17 +22,12 @@ from typing import Optional, Set
 
 import networkx as nx
 
-from ..congest import (
-    OBJECT_BACKEND,
-    CongestionAudit,
-    line_graph,
-    make_network,
-)
-from ..congest.network import CONGEST
+from ..congest import CongestionAudit, line_graph
+from ..congest.network import CONGEST, SynchronousNetwork
 from ..errors import InvalidInstance
 from ..graphs import check_matching, edge_weight, max_node_weight
 from ..mis.coloring import delta_plus_one_coloring
-from .maxis_coloring import MaxISColoringProgram, coloring_table
+from .maxis_coloring import MaxISColoringProgram
 from .maxis_coloring import IN_IS as COLORING_IN_IS
 from .maxis_layers import IN_IS, MaxISLayersProgram
 from .stepwise import opening_checkpoint, stepper_checkpoints
@@ -56,7 +51,6 @@ def matching_lines_phases(
     max_rounds: Optional[int] = None,
     capture_state: bool = False,
     resume: Optional[dict] = None,
-    backend: str = OBJECT_BACKEND,
 ):
     """Anytime Theorem 2.10: MaxIS on ``L(G)``, one checkpoint per
     selection phase of the underlying MaxIS engine.
@@ -76,12 +70,7 @@ def matching_lines_phases(
     1).  ``capture_state`` / ``resume`` follow the
     :func:`~repro.core.maxis_layers.maxis_layers_phases` protocol; the
     line graph is deterministic and rebuilt at resume, never
-    serialized.  ``backend`` picks the simulator engine for ``L(G)``:
-    the object engine by default (the ``REPRO_BACKEND`` variable does
-    not apply, so the registry entry's resume payloads keep their
-    bytes), or ``"array"`` for the vectorised kernels — same results
-    either way.  An audited run always executes on the object engine,
-    whose messages the audit records.
+    serialized.
     """
 
     matching: Set[frozenset] = set()
@@ -110,8 +99,6 @@ def matching_lines_phases(
         def factory(e):
             return MaxISLayersProgram(lg.nodes[e].get("weight", 1))
 
-        table = {"weight": [w for _, w in lg.nodes(data="weight",
-                                                   default=1)]}
         winner_output = IN_IS
         run_label = "mwm-2approx-layers"
         checkpoint_every = 3
@@ -131,7 +118,6 @@ def matching_lines_phases(
         budget = max_rounds if max_rounds is not None else (
             20 * (coloring.palette + 2) + 4 * lg.number_of_nodes()
         )
-        table = coloring_table(lg, coloring.colors)
         winner_output = COLORING_IN_IS
         run_label = "mwm-2approx-coloring"
         checkpoint_every = 1
@@ -140,7 +126,7 @@ def matching_lines_phases(
 
     # Same construction as run_on_line_graph, unrolled because the
     # audit hook and the stepwise driver both need the network object.
-    network = make_network(lg, model=CONGEST, seed=seed, backend=backend)
+    network = SynchronousNetwork(lg, model=CONGEST, seed=seed)
     if audit is not None:
         def trace(round_index, envelope):
             audit.record_line_message(round_index, envelope.src,
@@ -157,7 +143,6 @@ def matching_lines_phases(
         checkpoint_every=checkpoint_every,
         capture_state=capture_state,
         resume_state=sim_state,
-        table=table,
     )
 
     def fold(newly_halted):

@@ -121,15 +121,6 @@ class MaxISColoringProgram(NodeProgram):
             ctx.halt(IN_IS)
 
 
-def coloring_table(graph: nx.Graph, colors: Dict[Hashable, int]) -> dict:
-    """The array engine's per-node parameter table for Algorithm 3."""
-
-    return {
-        "weight": [w for _, w in graph.nodes(data="weight", default=1)],
-        "color": [colors[v] for v in graph.nodes],
-    }
-
-
 @dataclass
 class MaxISColoringResult:
     """Outcome of Algorithm 3 plus coloring round accounting."""
@@ -215,6 +206,9 @@ def maxis_coloring_phases(
             neighbor_colors=neighbor_colors,
         )
 
+    # The array engine's parameter table, in the network's node order.
+    nodes = network.graph
+    weights = dict(graph.nodes(data="weight", default=1))
     stepper = network.run_stepwise(
         factory,
         max_rounds=sim_cap,
@@ -223,7 +217,8 @@ def maxis_coloring_phases(
         checkpoint_every=checkpoint_every,
         capture_state=capture_state,
         resume_state=sim_state,
-        table=coloring_table(graph, colors),
+        table={"weight": [weights[v] for v in nodes],
+               "color": [colors[v] for v in nodes]},
     )
 
     def fold(newly_halted):

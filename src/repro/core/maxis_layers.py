@@ -299,7 +299,9 @@ def maxis_layers_phases(
         checkpoint_every=checkpoint_every,
         capture_state=capture_state,
         resume_state=sim_state,
-        table={"weight": list(weights.values()), "trace": trace},
+        # The array engine's parameter table, in the network's order.
+        table={"weight": [weights[v] for v in network.graph],
+               "trace": trace},
     )
 
     def fold(newly_halted):

@@ -212,7 +212,37 @@ def bipartite_proposal_phases(
     bit-identical either way).
     """
 
-    delta = max_degree(graph)
+    if network is None:
+        network = make_network(graph, seed=seed, backend=backend)
+    sides = {v: ("L" if v in left else "R") for v in graph.nodes}
+    for u, v in graph.edges:
+        if sides[u] == sides[v]:
+            raise InvalidInstance(
+                f"edge ({u!r}, {v!r}) does not cross the bipartition"
+            )
+    matching, result = yield from _b13_run(
+        network, [sides[v] for v in network.graph], sides.__getitem__,
+        max_degree(graph), eps, k, phases, max_rounds=max_rounds,
+        capture_state=capture_state, resume=resume, snapshots=snapshots)
+    check_matching(graph, [tuple(e) for e in matching])
+    return result
+
+
+def _b13_run(network, sides, side_of, delta, eps, k, phases,
+             max_rounds=None, capture_state=False, resume=None,
+             snapshots=True):
+    """The Lemma B.13 protocol on ``network``: the phase generator both
+    :func:`bipartite_proposal_phases` and the masked Lemma B.14
+    repetitions drive.
+
+    ``sides`` holds every node's side in the network's node order (the
+    array engine's table column), ``side_of`` maps a node to it (the
+    object engine's factory), and ``delta`` derives K and the phase
+    budget the caller did not fix.  Returns ``(matching, result)``:
+    the matching folded so far, which the caller checks against its
+    graph, and the :class:`ProposalResult` (``None`` on a budget cut).
+    """
+
     if k is None:
         k = optimal_k(delta, eps)
     if phases is None:
@@ -223,8 +253,6 @@ def bipartite_proposal_phases(
         # if the caller omitted explicit overrides.
         k = resume["k"]
         phases = resume["phases"]
-    if network is None:
-        network = make_network(graph, seed=seed, backend=backend)
     matching: Set[frozenset] = set()
     unlucky: Set[Hashable] = set()
     sim_state = None
@@ -235,22 +263,16 @@ def bipartite_proposal_phases(
     yield opening_checkpoint(resume, matching, len(matching),
                              network.metrics,
                              extras={"unlucky": set(unlucky)})
-    sides = {v: ("L" if v in left else "R") for v in graph.nodes}
-    for u, v in graph.edges:
-        if sides[u] == sides[v]:
-            raise InvalidInstance(
-                f"edge ({u!r}, {v!r}) does not cross the bipartition"
-            )
     cap = 2 * phases + 4 if max_rounds is None else max_rounds
     stepper = network.run_stepwise(
-        lambda node: ProposalProgram(sides[node], phases),
+        lambda node: ProposalProgram(side_of(node), phases),
         max_rounds=cap,
         label="proposal-matching",
         stop_on_limit=max_rounds is not None,
         checkpoint_every=2 if snapshots else None,
         capture_state=capture_state,
         resume_state=sim_state,
-        table={"side": list(sides.values()), "phases": phases},
+        table={"side": sides, "phases": phases},
     )
 
     def fold(newly_halted):
@@ -269,10 +291,9 @@ def bipartite_proposal_phases(
         # Fast-drain form: the stepper yielded nothing, so read the
         # outcome off the final outputs (the historical code path).
         fold(result.outputs.items())
-    check_matching(graph, [tuple(e) for e in matching])
     if not result.completed:
-        return None
-    return ProposalResult(
+        return matching, None
+    return matching, ProposalResult(
         matching=matching,
         unlucky=unlucky,
         rounds=result.rounds,
@@ -352,22 +373,13 @@ def _masked_repetition(graph, parent, remaining, left, right, eps, k,
     sub, on_left = sliced
     if (on_left[sub.rows] == on_left[sub.indices]).any():
         raise InvalidInstance("a sliced edge does not cross the bipartition")
-    delta = int(sub.degree.max())
-    if k is None:
-        k = optimal_k(delta, eps)
-    phases = lemma_b13_rounds(delta, eps, k)
     network = ArrayNetwork.over_csr(
         sub, lambda: crossing_subgraph(graph, remaining, left, right),
         seed=seed)
-    result = drain(network.run_stepwise(
-        lambda node: ProposalProgram("L" if node in left else "R", phases),
-        max_rounds=2 * phases + 4,
-        label="proposal-matching",
-        table={"side": np.where(on_left, "L", "R"), "phases": phases},
-    ))
-    matching: Set[frozenset] = set()
-    unlucky: Set[Hashable] = set()
-    _absorb(result.outputs.items(), matching, unlucky)
+    matching, result = drain(_b13_run(
+        network, np.where(on_left, "L", "R"),
+        lambda node: "L" if node in left else "R",
+        int(sub.degree.max()), eps, k, None, snapshots=False))
     # check_matching on the sub-graph, without building it.
     pairs = [tuple(e) for e in matching]
     check_matching(graph, pairs)
@@ -375,7 +387,7 @@ def _masked_repetition(graph, parent, remaining, left, right, eps, k,
                for u, v in pairs):
         raise AlgorithmContractViolation(
             "a matched pair is not a crossing edge")
-    return matching, unlucky, result.rounds
+    return matching, result.unlucky, result.rounds
 
 
 def general_proposal_phases(

@@ -44,7 +44,6 @@ from repro.congest import (
 from repro.congest import array_kernels, array_network
 from repro.congest.array_network import GraphCSR, graph_csr
 from repro.core import (
-    matching_via_lines,
     maxis_coloring,
     maxis_layers,
     proposal_matching,
@@ -79,7 +78,9 @@ def coloring_factory(graph):
             neighbor_colors={u: colors[u] for u in graph.neighbors(node)},
         )
 
-    return factory, maxis_coloring.coloring_table(graph, colors)
+    weights = [w for _, w in graph.nodes(data="weight", default=1)]
+    return factory, {"weight": weights,
+                     "color": [colors[v] for v in graph.nodes]}
 
 
 def proposal_factory(graph, phases=6):
@@ -587,17 +588,39 @@ class TestKernelPath:
         ))
         assert spy == {"ProposalKernel": 1, "programs": 1}
 
-    @pytest.mark.parametrize("method,kernel", [
+    @pytest.mark.parametrize("runner,kernel", [
         ("layers", "MaxISLayersKernel"),
         ("coloring", "MaxISColoringKernel"),
+        ("proposal", "ProposalKernel"),
     ])
-    def test_matching_lines_phases(self, spy, method, kernel):
-        graph = gnp_graph(30, 0.12, seed=4)
-        for i, (u, v) in enumerate(graph.edges):
-            graph.edges[u, v]["weight"] = 1 + (7 * i) % 13
-        drain(matching_via_lines.matching_lines_phases(
-            graph, method=method, seed=4, backend=ARRAY_BACKEND,
-        ))
+    def test_network_over_a_reordered_graph(self, spy, runner, kernel):
+        # The table follows the supplied network's node order, not the
+        # graph argument's, so the kernel still runs and still matches
+        # the object engine on that network.
+        graph = bipartite_graph(20, 24, 0.18, seed=8)
+        assign_node_weights(graph, 64, scheme="log-uniform", seed=9)
+        reordered = nx.Graph()
+        reordered.add_nodes_from(reversed(list(graph.nodes(data=True))))
+        reordered.add_edges_from(graph.edges)
+        left = {v for v in graph.nodes if v % 2 == 0}
+
+        def run(backend):
+            network = make_network(reordered, seed=8, backend=backend)
+            if runner == "layers":
+                stream = maxis_layers.maxis_layers_phases(
+                    graph, seed=8, network=network)
+            elif runner == "coloring":
+                stream = maxis_coloring.maxis_coloring_phases(
+                    graph, network=network)
+            else:
+                stream = proposal_matching.bipartite_proposal_phases(
+                    graph, left, set(graph.nodes) - left, network=network)
+            solutions = [checkpoint.solution for checkpoint in stream]
+            return solutions, metrics_tuple(network)
+
+        reference = run(OBJECT_BACKEND)
+        spy.clear()
+        assert run(ARRAY_BACKEND) == reference
         assert spy == {kernel: 1, "programs": 1}
 
     def test_general_proposal_repetitions(self, spy, monkeypatch):

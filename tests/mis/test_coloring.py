@@ -1,5 +1,6 @@
 """Tests for the deterministic distributed coloring pipeline."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +21,7 @@ from repro.mis import (
     linial_step,
     reduce_palette,
 )
+from repro.mis import coloring
 from repro.mis.coloring import _linial_parameters
 
 
@@ -110,3 +112,19 @@ class TestFullPipeline:
         g = gnp_graph(20, 0.2, seed=seed)
         result = delta_plus_one_coloring(g)
         check_coloring(g, result.colors, palette_size=result.palette)
+
+    def test_never_improper_after_an_in_place_rewire(self):
+        # Swapping (0,1),(2,3) for (0,2),(1,3) keeps every degree, so
+        # the cached CSR the numpy path colors stays a cache hit and
+        # its old colors clash on (1,3).  The final check runs against
+        # the graph itself and refuses them.
+        g = nx.cycle_graph(6)
+        delta_plus_one_coloring(g)
+        g.remove_edges_from([(0, 1), (2, 3)])
+        g.add_edges_from([(0, 2), (1, 3)])
+        if coloring.np is None:
+            result = delta_plus_one_coloring(g)
+            check_coloring(g, result.colors, palette_size=3)
+        else:
+            with pytest.raises(AlgorithmContractViolation):
+                delta_plus_one_coloring(g)
