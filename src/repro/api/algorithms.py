@@ -367,20 +367,16 @@ def _iter_oneeps_local(instance: Instance, k: float = 2.0,
            models=(CONGEST,), tags=("paper",))
 def _iter_oneeps_congest(instance: Instance, k: float = 2.0,
                          failure_delta=None, stages=None,
-                         max_iterations=None, resume_state=None,
-                         notify_wave: bool = False):
+                         max_iterations=None, resume_state=None):
     """Anytime Theorem B.12: one checkpoint per bipartition stage;
-    stops cooperatively before any stage past ``max_rounds``.
-    ``notify_wave=True`` adds the simulator-backed waiting-phase probe
-    wave at every stage boundary (rounds ledgered, matching
-    untouched)."""
+    stops cooperatively before any stage past ``max_rounds``."""
 
     phases = congest_matching_1eps_stages(
         instance.graph, eps=instance.eps, seed=instance.seed, k=k,
         failure_delta=failure_delta, stages=stages,
         max_iterations=max_iterations, max_rounds=instance.max_rounds,
         capture_state=instance.max_rounds is not None,
-        resume=resume_state, notify_wave=notify_wave,
+        resume=resume_state,
     )
     result, last = yield from _drive_phases(phases)
     if result is None:

@@ -17,17 +17,21 @@ Design constraints, in order of priority:
    kernels keep one ``random.Random`` per node and draw from it exactly
    when the object program would — only the message exchange and the
    state updates are vectorized.
-2. **Same contract.**  :class:`ArrayNetwork` subclasses
-   :class:`~repro.congest.network.SynchronousNetwork` and honours the
-   full ``run`` / ``run_stepwise`` protocol — ``StepSnapshot`` streams,
+2. **Same round loop.**  :class:`ArrayNetwork` subclasses
+   :class:`~repro.congest.network.SynchronousNetwork`, and a kernel is
+   a step-able engine driven by the parent's ``_drive`` — the one loop
+   that also drives the object engine.  ``StepSnapshot`` streams,
    ``stop_on_limit`` budget cuts, ``capture_state`` / ``resume_state``
-   checkpointing (payloads are interchangeable between backends), and
-   cumulative :class:`~repro.congest.network.NetworkMetrics`.
+   checkpointing (payloads are interchangeable between backends) and
+   cumulative :class:`~repro.congest.network.NetworkMetrics` therefore
+   come from the same code on both backends; a kernel only steps
+   rounds and reads or writes its own state.
 3. **Transparent fallback.**  Kernels are registered per program class
    (:data:`KERNELS`); a program without a kernel — or a run using
-   features the kernels do not model (participants subsets, traces,
-   quiescence, strict bandwidth enforcement) — silently executes on the
-   inherited object path.  Callers never need to know which engine ran.
+   features the kernels do not model (no table, participants subsets,
+   quiescence, strict bandwidth enforcement, trace or round-end hooks)
+   — silently executes on the inherited object engine.  Callers never
+   need to know which engine ran.
 
 Only the bit-accounting *diagnostics* differ: the array backend has no
 payload memo cache, so ``metrics.payload_cache`` stays empty (it is
@@ -48,15 +52,9 @@ try:  # numpy is an optional accelerator: without it, every run
 except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None
 
-from ..errors import InvalidInstance, RoundLimitExceeded
+from ..errors import InvalidInstance
 from ..utils import restore_rng, stable_rng
-from .network import (
-    CONGEST,
-    NetworkMetrics,
-    RunResult,
-    StepSnapshot,
-    SynchronousNetwork,
-)
+from .network import CONGEST, SynchronousNetwork
 from .node import NodeProgram
 
 #: Environment variable consulted when an Instance does not pin a
@@ -365,13 +363,18 @@ class ArrayKernel:
     the run's per-node parameter table (columns in CSR node order)
     plus the probe program, and raise :class:`ArrayBackendUnsupported`
     when the table holds values they cannot model or disagrees with
-    the probe.  The engine drives:
+    the probe.  It is a step-able engine for
+    :meth:`~repro.congest.network.SynchronousNetwork._drive`, with the
+    object engine's interface:
 
-    * :meth:`start` — ``on_start`` semantics (before round 0),
-    * :meth:`step` — one synchronous round,
+    * :meth:`bind` / :meth:`start` — protocol index and ``on_start``
+      semantics (before round 0),
+    * :meth:`step` — one synchronous round (it returns nothing: the
+      delivered count only feeds quiescence and the round-end hook,
+      and runs with either never reach a kernel),
     * :meth:`export_*` / :meth:`restore` — the checkpoint payload, in
       the object backend's format so payloads are interchangeable,
-    * :meth:`outputs` / :attr:`halted_count` — results.
+    * :meth:`outputs` / :attr:`halted_count` / :attr:`total` — results.
     """
 
     #: Fully-qualified program class this kernel vectorizes.
@@ -518,8 +521,8 @@ class ArrayKernel:
     def validate_resume(self, state: dict) -> None:
         """Attempt the restore eagerly, before the engine commits.
 
-        A payload the kernel cannot model — sleeping nodes, foreign
-        payload tags, structurally odd state — surfaces here as
+        A payload the kernel cannot model — a node marked asleep,
+        foreign payload tags, structurally odd state — surfaces here as
         :class:`ArrayBackendUnsupported` so the run falls back to the
         object backend *before* any protocol-index or metric side
         effects.  Genuine payload corruption (a node the graph does not
@@ -542,8 +545,8 @@ class ArrayKernel:
 
     def _live_program_state(self, state: dict, i: int) -> dict:
         """Fetch node ``i``'s live entry, mirroring the object backend's
-        unknown-node error; refuse payloads with sleeping nodes (none of
-        the vectorized protocols ever sleep)."""
+        unknown-node error.  An entry marked asleep falls back, so the
+        object engine refuses it with its own error."""
 
         from ..errors import SimulationError
 
@@ -554,7 +557,7 @@ class ArrayKernel:
                 f"resume state knows nothing about node {node!r}"
             )
         if entry["sleeping"]:
-            raise ArrayBackendUnsupported("sleeping nodes are not modeled")
+            raise ArrayBackendUnsupported("no engine parks nodes")
         if entry["rng"] is not None:
             # A ``None`` RNG is a fresh entry spliced in by the
             # dynamic-graph compat policy: it keeps the lazily-derived
@@ -660,16 +663,17 @@ class ArrayNetwork(SynchronousNetwork):
         resume_state: Optional[dict] = None,
         table: Optional[dict] = None,
     ):
-        """Array-dispatching twin of the object backend's generator.
+        """Pick a kernel, or fall back to the object engine.
 
         ``table`` maps parameter names to per-node columns in this
         network's node order, ``self.graph``'s (or to one value shared
-        by every node); each
-        kernel documents the names it reads.  The kernel is built from
-        the table: ``program_factory`` runs once, for a *probe* program
-        on the first node, whose class picks the kernel from
-        :data:`KERNELS` and whose parameters must agree with the
-        table's first row.
+        by every node); each kernel documents the names it reads.  The
+        kernel is built from the table: ``program_factory`` runs once,
+        for a *probe* program on the first node, whose class picks the
+        kernel from :data:`KERNELS` and whose parameters must agree
+        with the table's first row.  The kernel then runs through the
+        same round loop as the object engine,
+        :meth:`~repro.congest.network.SynchronousNetwork._drive`.
 
         Falls back to the inherited implementation whenever the array
         engine cannot guarantee bit-compatibility: numpy missing, no
@@ -679,124 +683,38 @@ class ArrayNetwork(SynchronousNetwork):
         program class, or kernel-level feasibility checks failing.
         """
 
-        object_path = super().run_stepwise
-        kwargs = dict(
-            participants=participants, max_rounds=max_rounds, label=label,
-            quiescence_halts=quiescence_halts, stop_on_limit=stop_on_limit,
-            checkpoint_every=checkpoint_every, capture_state=capture_state,
-            resume_state=resume_state,
-        )
-        if (np is None or table is None or participants is not None
+        kernel = None
+        if not (np is None or table is None or participants is not None
                 or quiescence_halts or self.strict or self.trace is not None
                 or self.on_round_end is not None or self._n == 0):
-            return object_path(program_factory, **kwargs)
+            kernel = self._kernel(program_factory, table, resume_state)
+        if kernel is None:
+            return super().run_stepwise(
+                program_factory, participants, max_rounds, label,
+                quiescence_halts, stop_on_limit, checkpoint_every,
+                capture_state, resume_state,
+            )
+        return self._drive(kernel, max_rounds, label, False, stop_on_limit,
+                           checkpoint_every, capture_state, resume_state)
+
+    def _kernel(self, program_factory: Callable[[Hashable], NodeProgram],
+                table: dict, resume_state: Optional[dict]):
+        """The registered kernel for the probe's program class, built
+        (and, on resume, restored) eagerly; ``None`` if there is none
+        or it cannot model this run."""
+
         csr = self._ensure_csr()
         probe = program_factory(csr.nodes[0])
         kernel_cls = KERNELS.get(_program_path(probe))
         if kernel_cls is None:
-            return object_path(program_factory, **kwargs)
+            return None
         try:
             kernel = kernel_cls(self, csr, probe, table)
             if resume_state is not None:
                 kernel.validate_resume(resume_state)
         except ArrayBackendUnsupported:
-            return object_path(program_factory, **kwargs)
-        return self._drive_kernel(
-            kernel, max_rounds=max_rounds, label=label,
-            stop_on_limit=stop_on_limit, checkpoint_every=checkpoint_every,
-            capture_state=capture_state, resume_state=resume_state,
-        )
-
-    def _drive_kernel(self, kernel: ArrayKernel, max_rounds: int, label: str,
-                      stop_on_limit: bool, checkpoint_every: Optional[int],
-                      capture_state: bool, resume_state: Optional[dict]):
-        """The kernel-driven round loop (mirrors the object loop
-        decision-for-decision; see the parent for the semantics)."""
-
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        self._protocol_index += 1
-        kernel.bind(self._protocol_index)
-        metrics = self.metrics
-        base_messages = metrics.messages
-        base_bits = metrics.bits
-        base_violations = metrics.violations
-        self._run_max_bits = 0
-        tracking = checkpoint_every is not None
-        kernel.tracking = tracking
-
-        start_round = 0
-        if resume_state is None:
-            kernel.start()
-        else:
-            start_round = resume_state["round"]
-            kernel.restore(resume_state)
-            counters = resume_state["metrics"]
-            metrics.messages += counters["messages"]
-            metrics.bits += counters["bits"]
-            metrics.violations += counters["violations"]
-            metrics.max_bits_per_edge_round = max(
-                metrics.max_bits_per_edge_round,
-                counters["max_bits_per_edge_round"],
-            )
-            metrics.rounds += counters["rounds"]
-            for phase_label, charged in counters["round_breakdown"].items():
-                metrics.round_breakdown[phase_label] = (
-                    metrics.round_breakdown.get(phase_label, 0) + charged
-                )
-
-        total = kernel.total
-        rounds_used = start_round
-        for round_index in range(start_round, max_rounds):
-            if kernel.halted_count == total:
-                break
-            kernel.step(round_index)
-            rounds_used = round_index + 1
-            if tracking and rounds_used % checkpoint_every == 0:
-                yield StepSnapshot(rounds=rounds_used,
-                                   halted=kernel.halted_count, total=total,
-                                   newly_halted=kernel.drain_fresh())
-        else:
-            if kernel.halted_count != total and not stop_on_limit:
-                raise RoundLimitExceeded(max_rounds, kernel.pending_nodes())
-
-        outputs = kernel.outputs()
-        metrics.charge_rounds(rounds_used - start_round, label)
-        run_metrics = NetworkMetrics(
-            rounds=rounds_used,
-            messages=metrics.messages - base_messages,
-            bits=metrics.bits - base_bits,
-            max_bits_per_edge_round=self._run_max_bits,
-            violations=metrics.violations - base_violations,
-            round_breakdown={label: rounds_used} if rounds_used else {},
-            payload_cache={},
-        )
-        if tracking:
-            state = None
-            if capture_state:
-                state = {
-                    "round": rounds_used,
-                    "in_flight": kernel.export_in_flight(),
-                    "halted": kernel.export_halted(),
-                    "live": kernel.export_live(),
-                    "metrics": {
-                        "rounds": metrics.rounds,
-                        "messages": metrics.messages,
-                        "bits": metrics.bits,
-                        "max_bits_per_edge_round":
-                            metrics.max_bits_per_edge_round,
-                        "violations": metrics.violations,
-                        "round_breakdown": dict(metrics.round_breakdown),
-                    },
-                }
-            yield StepSnapshot(rounds=rounds_used, halted=kernel.halted_count,
-                               total=total, newly_halted=kernel.drain_fresh(),
-                               final=True, state=state)
-        return RunResult(outputs=outputs, rounds=rounds_used,
-                         metrics=run_metrics,
-                         completed=kernel.halted_count == total)
+            return None
+        return kernel
 
 
 # Kernel registration (imports at the bottom: array_kernels imports the

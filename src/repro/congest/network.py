@@ -235,16 +235,12 @@ class SynchronousNetwork:
         protocol's budget interruption, and it costs nothing beyond the
         rounds actually executed.
 
-        Scheduling is wake-list based: the round loop maintains the set
-        of *runnable* programs — every non-halted node is runnable by
-        default (synchronous semantics: nodes may act spontaneously),
-        minus nodes that parked themselves with
-        :meth:`~repro.congest.node.NodeContext.sleep` and have received
-        no mail since.  A halted or sleeping node costs nothing per
-        round; a running halted counter replaces the former O(n)
-        per-round scans, so late protocol phases where almost every
-        node has finished run in time proportional to the survivors,
-        not to n.
+        Every node that has not halted is stepped every round
+        (synchronous semantics: nodes may act spontaneously).  Halted
+        nodes leave the runnable list and a running halted counter
+        replaces per-round O(n) scans, so late protocol phases where
+        almost every node has finished run in time proportional to the
+        survivors, not to n.
 
         The returned :class:`RunResult` carries this run's private
         metrics delta; the cumulative totals keep accruing on
@@ -290,8 +286,8 @@ class SynchronousNetwork:
           the run's *final* snapshot — next round index, undelivered
           in-flight messages, halted nodes with their outputs, and per
           live node the program's dynamic state
-          (:meth:`~repro.congest.node.NodeProgram.export_state`), RNG
-          state and sleep flag, plus the cumulative metric counters.
+          (:meth:`~repro.congest.node.NodeProgram.export_state`) and
+          RNG state, plus the cumulative metric counters.
         * ``resume_state=<that dict>`` restores it: programs are built
           by the factory but ``restore_state`` replaces ``on_start``
           (no side effects re-run), round numbering and the snapshot
@@ -312,94 +308,51 @@ class SynchronousNetwork:
         builds every program with ``program_factory`` and ignores it.
         """
 
+        engine = _ObjectEngine(self, program_factory, participants)
+        return (yield from self._drive(
+            engine, max_rounds, label, quiescence_halts, stop_on_limit,
+            checkpoint_every, capture_state, resume_state,
+        ))
+
+    def _drive(self, engine, max_rounds: int, label: str,
+               quiescence_halts: bool, stop_on_limit: bool,
+               checkpoint_every: Optional[int], capture_state: bool,
+               resume_state: Optional[dict]):
+        """The synchronous round loop, for any step-able engine.
+
+        ``engine`` is an :class:`_ObjectEngine` or an array kernel
+        (:class:`repro.congest.array_network.ArrayKernel`); both expose
+        ``bind`` / ``start`` / ``restore`` / ``step`` / ``drain_fresh``
+        / ``pending_nodes`` / ``outputs`` / ``export_*`` and the
+        ``halted_count`` / ``total`` counters.  Everything else about a
+        run — protocol index, resume-counter merge, the round cap,
+        snapshots, the per-run metrics delta and the captured state —
+        is decided here, once, for both.  Quiescence and the round-end
+        hook read ``step``'s delivered count and the engine's
+        ``in_flight``; only the object engine runs with them.
+        """
+
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        nodes = list(self.graph.nodes if participants is None else participants)
-        for node in nodes:
-            if node not in self.graph:
-                raise SimulationError(f"participant {node} is not in the graph")
-
         self._protocol_index += 1
-        proto = self._protocol_index
-        everyone = len(nodes) == self._n
-
-        contexts: Dict[Hashable, NodeContext] = {}
-        pairs: List[tuple] = []  # (ctx, program), execution order
-        adjacency = self._adjacency
-        if not everyone:
-            node_set = set(nodes)
-        for node in nodes:
-            neighbors = adjacency[node]
-            if not everyone:
-                neighbors = tuple(v for v in neighbors if v in node_set)
-            ctx = NodeContext(
-                node=node,
-                neighbors=neighbors,
-                rng=stable_rng(self.seed, node, proto),
-                n=self._n,
-                max_degree=self._max_degree,
-            )
-            contexts[node] = ctx
-            pairs.append((ctx, program_factory(node)))
-
+        engine.bind(self._protocol_index)
         metrics = self.metrics
         base_messages = metrics.messages
         base_bits = metrics.bits
         base_violations = metrics.violations
-        base_hits = metrics.payload_cache.get("hits", 0)
-        base_misses = metrics.payload_cache.get("misses", 0)
-        base_evictions = metrics.payload_cache.get("evictions", 0)
+        base_cache = dict(metrics.payload_cache)
         self._run_max_bits = 0
-
-        in_flight: List[tuple] = []
-        halted_count = 0
-        #: Snapshot bookkeeping: only paid when checkpoints are wanted.
         tracking = checkpoint_every is not None
-        fresh: List[tuple] = []  # (node, output) halted since last snapshot
-        #: Runnable programs in execution (participant) order, as
-        #: (position, ctx, program) so late wake-ups re-merge in order.
-        runnable: List[tuple] = []
+        engine.tracking = tracking
+
         start_round = 0
         if resume_state is None:
-            for pos, (ctx, program) in enumerate(pairs):
-                program.on_start(ctx)
-                if ctx._outbox:
-                    self._collect(ctx, in_flight)
-                if ctx._halted:
-                    halted_count += 1
-                    if tracking:
-                        fresh.append((ctx.node, ctx.output))
-                elif not ctx._sleeping:
-                    runnable.append((pos, ctx, program))
+            engine.start()
         else:
             start_round = resume_state["round"]
-            halted_outputs = resume_state["halted"]
-            live_states = resume_state["live"]
-            for pos, (ctx, program) in enumerate(pairs):
-                if ctx.node in halted_outputs:
-                    ctx._halted = True
-                    ctx.output = halted_outputs[ctx.node]
-                    halted_count += 1
-                    continue
-                state = live_states.get(ctx.node)
-                if state is None:
-                    raise SimulationError(
-                        f"resume state knows nothing about node {ctx.node!r}"
-                    )
-                # A ``None`` RNG marks a *fresh* entry (spliced in by the
-                # dynamic-graph compat policy): the node keeps the
-                # stable per-node stream it was built with, exactly as
-                # on a fresh run, so both backends derive identically.
-                restore_rng(ctx.rng, state["rng"])
-                program.restore_state(state["program"])
-                if state["sleeping"]:
-                    ctx._sleeping = True
-                else:
-                    runnable.append((pos, ctx, program))
-            in_flight = [tuple(message)
-                         for message in resume_state["in_flight"]]
+            engine.restore(resume_state)
             counters = resume_state["metrics"]
             metrics.messages += counters["messages"]
             metrics.bits += counters["bits"]
@@ -413,106 +366,30 @@ class SynchronousNetwork:
                 metrics.round_breakdown[phase_label] = (
                     metrics.round_breakdown.get(phase_label, 0) + charged
                 )
-        #: Sleeping, non-halted programs awaiting mail.
-        parked: Dict[int, tuple] = {
-            id(ctx): (pos, ctx, program)
-            for pos, (ctx, program) in enumerate(pairs)
-            if ctx._sleeping and not ctx._halted
-        }
 
-        total = len(pairs)
+        total = engine.total
         rounds_used = start_round
-        touched: List[NodeContext] = []  # inboxes holding last round's mail
         for round_index in range(start_round, max_rounds):
-            if halted_count == total:
+            if engine.halted_count == total:
                 break
-            if not runnable and not in_flight:
-                # Everyone left is parked and no mail can ever arrive:
-                # the network is deadlocked.  Quiescence ends the run —
-                # counting this (empty) round, so a protocol ported to
-                # sleep() reports the same round total as its busy-wait
-                # twin, which executes one last quiet round before the
-                # bottom-of-loop quiescence check fires.  Otherwise
-                # report the sleepers without spinning through the
-                # remaining rounds.
-                if quiescence_halts:
-                    rounds_used = round_index + 1
-                    if self.on_round_end is not None:
-                        self.on_round_end(round_index,
-                                          total - halted_count, 0)
-                    break
-                raise RoundLimitExceeded(rounds_used, tuple(
-                    node for node in nodes if not contexts[node].halted
-                ))
-            for ctx in touched:
-                ctx.inbox.clear()
-            touched.clear()
-            delivered = 0
-            woken = False
-            for src, dst, payload in in_flight:
-                ctx = contexts[dst]
-                if ctx._halted:
-                    continue
-                inbox = ctx.inbox
-                if not inbox:
-                    touched.append(ctx)
-                inbox[src] = payload
-                delivered += 1
-                if ctx._sleeping:
-                    ctx._sleeping = False
-                    runnable.append(parked.pop(id(ctx)))
-                    woken = True
-            if woken:
-                runnable.sort()
-
-            in_flight = []
-            still_runnable: List[tuple] = []
-            for entry in runnable:
-                _, ctx, program = entry
-                ctx.round = round_index
-                program.on_round(ctx)
-                if ctx._outbox:
-                    self._collect(ctx, in_flight)
-                if ctx._halted:
-                    halted_count += 1
-                    if tracking:
-                        fresh.append((ctx.node, ctx.output))
-                elif ctx._sleeping:
-                    parked[id(ctx)] = entry
-                else:
-                    still_runnable.append(entry)
-            runnable = still_runnable
+            delivered = engine.step(round_index)
             rounds_used = round_index + 1
-
             if self.on_round_end is not None:
-                self.on_round_end(round_index, total - halted_count,
+                self.on_round_end(round_index, total - engine.halted_count,
                                   delivered)
             if tracking and rounds_used % checkpoint_every == 0:
-                yield StepSnapshot(rounds=rounds_used, halted=halted_count,
-                                   total=total, newly_halted=tuple(fresh))
-                fresh.clear()
-            if quiescence_halts and delivered == 0 and not in_flight:
+                yield StepSnapshot(rounds=rounds_used,
+                                   halted=engine.halted_count, total=total,
+                                   newly_halted=engine.drain_fresh())
+            if quiescence_halts and not delivered and not engine.in_flight:
                 break
         else:
-            pending = tuple(
-                node for node in nodes if not contexts[node].halted
-            )
-            if pending and not stop_on_limit:
-                raise RoundLimitExceeded(max_rounds, pending)
+            if engine.halted_count != total and not stop_on_limit:
+                raise RoundLimitExceeded(max_rounds, engine.pending_nodes())
 
-        outputs = {node: contexts[node].output for node in nodes}
+        outputs = engine.outputs()
         metrics.charge_rounds(rounds_used - start_round, label)
-        cache_delta = {
-            key: value
-            for key, value in (
-                ("hits", metrics.payload_cache.get("hits", 0) - base_hits),
-                ("misses",
-                 metrics.payload_cache.get("misses", 0) - base_misses),
-                ("evictions",
-                 metrics.payload_cache.get("evictions", 0) - base_evictions),
-            )
-            if value
-        }
+        cache = metrics.payload_cache
         run_metrics = NetworkMetrics(
             rounds=rounds_used,
             messages=metrics.messages - base_messages,
@@ -520,27 +397,19 @@ class SynchronousNetwork:
             max_bits_per_edge_round=self._run_max_bits,
             violations=metrics.violations - base_violations,
             round_breakdown={label: rounds_used} if rounds_used else {},
-            payload_cache=cache_delta,
+            payload_cache={
+                key: cache[key] - base_cache.get(key, 0) for key in cache
+                if cache[key] != base_cache.get(key, 0)
+            },
         )
         if tracking:
             state = None
             if capture_state:
-                halted_outputs: Dict[Hashable, object] = {}
-                live: Dict[Hashable, dict] = {}
-                for ctx, program in pairs:
-                    if ctx._halted:
-                        halted_outputs[ctx.node] = ctx.output
-                        continue
-                    live[ctx.node] = {
-                        "sleeping": ctx._sleeping,
-                        "rng": rng_state(ctx.rng),
-                        "program": program.export_state(),
-                    }
                 state = {
                     "round": rounds_used,
-                    "in_flight": [list(message) for message in in_flight],
-                    "halted": halted_outputs,
-                    "live": live,
+                    "in_flight": engine.export_in_flight(),
+                    "halted": engine.export_halted(),
+                    "live": engine.export_live(),
                     "metrics": {
                         "rounds": metrics.rounds,
                         "messages": metrics.messages,
@@ -551,12 +420,12 @@ class SynchronousNetwork:
                         "round_breakdown": dict(metrics.round_breakdown),
                     },
                 }
-            yield StepSnapshot(rounds=rounds_used, halted=halted_count,
-                               total=total, newly_halted=tuple(fresh),
+            yield StepSnapshot(rounds=rounds_used, halted=engine.halted_count,
+                               total=total, newly_halted=engine.drain_fresh(),
                                final=True, state=state)
         return RunResult(outputs=outputs, rounds=rounds_used,
                          metrics=run_metrics,
-                         completed=halted_count == total)
+                         completed=engine.halted_count == total)
 
     # ------------------------------------------------------------------
     def _collect(self, ctx: NodeContext, in_flight: List[tuple]) -> None:
@@ -620,3 +489,168 @@ class SynchronousNetwork:
                 payload_cache["evictions"] = (
                     payload_cache.get("evictions", 0) + evictions
                 )
+
+
+class _ObjectEngine:
+    """The reference engine: one :class:`NodeProgram` object per node.
+
+    It exposes the step-able interface :meth:`SynchronousNetwork._drive`
+    drives (the array kernels expose the same one).  Nothing is built
+    before :meth:`bind` pins the protocol index — the run stays lazy —
+    and the participants are checked on construction, inside the
+    generator.  Every node that has not halted is runnable, in
+    participant order; mail sent in round ``r`` sits in ``in_flight``
+    until it is delivered at the start of round ``r + 1``.
+    """
+
+    def __init__(self, net: SynchronousNetwork,
+                 program_factory: Callable[[Hashable], NodeProgram],
+                 participants: Optional[Iterable[Hashable]]):
+        graph = net.graph
+        nodes = list(graph.nodes if participants is None else participants)
+        for node in nodes:
+            if node not in graph:
+                raise SimulationError(f"participant {node} is not in the graph")
+        self.net = net
+        self.nodes = nodes
+        self.total = len(nodes)
+        self.halted_count = 0
+        self.tracking = False
+        self.in_flight: List[tuple] = []
+        self._factory = program_factory
+        self._fresh: List[tuple] = []  # (node, output) since last drain
+        self._touched: List[NodeContext] = []  # inboxes holding mail
+
+    def bind(self, proto: int) -> None:
+        """Build every node's context (RNG stream ``proto``) and program."""
+
+        net = self.net
+        nodes = self.nodes
+        everyone = self.total == net._n
+        if not everyone:
+            node_set = set(nodes)
+        adjacency = net._adjacency
+        factory = self._factory
+        self._contexts: Dict[Hashable, NodeContext] = {}
+        self._pairs: List[tuple] = []  # (ctx, program), participant order
+        for node in nodes:
+            neighbors = adjacency[node]
+            if not everyone:
+                neighbors = tuple(v for v in neighbors if v in node_set)
+            ctx = NodeContext(
+                node=node,
+                neighbors=neighbors,
+                rng=stable_rng(net.seed, node, proto),
+                n=net._n,
+                max_degree=net._max_degree,
+            )
+            self._contexts[node] = ctx
+            self._pairs.append((ctx, factory(node)))
+
+    def start(self) -> None:
+        collect = self.net._collect
+        self._runnable = []
+        for ctx, program in self._pairs:
+            program.on_start(ctx)
+            if ctx._outbox:
+                collect(ctx, self.in_flight)
+            if ctx._halted:
+                self._halt(ctx)
+            else:
+                self._runnable.append((ctx, program))
+
+    def restore(self, state: dict) -> None:
+        halted_outputs = state["halted"]
+        live_states = state["live"]
+        self._runnable = []
+        for ctx, program in self._pairs:
+            if ctx.node in halted_outputs:
+                ctx._halted = True
+                ctx.output = halted_outputs[ctx.node]
+                self.halted_count += 1
+                continue
+            entry = live_states.get(ctx.node)
+            if entry is None:
+                raise SimulationError(
+                    f"resume state knows nothing about node {ctx.node!r}"
+                )
+            if entry["sleeping"]:
+                raise SimulationError(
+                    f"resume state parks node {ctx.node!r} asleep; the "
+                    f"simulator steps every live node every round"
+                )
+            # A ``None`` RNG marks a *fresh* entry (spliced in by the
+            # dynamic-graph compat policy): the node keeps the stable
+            # per-node stream it was built with, exactly as on a fresh
+            # run, so both backends derive identically.
+            restore_rng(ctx.rng, entry["rng"])
+            program.restore_state(entry["program"])
+            self._runnable.append((ctx, program))
+        self.in_flight = [tuple(message) for message in state["in_flight"]]
+
+    def _halt(self, ctx: NodeContext) -> None:
+        self.halted_count += 1
+        if self.tracking:
+            self._fresh.append((ctx.node, ctx.output))
+
+    def step(self, round_index: int) -> int:
+        """Deliver last round's mail, step every runnable node, and
+        return the number of messages delivered."""
+
+        contexts = self._contexts
+        for ctx in self._touched:
+            ctx.inbox.clear()
+        touched = self._touched = []
+        delivered = 0
+        for src, dst, payload in self.in_flight:
+            ctx = contexts[dst]
+            if ctx._halted:
+                continue
+            inbox = ctx.inbox
+            if not inbox:
+                touched.append(ctx)
+            inbox[src] = payload
+            delivered += 1
+
+        in_flight = self.in_flight = []
+        collect = self.net._collect
+        still_runnable: List[tuple] = []
+        for entry in self._runnable:
+            ctx, program = entry
+            ctx.round = round_index
+            program.on_round(ctx)
+            if ctx._outbox:
+                collect(ctx, in_flight)
+            if ctx._halted:
+                self._halt(ctx)
+            else:
+                still_runnable.append(entry)
+        self._runnable = still_runnable
+        return delivered
+
+    def drain_fresh(self) -> tuple:
+        fresh = tuple(self._fresh)
+        self._fresh.clear()
+        return fresh
+
+    def pending_nodes(self) -> tuple:
+        return tuple(ctx.node for ctx, _ in self._pairs if not ctx._halted)
+
+    def outputs(self) -> Dict[Hashable, object]:
+        return {ctx.node: ctx.output for ctx, _ in self._pairs}
+
+    def export_in_flight(self) -> List[list]:
+        return [list(message) for message in self.in_flight]
+
+    def export_halted(self) -> Dict[Hashable, object]:
+        return {ctx.node: ctx.output for ctx, _ in self._pairs if ctx._halted}
+
+    def export_live(self) -> Dict[Hashable, dict]:
+        return {
+            ctx.node: {
+                "sleeping": False,
+                "rng": rng_state(ctx.rng),
+                "program": program.export_state(),
+            }
+            for ctx, program in self._pairs if not ctx._halted
+        }

@@ -29,7 +29,7 @@ class NodeContext:
     """
 
     __slots__ = ("node", "neighbors", "rng", "round", "inbox",
-                 "_outbox", "_halted", "_sleeping", "output", "n",
+                 "_outbox", "_halted", "output", "n",
                  "max_degree")
 
     def __init__(self, node: Hashable, neighbors: Tuple[Hashable, ...],
@@ -43,7 +43,6 @@ class NodeContext:
         self.inbox: Dict[Hashable, Payload] = {}
         self._outbox: Dict[Hashable, Payload] = {}
         self._halted = False
-        self._sleeping = False
         self.output = None
 
     @property
@@ -78,25 +77,6 @@ class NodeContext:
 
         self._halted = True
         self.output = output
-
-    def sleep(self) -> None:
-        """Park this node until a message arrives (wake-list scheduling).
-
-        A sleeping node is skipped by the simulator's round loop — its
-        :meth:`NodeProgram.on_round` is not invoked — until some
-        neighbor sends it a message, at which point it wakes and is
-        stepped in the delivery round with that message in its inbox.
-        Synchronous-model semantics are opt-in preserved: a node that
-        never sleeps is stepped every round exactly as before.  Use
-        this for "laggard" phases where a node only waits for a
-        notification, so huge quiet node sets cost nothing per round.
-        """
-
-        self._sleeping = True
-
-    @property
-    def sleeping(self) -> bool:
-        return self._sleeping
 
     def drain_outbox(self) -> Dict[Hashable, Payload]:
         outbox, self._outbox = self._outbox, {}

@@ -39,12 +39,10 @@ from .augmenting import (
 from .congest_1eps import (
     BipartiteAugmentingPhase,
     CongestOneEpsResult,
-    WaitingPhaseProgram,
     bipartite_matching_1eps_phases,
     congest_matching_1eps_stages,
     lemma_b11_budget,
     precision_round_factor,
-    waiting_phase_wave,
 )
 from .fast_matching import (
     FastMatchingResult,
@@ -132,7 +130,6 @@ __all__ = [
     "ProposalResult",
     "SUM",
     "SimulationCost",
-    "WaitingPhaseProgram",
     "WeightGroupResult",
     "augment_with_disjoint_paths",
     "bipartite_matching_1eps_phases",
@@ -177,6 +174,5 @@ __all__ = [
     "theorem_b4_round_budget",
     "verify_aggregate",
     "verify_hk_phase",
-    "waiting_phase_wave",
     "weight_group_matching",
 ]

@@ -45,14 +45,8 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..congest import (
-    NodeContext,
-    NodeProgram,
-    RoundLedger,
-    RunResult,
-    SynchronousNetwork,
-)
-from ..errors import AlgorithmContractViolation, InvalidInstance
+from ..congest import RoundLedger
+from ..errors import AlgorithmContractViolation, InvalidInstance, NotResumable
 from ..graphs import check_matching, is_augmenting_path, max_degree
 from ..utils import drain, restore_rng, rng_state, stable_rng
 from .stepwise import Checkpoint, phase_names
@@ -495,7 +489,6 @@ def congest_matching_1eps_stages(
     max_rounds: Optional[int] = None,
     capture_state: bool = False,
     resume: Optional[dict] = None,
-    notify_wave: bool = False,
 ):
     """Anytime Theorem B.12: one checkpoint per bipartition stage.
 
@@ -519,17 +512,10 @@ def congest_matching_1eps_stages(
     ``capture_state=True`` attaches a resume payload to every
     checkpoint, including the stage-coloring RNG state; ``resume=``
     restores it, so the continuation draws the exact red/blue colors
-    the uncut run would have drawn.
-
-    ``notify_wave=True`` runs Appendix B.3's waiting-phase probe wave
-    (:func:`waiting_phase_wave`) on the message-passing simulator after
-    every stage: free nodes flood a depth-``L`` probe so matched
-    waiters parked on the wake list learn the stage boundary passed.
-    The wave's rounds are charged to the ledger under
-    ``"waiting-wave"`` (so budgets and checkpoints account for it) and
-    the matching itself is untouched; the option is pinned into resume
-    payloads like every other stage parameter.  Default off — the
-    historical round accounting is bit-identical.
+    the uncut run would have drawn.  Payloads pinning the retired
+    ``notify_wave`` option are refused with
+    :class:`~repro.errors.NotResumable`: their round ledger counts
+    waiting-phase waves this run no longer charges.
     """
 
     if eps <= 0:
@@ -547,6 +533,11 @@ def congest_matching_1eps_stages(
     start_stage = 0
     finished = False
     if resume is not None:
+        if resume["options"].get("notify_wave", False):
+            raise NotResumable(
+                "payload was captured with notify_wave=True, which is no "
+                "longer supported; re-solve without it"
+            )
         start_stage = resume["next_stage"]
         executed = resume["stages"]
         finished = resume["finished"]
@@ -561,8 +552,6 @@ def congest_matching_1eps_stages(
         failure_delta = resume["options"]["failure_delta"]
         stages = resume["options"]["stages"]
         max_iterations = resume["options"]["max_iterations"]
-        # Pre-wave payloads carry no wave flag; they resume wave-less.
-        notify_wave = resume["options"].get("notify_wave", False)
     names = phase_names("stage")
 
     def snapshot(next_stage):
@@ -571,10 +560,6 @@ def congest_matching_1eps_stages(
             options = {"k": k, "failure_delta": failure_delta,
                        "stages": stages,
                        "max_iterations": max_iterations}
-            if notify_wave:
-                # Written only when on: payloads of wave-less runs stay
-                # byte-identical to the historical layout.
-                options["notify_wave"] = True
             state = {
                 "rounds": ledger.total,
                 "next_stage": next_stage,
@@ -590,8 +575,6 @@ def congest_matching_1eps_stages(
             "deactivated": set(deactivated),
             "stages": executed,
         }
-        if notify_wave:
-            extras["notify_waves"] = executed
         return Checkpoint(phase=next(names), solution=frozenset(matching),
                           objective=len(matching), rounds=ledger.total,
                           extras=extras, resume_state=state)
@@ -645,16 +628,6 @@ def congest_matching_1eps_stages(
         matching = (matching - stage_matching) | new_stage_matching
         deactivated |= new_deactivated
         check_matching(graph, [tuple(e) for e in matching])
-        if notify_wave:
-            # Stage-boundary notification: free nodes flood a probe of
-            # depth L so every waiter parked on the wake list observes
-            # that the stage completed.  Read-only on the matching;
-            # only the round ledger (and hence budgets) sees it.
-            wave = waiting_phase_wave(
-                graph, matching, d=max_length,
-                seed=seed + 7919 * stage + 3571, park=True,
-            )
-            ledger.charge(wave.rounds, "waiting-wave")
         if len(matching) == before:
             from .augmenting import shortest_augmenting_path_length
 
@@ -678,94 +651,4 @@ def congest_matching_1eps_stages(
         rounds=ledger.total,
         stages=executed,
         ledger=ledger,
-    )
-
-
-# ----------------------------------------------------------------------
-# the waiting phase, as a real message-passing program (wake-list port)
-# ----------------------------------------------------------------------
-class WaitingPhaseProgram(NodeProgram):
-    """One node of the (1+ε) matcher's waiting phase, on the simulator.
-
-    Between traversal iterations, Appendix B.3's matched nodes are pure
-    *waiters*: they take no action until a forward probe from some free
-    node reaches them.  ``park=True`` ports that waiting onto
-    :meth:`~repro.congest.NodeContext.sleep` — a waiter is skipped by
-    the wake-list scheduler entirely until a probe wakes it, so the
-    (typically huge) quiet majority costs nothing per round.
-    ``park=False`` is the busy-wait twin, stepped every round; the
-    scheduling test pins that both agree on outputs and round count
-    while the parked run does a small fraction of the work.
-
-    A free node floods ``("probe", 0)`` and halts; a waiter woken by
-    probes at depth ``t`` re-floods at depth ``t+1`` while ``t+1 < d``
-    and halts ``("reached", t+1)``.  Waiters never probed stay asleep
-    (quiescence ends the run) and output ``None``.
-    """
-
-    def __init__(self, free: bool, d: int, park: bool = True,
-                 steps: Optional[Dict[str, int]] = None):
-        self.free = free
-        self.d = d
-        self.park = park
-        self.steps = steps
-
-    def on_start(self, ctx: NodeContext) -> None:
-        if self.free:
-            ctx.broadcast("probe", 0)
-            ctx.halt(("source", 0))
-        elif self.park:
-            ctx.sleep()
-
-    def on_round(self, ctx: NodeContext) -> None:
-        if self.steps is not None:
-            self.steps["stepped"] = self.steps.get("stepped", 0) + 1
-        depths = [
-            payload[1] for payload in ctx.inbox.values()
-            if payload and payload[0] == "probe"
-        ]
-        if not depths:
-            if self.park:
-                ctx.sleep()
-            return
-        depth = min(depths) + 1
-        if depth < self.d:
-            ctx.broadcast("probe", depth)
-        ctx.halt(("reached", depth))
-
-
-def waiting_phase_wave(
-    graph: nx.Graph,
-    matching: Set[frozenset],
-    d: int,
-    network: Optional[SynchronousNetwork] = None,
-    seed: int = 0,
-    park: bool = True,
-    steps: Optional[Dict[str, int]] = None,
-    label: str = "b3-waiting-wave",
-) -> RunResult:
-    """Run one waiting-phase probe wave of depth ``d`` on the simulator.
-
-    Free (unmatched) nodes initiate the wave; every matched node is a
-    laggard that — with ``park=True`` (the default) — sleeps on the
-    wake list until a probe arrives.  Pass ``steps`` (a mutable dict)
-    to count how many times waiters were actually stepped; the parked
-    run touches only the nodes within distance ``d`` of a free node,
-    which is the wake-list saving the batch-execution PR's scheduler
-    was built for.
-    """
-
-    mate: Dict[Hashable, Hashable] = {}
-    for edge in matching:
-        u, v = tuple(edge)
-        mate[u] = v
-        mate[v] = u
-    if network is None:
-        network = SynchronousNetwork(graph, seed=seed)
-    return network.run(
-        lambda v: WaitingPhaseProgram(v not in mate, d, park=park,
-                                      steps=steps),
-        max_rounds=d + 2,
-        quiescence_halts=True,
-        label=label,
     )

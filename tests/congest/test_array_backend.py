@@ -30,6 +30,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import (
     ARRAY_BACKEND,
@@ -343,6 +345,76 @@ class TestTruncateAndResume:
                                match="knows nothing about"):
                 drain(stepwise(fresh, layers_factory(graph),
                                          resume_state=state))
+
+
+    def test_sleeping_entry_is_refused_on_both_backends(self, spy):
+        # No engine parks nodes: a payload marking a live node asleep
+        # is refused by the object engine, and the array engine falls
+        # back to it rather than stepping the node anyway.
+        graph = weighted_gnp(30, 0.1, seed=12)
+        net = make_network(graph, backend=OBJECT_BACKEND)
+        _head, state = drain_with_state(stepwise(
+            net, layers_factory(graph), max_rounds=2, stop_on_limit=True,
+            capture_state=True, checkpoint_every=1,
+        ))
+        state["live"][next(iter(state["live"]))]["sleeping"] = True
+        for backend in (OBJECT_BACKEND, ARRAY_BACKEND):
+            fresh = make_network(graph, backend=backend)
+            with pytest.raises(SimulationError, match="asleep"):
+                drain(stepwise(fresh, layers_factory(graph),
+                               resume_state=state))
+        assert spy["MaxISLayersKernel"] == 1
+        assert spy["fallbacks"] == 1
+
+
+# ----------------------------------------------------------------------
+# one round loop, two engines: differential cut-and-resume
+# ----------------------------------------------------------------------
+PROTOCOLS = {
+    "layers": (layers_factory, "maxis-layers"),
+    "coloring": (coloring_factory, "maxis-coloring"),
+    "proposal": (proposal_factory, "proposal-matching"),
+}
+
+
+def sorted_in_flight(state):
+    return dict(state, in_flight=sorted(state["in_flight"], key=repr))
+
+
+class TestDriveDifferential:
+    """Both engines run through one ``_drive``: a run captured on
+    either engine at any cut and resumed on the other is the uncut
+    object run, and the two engines capture the same state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)),
+           n=st.integers(5, 24), graph_seed=st.integers(0, 50),
+           protocol=st.sampled_from(sorted(PROTOCOLS)),
+           cut=st.integers(0, 14), seed=st.integers(0, 3))
+    def test_cut_on_one_engine_resume_on_the_other(
+            self, family, n, graph_seed, protocol, cut, seed):
+        graph = FAMILIES[family](n, graph_seed)
+        assign_node_weights(graph, 64, seed=graph_seed)
+        factory_of, label = PROTOCOLS[protocol]
+        reference = make_network(graph, seed=seed, backend=OBJECT_BACKEND)
+        full = drain(stepwise(reference, factory_of(graph), label=label))
+        states = {}
+        for backend in (OBJECT_BACKEND, ARRAY_BACKEND):
+            head_net = make_network(graph, seed=seed, backend=backend)
+            _head, states[backend] = drain_with_state(stepwise(
+                head_net, factory_of(graph), max_rounds=cut, label=label,
+                stop_on_limit=True, capture_state=True, checkpoint_every=1,
+            ))
+        assert sorted_in_flight(states[OBJECT_BACKEND]) == \
+            sorted_in_flight(states[ARRAY_BACKEND])
+        for first, second in ((OBJECT_BACKEND, ARRAY_BACKEND),
+                              (ARRAY_BACKEND, OBJECT_BACKEND)):
+            tail_net = make_network(graph, seed=seed, backend=second)
+            tail = drain(stepwise(tail_net, factory_of(graph), label=label,
+                                  resume_state=states[first]))
+            assert tail.outputs == full.outputs
+            assert tail.rounds == full.rounds
+            assert metrics_tuple(tail_net) == metrics_tuple(reference)
 
 
 # ----------------------------------------------------------------------

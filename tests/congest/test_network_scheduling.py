@@ -1,10 +1,9 @@
-"""Wake-list scheduling, per-run metrics and payload-cache tests.
+"""Round-loop scheduling, per-run metrics and payload-cache tests.
 
-Covers the simulator edge paths the batch-execution PR touched:
-``quiescence_halts`` early exit, ``RoundLimitExceeded`` pending-node
-reporting, participant-subset neighbor filtering, the opt-in
-``NodeContext.sleep`` wake-list path, the per-run ``RunResult.metrics``
-delta, and the bounded payload bit-accounting cache.
+Covers the simulator's edge paths: ``quiescence_halts`` early exit,
+``RoundLimitExceeded`` pending-node reporting, participant-subset
+neighbor filtering, the per-run ``RunResult.metrics`` delta, and the
+bounded payload bit-accounting cache.
 """
 
 import pytest
@@ -51,29 +50,6 @@ class NeverHalts(NodeProgram):
         pass
 
 
-class Sleeper(NodeProgram):
-    """Parks immediately; wakes on mail, records it, halts."""
-
-    def on_start(self, ctx):
-        ctx.sleep()
-
-    def on_round(self, ctx):
-        assert ctx.inbox, "sleeper stepped without mail"
-        ctx.halt(("woke", ctx.round, sorted(ctx.inbox)))
-
-
-class LateSender(NodeProgram):
-    """Waits a few rounds, then pings every neighbor and halts."""
-
-    def __init__(self, wait):
-        self.wait = wait
-
-    def on_round(self, ctx):
-        if ctx.round == self.wait:
-            ctx.broadcast("ping")
-            ctx.halt("pinged")
-
-
 class TestQuiescence:
     def test_quiescence_does_not_cut_off_in_flight_relay(self):
         # The token takes one round per hop; every intermediate round
@@ -115,34 +91,6 @@ class TestRoundLimitPending:
             net.run(factory, max_rounds=7)
         assert err.value.rounds == 7
         assert sorted(err.value.pending) == [1, 3, 5]
-
-    def test_all_sleeping_deadlock_reports_sleepers(self):
-        g = path_graph(4)
-        net = SynchronousNetwork(g, seed=0)
-        with pytest.raises(RoundLimitExceeded) as err:
-            net.run(lambda n: Sleeper(), max_rounds=30)
-        assert sorted(err.value.pending) == [0, 1, 2, 3]
-        # the deadlock is detected without spinning the round budget:
-        # the exception reports the rounds actually executed
-        assert err.value.rounds == 0
-
-    def test_all_sleeping_with_quiescence_ends_cleanly(self):
-        g = path_graph(4)
-        net = SynchronousNetwork(g, seed=0)
-        result = net.run(lambda n: Sleeper(), max_rounds=30,
-                         quiescence_halts=True)
-        assert result.completed is False
-        # round parity with the busy-wait twin: the final quiet round
-        # is counted even though nobody was stepped
-        class PollingWaiter(NodeProgram):
-            def on_round(self, ctx):
-                pass
-
-        twin = SynchronousNetwork(g, seed=0).run(
-            lambda n: PollingWaiter(), max_rounds=30,
-            quiescence_halts=True,
-        )
-        assert result.rounds == twin.rounds
 
 
 class TestParticipantSubset:
@@ -211,43 +159,6 @@ class TestRunStepwise:
         assert result.completed is False
         assert result.rounds == 4
         assert result.output_set(None) == set(g.nodes)
-
-
-class TestSleepWake:
-    def test_sleeper_woken_by_late_mail(self):
-        g = path_graph(2)
-        net = SynchronousNetwork(g, seed=0)
-
-        def factory(node):
-            return LateSender(3) if node == 0 else Sleeper()
-
-        result = net.run(factory, max_rounds=20)
-        # the ping is sent in round 3 and delivered in round 4
-        assert result.outputs[1] == ("woke", 4, [0])
-        assert result.outputs[0] == "pinged"
-        assert result.rounds == 5
-
-    def test_sleeping_matches_polling_outputs_and_rounds(self):
-        """A protocol rewritten with sleep() must agree with its polling
-        twin on outputs and round count (only the work differs)."""
-
-        class PollingWaiter(NodeProgram):
-            def on_round(self, ctx):
-                if ctx.inbox:
-                    ctx.halt(("woke", ctx.round, sorted(ctx.inbox)))
-
-        g = path_graph(2)
-
-        def sleepy(node):
-            return LateSender(5) if node == 0 else Sleeper()
-
-        def polling(node):
-            return LateSender(5) if node == 0 else PollingWaiter()
-
-        a = SynchronousNetwork(g, seed=3).run(sleepy, max_rounds=20)
-        b = SynchronousNetwork(g, seed=3).run(polling, max_rounds=20)
-        assert a.outputs == b.outputs
-        assert a.rounds == b.rounds
 
 
 class TestPerRunMetrics:

@@ -19,6 +19,7 @@ from repro.core import (
     precision_round_factor,
     shortest_augmenting_path_length,
 )
+from repro.errors import NotResumable
 from repro.graphs import check_matching, gnp_graph, random_bipartite_graph
 from repro.matching import bipartite_sides, hopcroft_karp, optimum_cardinality
 from repro.utils import drain
@@ -189,39 +190,12 @@ class TestBudgets:
 
 
 class TestNotifyWave:
-    """Opt-in stage-boundary notification wave (Appendix B.3 waiting
-    phase wired into the Theorem B.12 stage loop)."""
+    """The retired stage-boundary notification wave: stage payloads
+    keep the wave-less layout, and payloads that pinned the wave are
+    refused instead of resuming without it."""
 
     def _graph(self, seed=1):
         return gnp_graph(20, 0.3, seed=seed)
-
-    def test_wave_leaves_matching_untouched_but_charges_rounds(self):
-        g = self._graph()
-        plain = drain(congest_matching_1eps_stages(g, seed=3))
-        waved = drain(congest_matching_1eps_stages(g, seed=3,
-                                                   notify_wave=True))
-        assert waved.matching == plain.matching
-        assert waved.stages == plain.stages
-        assert waved.rounds > plain.rounds
-        assert waved.ledger.breakdown["waiting-wave"] > 0
-        assert "waiting-wave" not in plain.ledger.breakdown
-        # everything except the wave accounting is identical
-        other = {k: v for k, v in waved.ledger.breakdown.items()
-                 if k != "waiting-wave"}
-        assert other == plain.ledger.breakdown
-
-    def test_default_off_preserves_historical_rounds(self):
-        g = self._graph(seed=4)
-        assert drain(congest_matching_1eps_stages(g, seed=0)).rounds == \
-            drain(congest_matching_1eps_stages(g, seed=0)).rounds
-        # extras advertise the wave only when it ran
-        stream = congest_matching_1eps_stages(g, seed=0)
-        assert "notify_waves" not in next(stream).extras
-        stream.close()
-        waved = congest_matching_1eps_stages(g, seed=0,
-                                             notify_wave=True)
-        assert "notify_waves" in next(waved).extras
-        waved.close()
 
     @staticmethod
     def _drain(gen):
@@ -231,27 +205,6 @@ class TestNotifyWave:
                 last = next(gen)
             except StopIteration as stop:
                 return last, stop.value
-
-    @pytest.mark.parametrize("budget", [5, 20, 60])
-    def test_truncate_and_resume_is_bit_identical(self, budget):
-        g = self._graph(seed=7)
-        _last, full = self._drain(congest_matching_1eps_stages(
-            g, seed=2, notify_wave=True))
-        cut_stream = congest_matching_1eps_stages(
-            g, seed=2, notify_wave=True, max_rounds=budget,
-            capture_state=True)
-        last, cut = self._drain(cut_stream)
-        if cut is not None:
-            pytest.skip(f"budget {budget} did not truncate this run")
-        state = last.resume_state
-        # the payload pins the wave flag: resume without re-passing it
-        assert state["options"]["notify_wave"] is True
-        _last, resumed = self._drain(congest_matching_1eps_stages(
-            g, seed=2, resume=state))
-        assert resumed.matching == full.matching
-        assert resumed.rounds == full.rounds
-        assert resumed.stages == full.stages
-        assert resumed.ledger.breakdown == full.ledger.breakdown
 
     def test_waveless_payload_keeps_historical_layout(self):
         g = self._graph(seed=9)
@@ -267,13 +220,12 @@ class TestNotifyWave:
         assert resumed.matching == plain.matching
         assert resumed.rounds == plain.rounds
 
-    def test_facade_forwards_the_option(self):
-        from repro.api import random_instance, solve
-
-        instance = random_instance("matching", n=18, p=0.3, seed=6)
-        plain = solve(instance, "matching-oneeps-congest")
-        waved = solve(instance, "matching-oneeps-congest",
-                      notify_wave=True)
-        assert waved.solution == plain.solution
-        assert waved.rounds > plain.rounds
-        assert waved.ledger_counts()["waiting-wave"] > 0
+    def test_wave_payload_is_refused(self):
+        g = self._graph(seed=9)
+        stream = congest_matching_1eps_stages(g, seed=1,
+                                              capture_state=True)
+        state = next(stream).resume_state
+        stream.close()
+        state["options"]["notify_wave"] = True
+        with pytest.raises(NotResumable, match="notify_wave"):
+            next(congest_matching_1eps_stages(g, seed=1, resume=state))
