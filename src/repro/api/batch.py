@@ -5,10 +5,10 @@ two things:
 
 * :func:`execute_indexed` — the generic fan-out core shared with the
   experiment runner (``repro.experiments.runner``): run a picklable
-  task function over an indexed task list on a serial, thread or
-  process backend, with chunking, per-task failure isolation and
-  results returned **in submission order** regardless of completion
-  order;
+  task function over an indexed task list serially, on a process
+  pool or on a caller's executor, with chunking, per-task failure
+  isolation and results returned **in submission order** regardless
+  of completion order;
 * :func:`solve_many` — fan a grid of :class:`~repro.api.Instance`
   objects (optionally crossed with several algorithms) across that
   core and aggregate the :class:`~repro.api.SolveReport` results into
@@ -69,9 +69,8 @@ from .report import SolveReport
 
 #: Recognised executor backends.
 SERIAL = "serial"
-THREAD = "thread"
 PROCESS = "process"
-BACKENDS = (SERIAL, THREAD, PROCESS)
+BACKENDS = (SERIAL, PROCESS)
 
 #: At most this many chunks are in flight per worker; bounding the
 #: backlog keeps memory flat on huge grids without starving the pool.
@@ -104,16 +103,6 @@ def _run_chunk(fn: Callable, chunk: Sequence[Tuple[int, object]]) -> List[tuple]
     return out
 
 
-def _make_executor(backend: str, workers: int) -> Executor:
-    if backend == THREAD:
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=workers)
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
-
-
 def execute_indexed(
     fn: Callable,
     tasks: Sequence[object],
@@ -123,12 +112,12 @@ def execute_indexed(
 ) -> List[Tuple[object, Optional[str]]]:
     """Run ``fn`` over ``tasks``; return ``(result, error)`` pairs in order.
 
-    ``executor`` is a backend name (``"serial"`` / ``"thread"`` /
-    ``"process"``), an already-constructed
-    :class:`concurrent.futures.Executor` (not shut down by us), or
-    ``None`` meaning serial for ``workers in (None, 0, 1)`` and a
-    process pool otherwise.  ``fn`` and every task must be picklable
-    for the process backend.  Chunks of ``chunksize`` tasks amortise
+    ``executor`` is a backend name (``"serial"`` / ``"process"``), an
+    already-constructed :class:`concurrent.futures.Executor` (not shut
+    down by us; serve passes its thread pool), or ``None`` meaning
+    serial for ``workers in (None, 0, 1)`` and a process pool
+    otherwise.  ``fn`` and every task must be picklable for the
+    process backend.  Chunks of ``chunksize`` tasks amortise
     per-future overhead; submission is throttled so at most
     ``4 × workers`` chunks are in flight at once.
     """
@@ -150,7 +139,9 @@ def execute_indexed(
         ]
 
     if isinstance(executor, str):
-        pool: Executor = _make_executor(executor, workers)
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool: Executor = ProcessPoolExecutor(max_workers=workers)
         own_pool = True
     else:
         pool, own_pool = executor, False
@@ -650,7 +641,6 @@ __all__ = [
     "BatchReport",
     "PROCESS",
     "SERIAL",
-    "THREAD",
     "execute_indexed",
     "instance_fingerprint",
     "solve_many",

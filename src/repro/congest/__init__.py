@@ -5,8 +5,8 @@ Public API:
 * :class:`SynchronousNetwork` — round-based message-passing simulator,
 * :class:`NodeProgram` / :class:`NodeContext` — per-node algorithm API,
 * :class:`RoundLedger` — round accounting for phase-composed algorithms,
-* :func:`line_graph` / :func:`run_on_line_graph` / :class:`CongestionAudit`
-  — Section 2.4 line-graph execution and congestion measurement,
+* :func:`line_graph` / :class:`CongestionAudit` — Section 2.4 line-graph
+  construction and congestion measurement,
 * :class:`ArrayNetwork` / :func:`make_network` — the array-native
   simulator backend (bit-compatible, numpy round kernels) and the
   backend-selection factory (``REPRO_BACKEND`` env override).
@@ -28,7 +28,6 @@ from .linegraph import (
     canonical_edge,
     line_graph,
     primary_endpoint,
-    run_on_line_graph,
     secondary_endpoint,
     shared_endpoint,
 )
@@ -49,7 +48,6 @@ from .primitives import (
     convergecast_sum,
     flood_distances,
 )
-from .recorder import ExecutionRecorder, RoundRecord
 
 __all__ = [
     "ARRAY_BACKEND",
@@ -65,8 +63,6 @@ __all__ = [
     "FloodProgram",
     "LOCAL",
     "CongestionAudit",
-    "ExecutionRecorder",
-    "RoundRecord",
     "bfs_tree",
     "convergecast_sum",
     "flood_distances",
@@ -84,7 +80,6 @@ __all__ = [
     "line_graph",
     "payload_bits",
     "primary_endpoint",
-    "run_on_line_graph",
     "secondary_endpoint",
     "shared_endpoint",
     "word_bits",

@@ -29,13 +29,9 @@ Design constraints, in order of priority:
 3. **Transparent fallback.**  Kernels are registered per program class
    (:data:`KERNELS`); a program without a kernel — or a run using
    features the kernels do not model (no table, participants subsets,
-   quiescence, strict bandwidth enforcement, trace or round-end hooks)
-   — silently executes on the inherited object engine.  Callers never
-   need to know which engine ran.
-
-Only the bit-accounting *diagnostics* differ: the array backend has no
-payload memo cache, so ``metrics.payload_cache`` stays empty (it is
-documented as diagnostic-only and excluded from artifacts).
+   quiescence, strict bandwidth enforcement, a trace hook) — silently
+   executes on the inherited object engine.  Callers never need to know
+   which engine ran.
 """
 
 from __future__ import annotations
@@ -370,8 +366,8 @@ class ArrayKernel:
     * :meth:`bind` / :meth:`start` — protocol index and ``on_start``
       semantics (before round 0),
     * :meth:`step` — one synchronous round (it returns nothing: the
-      delivered count only feeds quiescence and the round-end hook,
-      and runs with either never reach a kernel),
+      delivered count only feeds quiescence, and a quiescent run never
+      reaches a kernel),
     * :meth:`export_*` / :meth:`restore` — the checkpoint payload, in
       the object backend's format so payloads are interchangeable,
     * :meth:`outputs` / :attr:`halted_count` / :attr:`total` — results.
@@ -677,16 +673,16 @@ class ArrayNetwork(SynchronousNetwork):
 
         Falls back to the inherited implementation whenever the array
         engine cannot guarantee bit-compatibility: numpy missing, no
-        table, a participant subset, quiescence scheduling, a trace or
-        round-end hook, ``strict`` bandwidth enforcement (the exact
-        violating ``(src, dst)`` pair matters there), an unregistered
-        program class, or kernel-level feasibility checks failing.
+        table, a participant subset, quiescence scheduling, a trace
+        hook, ``strict`` bandwidth enforcement (the exact violating
+        ``(src, dst)`` pair matters there), an unregistered program
+        class, or kernel-level feasibility checks failing.
         """
 
         kernel = None
         if not (np is None or table is None or participants is not None
                 or quiescence_halts or self.strict or self.trace is not None
-                or self.on_round_end is not None or self._n == 0):
+                or self._n == 0):
             kernel = self._kernel(program_factory, table, resume_state)
         if kernel is None:
             return super().run_stepwise(

@@ -16,22 +16,20 @@ This module provides:
 
 * :func:`line_graph` — canonical line-graph construction,
 * :func:`primary_endpoint` — the simulation assignment,
-* :class:`CongestionAudit` / :func:`run_on_line_graph` — execute a node
-  program on ``L(G)`` while measuring, per physical edge of ``G`` and per
-  round, the message load of (a) the naive simulation and (b) the
-  aggregation mechanism.  The audit is what `benchmarks/bench_congestion.py`
-  uses to reproduce the Theorem 2.8 separation.
+* :class:`CongestionAudit` — measure, per physical edge of ``G`` and per
+  round, the message load of a node program run on ``L(G)`` under (a)
+  the naive simulation and (b) the aggregation mechanism.  It is fed by
+  the simulator's per-message ``trace`` hook in
+  :func:`repro.core.matching_lines_phases`, which is how the
+  ``congestion`` experiment reproduces the Theorem 2.8 separation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
 import networkx as nx
-
-from .message import Envelope
-from .network import CONGEST, RunResult, SynchronousNetwork
 
 LineNode = Tuple[Hashable, Hashable]
 
@@ -143,33 +141,3 @@ class CongestionAudit:
             default=0,
         )
 
-
-def run_on_line_graph(
-    graph: nx.Graph,
-    program_factory: Callable[[LineNode], "NodeProgram"],
-    model: str = CONGEST,
-    seed: int = 0,
-    max_rounds: int = 10_000,
-    label: str = "line-graph protocol",
-    audit: Optional[CongestionAudit] = None,
-    participants=None,
-    quiescence_halts: bool = False,
-) -> RunResult:
-    """Execute a node program on ``L(G)`` with optional congestion audit.
-
-    The protocol itself runs on the line graph (that is the abstraction the
-    paper's Section 2.4 uses); the audit maps every line-graph message back
-    to physical-edge traffic so the Theorem 2.8 separation can be measured.
-    """
-
-    lg = line_graph(graph)
-    network = SynchronousNetwork(lg, model=model, seed=seed)
-    if audit is not None:
-        def trace(round_index: int, envelope: Envelope) -> None:
-            audit.record_line_message(round_index, envelope.src, envelope.dst)
-            audit.record_aggregated_round(round_index, graph)
-
-        network.trace = trace
-    return network.run(program_factory, participants=participants,
-                       max_rounds=max_rounds, label=label,
-                       quiescence_halts=quiescence_halts)

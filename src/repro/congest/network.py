@@ -38,13 +38,7 @@ CONGEST = "CONGEST"
 
 @dataclass
 class NetworkMetrics:
-    """Counters accumulated over one or more protocol executions.
-
-    ``payload_cache`` holds ``round_breakdown``-style diagnostic
-    counters for the simulator's payload bit-accounting memo cache
-    (``hits`` / ``misses`` / ``evictions``); it is diagnostic-only and
-    deliberately excluded from artifact snapshots.
-    """
+    """Counters accumulated over one or more protocol executions."""
 
     rounds: int = 0
     messages: int = 0
@@ -52,19 +46,10 @@ class NetworkMetrics:
     max_bits_per_edge_round: int = 0
     violations: int = 0
     round_breakdown: Dict[str, int] = field(default_factory=dict)
-    payload_cache: Dict[str, int] = field(default_factory=dict)
 
     def charge_rounds(self, rounds: int, label: str = "protocol") -> None:
         self.rounds += rounds
         self.round_breakdown[label] = self.round_breakdown.get(label, 0) + rounds
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of payload bit-cost lookups served from the cache."""
-
-        hits = self.payload_cache.get("hits", 0)
-        misses = self.payload_cache.get("misses", 0)
-        total = hits + misses
-        return hits / total if total else 0.0
 
     def merge(self, other: "NetworkMetrics") -> None:
         self.rounds += other.rounds
@@ -78,8 +63,6 @@ class NetworkMetrics:
             self.round_breakdown[label] = (
                 self.round_breakdown.get(label, 0) + rounds
             )
-        for key, count in other.payload_cache.items():
-            self.payload_cache[key] = self.payload_cache.get(key, 0) + count
 
 
 @dataclass
@@ -182,8 +165,7 @@ class SynchronousNetwork:
         #: bit-accounting is memoised per payload tuple.  The cache is
         #: shared across runs and bounded: on overflow the oldest entry
         #: is evicted (FIFO over dict insertion order) instead of the
-        #: cache silently ceasing to admit new payloads.  Hit/miss/
-        #: eviction counters land in ``metrics.payload_cache``.
+        #: cache silently ceasing to admit new payloads.
         self._bits_cache: Dict[tuple, int] = {}
         self._bits_cache_limit = 1 << 16
         #: Largest single message of the *current* run, reset per run so
@@ -193,9 +175,6 @@ class SynchronousNetwork:
         #: Optional callback ``(round_index, envelope)`` invoked for every
         #: message sent; used by the line-graph congestion auditor.
         self.trace: Optional[Callable[[int, Envelope], None]] = None
-        #: Optional callback ``(round_index, active, delivered)`` invoked
-        #: at the end of every round; used by ExecutionRecorder.
-        self.on_round_end: Optional[Callable[[int, int, int], None]] = None
 
     @cached_property
     def _adjacency(self) -> Dict[Hashable, tuple]:
@@ -297,10 +276,6 @@ class SynchronousNetwork:
           the continuation's rounds are charged — so a truncated run
           resumed here is bit-for-bit the run that never stopped.
           ``max_rounds`` stays a cap on the *cumulative* round count.
-          The one deliberate exception is ``payload_cache``: those
-          hit/miss/eviction diagnostics describe *this process's*
-          memo cache (cold after a resume), so they are neither
-          captured nor merged.
 
         ``table`` is the per-node parameter table the array engine
         builds its round kernel from (see
@@ -327,9 +302,9 @@ class SynchronousNetwork:
         ``halted_count`` / ``total`` counters.  Everything else about a
         run — protocol index, resume-counter merge, the round cap,
         snapshots, the per-run metrics delta and the captured state —
-        is decided here, once, for both.  Quiescence and the round-end
-        hook read ``step``'s delivered count and the engine's
-        ``in_flight``; only the object engine runs with them.
+        is decided here, once, for both.  Quiescence reads ``step``'s
+        delivered count and the engine's ``in_flight``; only the object
+        engine runs with it.
         """
 
         if checkpoint_every is not None and checkpoint_every < 1:
@@ -342,7 +317,6 @@ class SynchronousNetwork:
         base_messages = metrics.messages
         base_bits = metrics.bits
         base_violations = metrics.violations
-        base_cache = dict(metrics.payload_cache)
         self._run_max_bits = 0
         tracking = checkpoint_every is not None
         engine.tracking = tracking
@@ -374,9 +348,6 @@ class SynchronousNetwork:
                 break
             delivered = engine.step(round_index)
             rounds_used = round_index + 1
-            if self.on_round_end is not None:
-                self.on_round_end(round_index, total - engine.halted_count,
-                                  delivered)
             if tracking and rounds_used % checkpoint_every == 0:
                 yield StepSnapshot(rounds=rounds_used,
                                    halted=engine.halted_count, total=total,
@@ -389,7 +360,6 @@ class SynchronousNetwork:
 
         outputs = engine.outputs()
         metrics.charge_rounds(rounds_used - start_round, label)
-        cache = metrics.payload_cache
         run_metrics = NetworkMetrics(
             rounds=rounds_used,
             messages=metrics.messages - base_messages,
@@ -397,10 +367,6 @@ class SynchronousNetwork:
             max_bits_per_edge_round=self._run_max_bits,
             violations=metrics.violations - base_violations,
             round_breakdown={label: rounds_used} if rounds_used else {},
-            payload_cache={
-                key: cache[key] - base_cache.get(key, 0) for key in cache
-                if cache[key] != base_cache.get(key, 0)
-            },
         )
         if tracking:
             state = None
@@ -448,22 +414,15 @@ class SynchronousNetwork:
         count = 0
         total_bits = 0
         max_bits = 0
-        hits = 0
-        misses = 0
-        evictions = 0
         for dst, payload in outbox.items():
             bits = cache.get(payload)
             if bits is None:
-                misses += 1
                 bits = payload_bits(payload)
                 if len(cache) >= cache_limit:
                     # FIFO eviction over dict insertion order: drop the
                     # oldest payload so fresh traffic keeps caching.
                     del cache[next(iter(cache))]
-                    evictions += 1
                 cache[payload] = bits
-            else:
-                hits += 1
             count += 1
             total_bits += bits
             if bits > max_bits:
@@ -481,14 +440,6 @@ class SynchronousNetwork:
             metrics.max_bits_per_edge_round = max_bits
         if max_bits > self._run_max_bits:
             self._run_max_bits = max_bits
-        if count:
-            payload_cache = metrics.payload_cache
-            payload_cache["hits"] = payload_cache.get("hits", 0) + hits
-            payload_cache["misses"] = payload_cache.get("misses", 0) + misses
-            if evictions:
-                payload_cache["evictions"] = (
-                    payload_cache.get("evictions", 0) + evictions
-                )
 
 
 class _ObjectEngine:

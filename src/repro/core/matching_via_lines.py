@@ -124,14 +124,16 @@ def matching_lines_phases(
     else:
         raise InvalidInstance(f"unknown method {method!r}")
 
-    # Same construction as run_on_line_graph, unrolled because the
-    # audit hook and the stepwise driver both need the network object.
+    # The protocol runs on L(G); the audit maps every line-graph message
+    # back to physical-edge traffic.  The aggregated cost is per round,
+    # not per message, so it is recorded on a round's first message.
     network = SynchronousNetwork(lg, model=CONGEST, seed=seed)
     if audit is not None:
         def trace(round_index, envelope):
             audit.record_line_message(round_index, envelope.src,
                                       envelope.dst)
-            audit.record_aggregated_round(round_index, graph)
+            if round_index not in audit.aggregated_per_round:
+                audit.record_aggregated_round(round_index, graph)
 
         network.trace = trace
 

@@ -263,9 +263,9 @@ class Runner:
             if self.workers > 1:
                 # One pool for the whole experiment: pool spin-up is
                 # paid once, not once per section.
-                from ..api.batch import _make_executor
+                from concurrent.futures import ProcessPoolExecutor
 
-                self._pool = _make_executor("process", self.workers)
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
             records = [self.run_section(section) for section in selected]
         finally:
             if self._pool is not None:

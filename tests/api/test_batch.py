@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import networkx as nx
 import pytest
@@ -152,10 +153,16 @@ class TestExecuteIndexed:
     def test_thread_backend_matches_serial(self):
         tasks = list(range(23))
         serial = execute_indexed(lambda x: x * x, tasks)
-        threaded = execute_indexed(lambda x: x * x, tasks,
-                                   executor="thread", workers=3,
-                                   chunksize=2)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = execute_indexed(lambda x: x * x, tasks,
+                                       executor=pool, workers=3,
+                                       chunksize=2)
         assert threaded == serial
+
+    def test_thread_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown executor"):
+            execute_indexed(lambda x: x, [1, 2], executor="thread",
+                            workers=2)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -222,8 +229,9 @@ class TestSolveMany:
     def test_thread_pool_matches_serial(self):
         instances = _instances()
         serial = solve_many(instances, "maxis-layers", executor="serial")
-        threaded = solve_many(instances, "maxis-layers",
-                              executor="thread", workers=2)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = solve_many(instances, "maxis-layers",
+                                  executor=pool, workers=2)
         assert [i.report.solution for i in serial] == [
             i.report.solution for i in threaded
         ]

@@ -4,16 +4,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Instance, solve
 from repro.congest import (
     CongestionAudit,
     canonical_edge,
     line_graph,
     primary_endpoint,
-    run_on_line_graph,
     secondary_endpoint,
     shared_endpoint,
 )
-from repro.congest.node import NodeProgram
 from repro.graphs import gnp_graph, path_graph, star_graph
 
 
@@ -79,33 +78,52 @@ class TestSharedEndpoint:
             shared_endpoint((1, 2), (3, 4))
 
 
-class _Broadcast(NodeProgram):
-    def on_round(self, ctx):
-        if ctx.round == 0:
-            ctx.broadcast("hi")
-        else:
-            ctx.halt(True)
+def _audited_lines(graph):
+    """Theorem 2.10 on ``L(graph)`` with a congestion audit attached."""
+
+    audit = CongestionAudit()
+    solve(Instance(graph), "matching-lines", audit=audit)
+    return audit
 
 
 class TestCongestionAudit:
     def test_naive_load_grows_with_star_degree(self):
-        small = CongestionAudit()
-        run_on_line_graph(star_graph(4), lambda e: _Broadcast(),
-                          audit=small, max_rounds=4)
-        big = CongestionAudit()
-        run_on_line_graph(star_graph(12), lambda e: _Broadcast(),
-                          audit=big, max_rounds=4)
+        small = _audited_lines(star_graph(4))
+        big = _audited_lines(star_graph(12))
         assert big.max_naive_load() > small.max_naive_load()
 
     def test_aggregated_load_is_constant(self):
         for leaves in (4, 8, 12):
-            audit = CongestionAudit()
-            run_on_line_graph(star_graph(leaves), lambda e: _Broadcast(),
-                              audit=audit, max_rounds=4)
+            audit = _audited_lines(star_graph(leaves))
             assert audit.max_aggregated_load() == 2
 
-    def test_outputs_come_back_keyed_by_edge(self):
-        g = path_graph(4)
-        result = run_on_line_graph(g, lambda e: _Broadcast(), max_rounds=4)
-        assert set(result.outputs) == {canonical_edge(u, v)
-                                       for u, v in g.edges}
+    def test_aggregated_round_recorded_once_per_busy_round(self,
+                                                           monkeypatch):
+        """The Theorem 2.8 cost is per round: an audited run records it
+        once per round that carried traffic, not once per message."""
+
+        recorded = []
+        busy = set()
+        record_round = CongestionAudit.record_aggregated_round
+        record_message = CongestionAudit.record_line_message
+
+        def spy_round(self, round_index, graph):
+            recorded.append(round_index)
+            record_round(self, round_index, graph)
+
+        def spy_message(self, round_index, src, dst):
+            busy.add(round_index)
+            record_message(self, round_index, src, dst)
+
+        monkeypatch.setattr(CongestionAudit, "record_aggregated_round",
+                            spy_round)
+        monkeypatch.setattr(CongestionAudit, "record_line_message",
+                            spy_message)
+        g = gnp_graph(12, 0.4, seed=3)
+        audit = _audited_lines(g)
+        assert busy
+        assert recorded == sorted(busy)
+        everywhere = {canonical_edge(u, v): 2 for u, v in g.edges}
+        assert audit.aggregated_per_round == {
+            round_index: everywhere for round_index in busy
+        }

@@ -8,11 +8,7 @@ bounded payload bit-accounting cache.
 
 import pytest
 
-from repro.congest import (
-    NetworkMetrics,
-    NodeProgram,
-    SynchronousNetwork,
-)
+from repro.congest import NodeProgram, SynchronousNetwork
 from repro.congest.message import payload_bits
 from repro.errors import RoundLimitExceeded
 from repro.graphs import path_graph
@@ -204,54 +200,35 @@ class TestPerRunMetrics:
         assert net.metrics.max_bits_per_edge_round == \
             big.metrics.max_bits_per_edge_round
 
-    def test_merge_sums_payload_cache(self):
-        a = NetworkMetrics(payload_cache={"hits": 2, "misses": 1})
-        b = NetworkMetrics(payload_cache={"hits": 3, "evictions": 4})
-        a.merge(b)
-        assert a.payload_cache == {"hits": 5, "misses": 1, "evictions": 4}
-
-    def test_cache_hit_rate(self):
-        metrics = NetworkMetrics(payload_cache={"hits": 3, "misses": 1})
-        assert metrics.cache_hit_rate() == 0.75
-        assert NetworkMetrics().cache_hit_rate() == 0.0
-
 
 class TestPayloadCache:
-    def test_hits_and_misses_counted(self):
-        class Chatty(NodeProgram):
-            def on_round(self, ctx):
-                ctx.broadcast("same-tag")
-                if ctx.round >= 2:
-                    ctx.halt()
-
-        g = path_graph(3)
-        net = SynchronousNetwork(g, seed=0)
-        result = net.run(lambda n: Chatty(), max_rounds=10)
-        cache = net.metrics.payload_cache
-        # one unique payload: 1 miss, everything else hits
-        assert cache["misses"] == 1
-        assert cache["hits"] == net.metrics.messages - 1
-        assert result.metrics.payload_cache == cache
-
     def test_eviction_keeps_cache_bounded_and_bits_exact(self):
         class Unique(NodeProgram):
             def on_round(self, ctx):
                 # a fresh payload every node and round: all misses
                 ctx.broadcast("tag", ctx.node * 1000 + ctx.round)
                 if ctx.round >= 5:
-                    ctx.halt()
+                    ctx.halt(ctx.round)
 
-        g = path_graph(4)
-        net = SynchronousNetwork(g, seed=0)
-        net._bits_cache_limit = 3
-        net.run(lambda n: Unique(), max_rounds=10)
+        def run(cache_limit=None):
+            net = SynchronousNetwork(path_graph(4), seed=0)
+            if cache_limit is not None:
+                net._bits_cache_limit = cache_limit
+            return net, net.run(lambda n: Unique(), max_rounds=10)
+
+        reference_net, reference = run()
+        net, result = run(cache_limit=3)
+        # the default limit never evicts here; the tiny one must
+        assert len(reference_net._bits_cache) > 3
         assert len(net._bits_cache) <= 3
-        assert net.metrics.payload_cache["evictions"] > 0
-        assert net.metrics.payload_cache["misses"] > 3
         # metering stayed exact despite evictions
-        expected = payload_bits(("tag", 2003))
-        assert net.metrics.bits > 0
-        assert net.metrics.max_bits_per_edge_round >= expected
+        assert result.outputs == reference.outputs
+        for counter in ("messages", "bits", "max_bits_per_edge_round",
+                        "violations"):
+            assert getattr(result.metrics, counter) == \
+                getattr(reference.metrics, counter), counter
+            assert getattr(net.metrics, counter) == \
+                getattr(reference_net.metrics, counter), counter
 
     def test_evicted_payload_can_be_recached(self):
         net = SynchronousNetwork(path_graph(2), seed=0)
