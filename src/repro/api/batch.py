@@ -29,15 +29,9 @@ when the caller submits the same instance object many times.
 
 A crashing task never sinks the batch: its :class:`BatchItem` records
 the error string and ``report=None``; healthy tasks are unaffected
-(``BatchReport.failures`` lists the casualties).
-
-Resilience plane (PR 8): ``solve_many(retry=...)`` arms bounded
-in-worker retries for failures classified transient
-(:class:`~repro.errors.TransientFault`), with deterministic backoff
-from :class:`~repro.faults.RetryPolicy`; ``solve_many(fault_plan=...)``
-threads the seeded fault-injection plane into every task for chaos
-drills.  Both default to off, leaving the historical behaviour —
-and the historical ``BatchItem`` shapes — untouched.
+(``BatchReport.failures`` lists the casualties).  A task runs once;
+bounded retries belong to the solver service
+(:class:`~repro.serve.jobs.JobManager`).
 """
 
 from __future__ import annotations
@@ -103,6 +97,33 @@ def _run_chunk(fn: Callable, chunk: Sequence[Tuple[int, object]]) -> List[tuple]
     return out
 
 
+def _resolve_executor(
+    executor: Union[str, Executor, None], workers: Optional[int],
+) -> Tuple[Union[str, Executor], int]:
+    """The executor that will actually run, and its worker count.
+
+    ``None`` means serial for ``workers in (None, 0, 1)`` and a process
+    pool otherwise; a pool name without a worker count gets one worker
+    per CPU, and a single-worker pool runs in-process (serial).  An
+    executor instance passes through with the caller's count (0 when
+    unset).
+    """
+
+    if isinstance(executor, str) and executor not in BACKENDS:
+        raise ValueError(
+            f"unknown executor {executor!r} (expected one of {BACKENDS})"
+        )
+    workers = int(workers) if workers else 0
+    if executor is None:
+        executor = PROCESS if workers > 1 else SERIAL
+    if isinstance(executor, str):
+        if executor != SERIAL and workers <= 0:
+            workers = os.cpu_count() or 1
+        if workers <= 1:
+            executor = SERIAL
+    return executor, workers
+
+
 def execute_indexed(
     fn: Callable,
     tasks: Sequence[object],
@@ -123,16 +144,8 @@ def execute_indexed(
     """
 
     tasks = list(tasks)
-    if isinstance(executor, str) and executor not in BACKENDS:
-        raise ValueError(
-            f"unknown executor {executor!r} (expected one of {BACKENDS})"
-        )
-    workers = int(workers) if workers else 0
-    if executor is None:
-        executor = PROCESS if workers > 1 else SERIAL
-    if isinstance(executor, str) and executor != SERIAL and workers <= 0:
-        workers = os.cpu_count() or 1
-    if executor == SERIAL or (isinstance(executor, str) and workers <= 1):
+    executor, workers = _resolve_executor(executor, workers)
+    if executor == SERIAL:
         return [
             (result, error)
             for _, result, error in _run_chunk(fn, list(enumerate(tasks)))
@@ -251,11 +264,6 @@ class BatchItem:
     error: Optional[str] = None
     seconds: float = 0.0
     warm_started: bool = False
-    #: Solve attempts consumed (1 unless a retry policy re-ran the
-    #: task after a transient failure).
-    attempts: int = 1
-    #: Per-attempt error strings, oldest first (empty on a clean run).
-    attempt_errors: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -347,7 +355,6 @@ class BatchReport:
             status = item.status
             statuses[status] = statuses.get(status, 0) + 1
         warm = sum(1 for item in self.items if item.warm_started)
-        retries = sum(max(0, item.attempts - 1) for item in self.items)
         out: Dict[str, object] = {
             "tasks": len(self.items),
             "ok": len(reports),
@@ -363,9 +370,6 @@ class BatchReport:
             # Key present only on warm batches: cold-batch summaries
             # keep their historical shape byte for byte.
             out["warm_started"] = warm
-        if retries:
-            # Same rule: retry-free batches keep the historical shape.
-            out["retries"] = retries
         if objectives:
             out["objective"] = {
                 "min": min(objectives),
@@ -377,52 +381,23 @@ class BatchReport:
         return out
 
 
-def _solve_task(
-    task: tuple,
-) -> Tuple[Optional[SolveReport], float, int, List[str]]:
+def _solve_task(task: tuple) -> Tuple[SolveReport, float]:
     """Worker body: one facade solve, timed.  Module-level → picklable.
 
-    A 4-tuple task carries a JSON-safe warm-start payload (the resume
-    envelope of a truncated prior run) as its last element; the solve
-    then continues that run instead of starting fresh.  A 5-tuple
-    additionally carries ``(fault_plan, scope, retry_policy)``: the
-    plan's ``worker.transient`` site fires per attempt, and failures
-    the policy classifies transient are retried in-worker with
-    deterministic backoff.  Returns ``(report_or_None, seconds,
-    attempts, attempt_errors)`` — failures are reported, not raised,
-    so the attempt trail survives the chunk boundary.
+    ``task`` is ``(instance, algorithm, options[, warm])``; the optional
+    last element is a JSON-safe warm-start payload (the resume envelope
+    of a truncated prior run), and the solve then continues that run
+    instead of starting fresh.  Returns ``(report, seconds)``; a failure
+    raises and :func:`_run_chunk` records it.
     """
 
     from .facade import solve
 
-    plan = scope = retry = None
-    if len(task) == 5:
-        instance, algorithm, options, warm, (plan, scope, retry) = task
-    elif len(task) == 4:
-        instance, algorithm, options, warm = task
-    else:
-        instance, algorithm, options = task
-        warm = None
-    max_attempts = retry.max_attempts if retry is not None else 1
-    errors: List[str] = []
+    instance, algorithm, options = task[:3]
+    warm = task[3] if len(task) == 4 else None
     started = time.perf_counter()
-    for attempt in range(1, max_attempts + 1):
-        try:
-            if plan is not None:
-                plan.maybe_raise("worker.transient",
-                                 scope=f"{scope}:a{attempt}")
-            report = solve(instance, algorithm, warm_start=warm,
-                           **options)
-            return (report, time.perf_counter() - started, attempt,
-                    errors)
-        except Exception as exc:  # noqa: BLE001 — failure isolation
-            errors.append(f"{type(exc).__name__}: {exc}")
-            if (retry is not None and retry.retryable(exc)
-                    and attempt < max_attempts):
-                time.sleep(retry.delay(attempt, key=scope or ""))
-                continue
-            return None, time.perf_counter() - started, attempt, errors
-    return None, time.perf_counter() - started, max_attempts, errors
+    report = solve(instance, algorithm, warm_start=warm, **options)
+    return report, time.perf_counter() - started
 
 
 def _warm_payload(source) -> Tuple[Optional[dict], Optional[SolveReport]]:
@@ -465,8 +440,6 @@ def solve_many(
     chunksize: Optional[int] = None,
     isolate_seeds: bool = False,
     warm_start=None,
-    fault_plan=None,
-    retry=None,
     **options,
 ) -> BatchReport:
     """Solve every instance with every algorithm, optionally in parallel.
@@ -498,19 +471,6 @@ def solve_many(
         are passed through without re-execution, and sources without
         usable state fall back to a cold solve.  Items touched this
         way set :attr:`BatchItem.warm_started`.
-    fault_plan:
-        A seeded :class:`~repro.faults.FaultPlan` injected into every
-        task (its ``worker.transient`` site fires per attempt) — the
-        deterministic chaos-drill hook.  Arming it also arms the
-        default retry policy unless ``retry`` says otherwise.
-    retry:
-        A :class:`~repro.faults.RetryPolicy` bounding in-worker
-        retries of transient task failures (deterministic backoff
-        keyed by task identity).  ``None`` (the default) keeps the
-        historical fail-fast behaviour unless ``fault_plan`` is set,
-        in which case :data:`~repro.faults.DEFAULT_RETRY` applies.
-        Retried tasks record their attempt trail on
-        :attr:`BatchItem.attempts` / :attr:`BatchItem.attempt_errors`.
     **options:
         Forwarded verbatim to every :func:`~repro.api.solve` call.
 
@@ -562,33 +522,7 @@ def solve_many(
                 tasks[index] = (instance, algorithm, task_options, payload)
                 warm_flags[index] = True
 
-    if fault_plan is not None and retry is None:
-        from ..faults import DEFAULT_RETRY
-
-        retry = DEFAULT_RETRY
-    if fault_plan is not None or retry is not None:
-        # Promote every task to the 5-tuple form; the scope string is
-        # the task's deterministic identity, so fault/backoff decisions
-        # are independent of backend, worker count and scheduling.
-        for index, task in enumerate(tasks):
-            if index in passthrough:
-                continue
-            warm = task[3] if len(task) == 4 else None
-            scope = f"task{index}:{keys[index][1]}"
-            tasks[index] = (task[0], task[1], task[2], warm,
-                            (fault_plan, scope, retry))
-
-    workers = int(workers) if workers else 0
-    if executor is None:
-        executor = PROCESS if workers > 1 else SERIAL
-    if isinstance(executor, str) and executor != SERIAL and workers <= 0:
-        # Mirror execute_indexed's default so the report records the
-        # worker count that actually ran.
-        workers = os.cpu_count() or 1
-    if isinstance(executor, str) and workers <= 1:
-        # execute_indexed downgrades single-worker pools to in-process
-        # execution; record what actually runs.
-        executor = SERIAL
+    executor, workers = _resolve_executor(executor, workers)
     backend = executor if isinstance(executor, str) else "external"
 
     started = time.perf_counter()
@@ -606,26 +540,17 @@ def solve_many(
     for index, outcome in zip(submit, submitted):
         outcomes[index] = outcome
     for index, report in passthrough.items():
-        outcomes[index] = ((report, 0.0, 1, []), None)
+        outcomes[index] = ((report, 0.0), None)
 
     items = []
     for index, ((fingerprint, algorithm), (result, error)) in enumerate(
         zip(keys, outcomes)
     ):
-        if error is not None:
-            # Chunk-level casualty (worker death, unpicklable task):
-            # _solve_task never got to report an attempt trail.
-            report, seconds, attempts, attempt_errors = None, 0.0, 1, []
-        else:
-            report, seconds, attempts, attempt_errors = result
-            if report is None:
-                error = (attempt_errors[-1] if attempt_errors
-                         else "task failed")
+        report, seconds = (None, 0.0) if error is not None else result
         items.append(BatchItem(
             index=index, fingerprint=fingerprint, algorithm=algorithm,
             report=report, error=error, seconds=seconds,
-            warm_started=warm_flags[index], attempts=attempts,
-            attempt_errors=list(attempt_errors),
+            warm_started=warm_flags[index],
         ))
     return BatchReport(
         items=items,

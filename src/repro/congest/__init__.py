@@ -2,7 +2,9 @@
 
 Public API:
 
-* :class:`SynchronousNetwork` — round-based message-passing simulator,
+* :class:`SynchronousNetwork` — round-based message-passing simulator;
+  a run covers every node of the graph and ends when all of them have
+  halted or its round budget is spent,
 * :class:`NodeProgram` / :class:`NodeContext` — per-node algorithm API,
 * :class:`RoundLedger` — round accounting for phase-composed algorithms,
 * :func:`line_graph` / :class:`CongestionAudit` — Section 2.4 line-graph
@@ -41,13 +43,6 @@ from .network import (
     SynchronousNetwork,
 )
 from .node import IdleProgram, NodeContext, NodeProgram
-from .primitives import (
-    BfsTreeProgram,
-    FloodProgram,
-    bfs_tree,
-    convergecast_sum,
-    flood_distances,
-)
 
 __all__ = [
     "ARRAY_BACKEND",
@@ -58,14 +53,9 @@ __all__ = [
     "OBJECT_BACKEND",
     "make_network",
     "resolve_backend",
-    "BfsTreeProgram",
     "CONGEST",
-    "FloodProgram",
     "LOCAL",
     "CongestionAudit",
-    "bfs_tree",
-    "convergecast_sum",
-    "flood_distances",
     "Envelope",
     "IdleProgram",
     "NetworkMetrics",

@@ -173,7 +173,7 @@ class _LocalRatioKernel(ArrayKernel):
 
     def _emit_decisions(self, removed, joined):
         """Broadcast this round's ``removed``/``join`` decisions, meter
-        them, and record the halts in participant order.  The per-edge
+        them, and record the halts in graph order.  The per-edge
         broadcast gathers only run for decision kinds somebody actually
         took this round (most rounds have none)."""
 

@@ -28,10 +28,9 @@ Design constraints, in order of priority:
    rounds and reads or writes its own state.
 3. **Transparent fallback.**  Kernels are registered per program class
    (:data:`KERNELS`); a program without a kernel — or a run using
-   features the kernels do not model (no table, participants subsets,
-   quiescence, strict bandwidth enforcement, a trace hook) — silently
-   executes on the inherited object engine.  Callers never need to know
-   which engine ran.
+   features the kernels do not model (no table, strict bandwidth
+   enforcement, a trace hook) — silently executes on the inherited
+   object engine.  Callers never need to know which engine ran.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import itertools
 import os
 import weakref
-from typing import Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 import networkx as nx
 
@@ -365,9 +364,8 @@ class ArrayKernel:
 
     * :meth:`bind` / :meth:`start` — protocol index and ``on_start``
       semantics (before round 0),
-    * :meth:`step` — one synchronous round (it returns nothing: the
-      delivered count only feeds quiescence, and a quiescent run never
-      reaches a kernel),
+    * :meth:`step` — one synchronous round (returns nothing, like the
+      object engine's),
     * :meth:`export_*` / :meth:`restore` — the checkpoint payload, in
       the object backend's format so payloads are interchangeable,
     * :meth:`outputs` / :attr:`halted_count` / :attr:`total` — results.
@@ -412,7 +410,7 @@ class ArrayKernel:
         return r
 
     def record_halts(self, indices) -> None:
-        """Mark nodes halted and log them (participant order) for
+        """Mark nodes halted and log them (graph order) for
         ``StepSnapshot.newly_halted``; ``node_output`` must already hold
         their outputs."""
 
@@ -484,7 +482,7 @@ class ArrayKernel:
         raise NotImplementedError
 
     def outputs(self) -> Dict[Hashable, object]:
-        """Final outputs keyed by node, in participant order."""
+        """Final outputs keyed by node, in graph order."""
 
         return {node: self.node_output[i]
                 for i, node in enumerate(self.csr.nodes)}
@@ -493,7 +491,7 @@ class ArrayKernel:
         raise NotImplementedError
 
     def export_halted(self) -> Dict[Hashable, object]:
-        """Checkpoint payload: output per halted node (participant order)."""
+        """Checkpoint payload: output per halted node (graph order)."""
 
         nodes = self.csr.nodes
         out = self.node_output
@@ -649,10 +647,8 @@ class ArrayNetwork(SynchronousNetwork):
     def run_stepwise(
         self,
         program_factory: Callable[[Hashable], NodeProgram],
-        participants: Optional[Iterable[Hashable]] = None,
         max_rounds: int = 10_000,
         label: str = "protocol",
-        quiescence_halts: bool = False,
         stop_on_limit: bool = False,
         checkpoint_every: Optional[int] = None,
         capture_state: bool = False,
@@ -673,24 +669,22 @@ class ArrayNetwork(SynchronousNetwork):
 
         Falls back to the inherited implementation whenever the array
         engine cannot guarantee bit-compatibility: numpy missing, no
-        table, a participant subset, quiescence scheduling, a trace
-        hook, ``strict`` bandwidth enforcement (the exact violating
-        ``(src, dst)`` pair matters there), an unregistered program
-        class, or kernel-level feasibility checks failing.
+        table, a trace hook, ``strict`` bandwidth enforcement (the exact
+        violating ``(src, dst)`` pair matters there), an empty graph, an
+        unregistered program class, or kernel-level feasibility checks
+        failing.
         """
 
         kernel = None
-        if not (np is None or table is None or participants is not None
-                or quiescence_halts or self.strict or self.trace is not None
-                or self._n == 0):
+        if not (np is None or table is None or self.strict
+                or self.trace is not None or self._n == 0):
             kernel = self._kernel(program_factory, table, resume_state)
         if kernel is None:
             return super().run_stepwise(
-                program_factory, participants, max_rounds, label,
-                quiescence_halts, stop_on_limit, checkpoint_every,
-                capture_state, resume_state,
+                program_factory, max_rounds, label, stop_on_limit,
+                checkpoint_every, capture_state, resume_state,
             )
-        return self._drive(kernel, max_rounds, label, False, stop_on_limit,
+        return self._drive(kernel, max_rounds, label, stop_on_limit,
                            checkpoint_every, capture_state, resume_state)
 
     def _kernel(self, program_factory: Callable[[Hashable], NodeProgram],

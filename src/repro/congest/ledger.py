@@ -31,22 +31,6 @@ class RoundLedger:
         self.total += rounds
         self.breakdown[label] = self.breakdown.get(label, 0) + rounds
 
-    def charge_broadcast(self, payload_bits: int, bandwidth: int,
-                         label: str) -> None:
-        """Charge the rounds needed to ship ``payload_bits`` over one edge.
-
-        CONGEST carries ``bandwidth`` bits per round; wider payloads are
-        pipelined over consecutive rounds (the paper's Appendix B.3 remark
-        about grouping Θ(1/ε²) rounds).
-        """
-
-        rounds = max(1, -(-payload_bits // bandwidth))
-        self.charge(rounds, label)
-
-    def merge(self, other: "RoundLedger") -> None:
-        for label, rounds in other.breakdown.items():
-            self.charge(rounds, label)
-
     def as_dict(self) -> Dict[str, int]:
         return dict(self.breakdown, total=self.total)
 

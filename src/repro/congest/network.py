@@ -1,7 +1,7 @@
 """Synchronous message-passing network simulator (LOCAL / CONGEST).
 
 The simulator executes a :class:`~repro.congest.node.NodeProgram` on every
-participating node of a graph in lockstep rounds, delivering each round's
+node of a graph in lockstep rounds, delivering each round's
 messages at the start of the next round, exactly as the synchronous model
 of Peleg's book prescribes.  It meters:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
 import networkx as nx
 
@@ -50,19 +50,6 @@ class NetworkMetrics:
     def charge_rounds(self, rounds: int, label: str = "protocol") -> None:
         self.rounds += rounds
         self.round_breakdown[label] = self.round_breakdown.get(label, 0) + rounds
-
-    def merge(self, other: "NetworkMetrics") -> None:
-        self.rounds += other.rounds
-        self.messages += other.messages
-        self.bits += other.bits
-        self.max_bits_per_edge_round = max(
-            self.max_bits_per_edge_round, other.max_bits_per_edge_round
-        )
-        self.violations += other.violations
-        for label, rounds in other.round_breakdown.items():
-            self.round_breakdown[label] = (
-                self.round_breakdown.get(label, 0) + rounds
-            )
 
 
 @dataclass
@@ -102,8 +89,8 @@ class RunResult:
     cumulative counter (which keeps accumulating across runs and lives
     on :attr:`SynchronousNetwork.metrics`).  Concurrent or
     multi-protocol consumers can therefore read per-run totals without
-    double counting.  ``completed`` is false when the run ended by
-    quiescence with participants still unhalted.
+    double counting.  ``completed`` is false when a ``stop_on_limit``
+    run exhausted its round budget with nodes still unhalted.
     """
 
     outputs: Dict[Hashable, object]
@@ -185,28 +172,19 @@ class SynchronousNetwork:
         graph = self.graph
         return {node: tuple(graph.neighbors(node)) for node in graph.nodes}
 
-    @cached_property
-    def _max_degree(self) -> int:
-        return max((d for _, d in self.graph.degree()), default=0)
-
     # ------------------------------------------------------------------
     # protocol execution
     # ------------------------------------------------------------------
     def run(
         self,
         program_factory: Callable[[Hashable], NodeProgram],
-        participants: Optional[Iterable[Hashable]] = None,
         max_rounds: int = 10_000,
         label: str = "protocol",
-        quiescence_halts: bool = False,
         stop_on_limit: bool = False,
     ) -> RunResult:
         """Execute one protocol and accumulate its cost into ``metrics``.
 
-        The protocol ends when every participant has halted.  If
-        ``quiescence_halts`` is true it also ends after a round in which no
-        messages were delivered or sent (useful for protocols whose laggards
-        merely wait for notifications that will never come).  With
+        The protocol ends when every node has halted.  With
         ``stop_on_limit`` an exhausted ``max_rounds`` budget ends the
         run cooperatively — the partial outputs are returned with
         ``completed=False`` — instead of raising
@@ -229,19 +207,15 @@ class SynchronousNetwork:
         from ..utils import drain
 
         return drain(self.run_stepwise(
-            program_factory, participants=participants,
-            max_rounds=max_rounds, label=label,
-            quiescence_halts=quiescence_halts,
+            program_factory, max_rounds=max_rounds, label=label,
             stop_on_limit=stop_on_limit,
         ))
 
     def run_stepwise(
         self,
         program_factory: Callable[[Hashable], NodeProgram],
-        participants: Optional[Iterable[Hashable]] = None,
         max_rounds: int = 10_000,
         label: str = "protocol",
-        quiescence_halts: bool = False,
         stop_on_limit: bool = False,
         checkpoint_every: Optional[int] = None,
         capture_state: bool = False,
@@ -283,16 +257,15 @@ class SynchronousNetwork:
         builds every program with ``program_factory`` and ignores it.
         """
 
-        engine = _ObjectEngine(self, program_factory, participants)
+        engine = _ObjectEngine(self, program_factory)
         return (yield from self._drive(
-            engine, max_rounds, label, quiescence_halts, stop_on_limit,
+            engine, max_rounds, label, stop_on_limit,
             checkpoint_every, capture_state, resume_state,
         ))
 
     def _drive(self, engine, max_rounds: int, label: str,
-               quiescence_halts: bool, stop_on_limit: bool,
-               checkpoint_every: Optional[int], capture_state: bool,
-               resume_state: Optional[dict]):
+               stop_on_limit: bool, checkpoint_every: Optional[int],
+               capture_state: bool, resume_state: Optional[dict]):
         """The synchronous round loop, for any step-able engine.
 
         ``engine`` is an :class:`_ObjectEngine` or an array kernel
@@ -302,9 +275,8 @@ class SynchronousNetwork:
         ``halted_count`` / ``total`` counters.  Everything else about a
         run — protocol index, resume-counter merge, the round cap,
         snapshots, the per-run metrics delta and the captured state —
-        is decided here, once, for both.  Quiescence reads ``step``'s
-        delivered count and the engine's ``in_flight``; only the object
-        engine runs with it.
+        is decided here, once, for both.  A run ends when every node
+        has halted or the round cap is reached.
         """
 
         if checkpoint_every is not None and checkpoint_every < 1:
@@ -346,14 +318,12 @@ class SynchronousNetwork:
         for round_index in range(start_round, max_rounds):
             if engine.halted_count == total:
                 break
-            delivered = engine.step(round_index)
+            engine.step(round_index)
             rounds_used = round_index + 1
             if tracking and rounds_used % checkpoint_every == 0:
                 yield StepSnapshot(rounds=rounds_used,
                                    halted=engine.halted_count, total=total,
                                    newly_halted=engine.drain_fresh())
-            if quiescence_halts and not delivered and not engine.in_flight:
-                break
         else:
             if engine.halted_count != total and not stop_on_limit:
                 raise RoundLimitExceeded(max_rounds, engine.pending_nodes())
@@ -447,24 +417,17 @@ class _ObjectEngine:
 
     It exposes the step-able interface :meth:`SynchronousNetwork._drive`
     drives (the array kernels expose the same one).  Nothing is built
-    before :meth:`bind` pins the protocol index — the run stays lazy —
-    and the participants are checked on construction, inside the
-    generator.  Every node that has not halted is runnable, in
-    participant order; mail sent in round ``r`` sits in ``in_flight``
-    until it is delivered at the start of round ``r + 1``.
+    before :meth:`bind` pins the protocol index — the run stays lazy.
+    Every node that has not halted is runnable, in graph order; mail
+    sent in round ``r`` sits in ``in_flight`` until it is delivered at
+    the start of round ``r + 1``.
     """
 
     def __init__(self, net: SynchronousNetwork,
-                 program_factory: Callable[[Hashable], NodeProgram],
-                 participants: Optional[Iterable[Hashable]]):
-        graph = net.graph
-        nodes = list(graph.nodes if participants is None else participants)
-        for node in nodes:
-            if node not in graph:
-                raise SimulationError(f"participant {node} is not in the graph")
+                 program_factory: Callable[[Hashable], NodeProgram]):
         self.net = net
-        self.nodes = nodes
-        self.total = len(nodes)
+        self.nodes = list(net.graph.nodes)
+        self.total = len(self.nodes)
         self.halted_count = 0
         self.tracking = False
         self.in_flight: List[tuple] = []
@@ -476,24 +439,16 @@ class _ObjectEngine:
         """Build every node's context (RNG stream ``proto``) and program."""
 
         net = self.net
-        nodes = self.nodes
-        everyone = self.total == net._n
-        if not everyone:
-            node_set = set(nodes)
         adjacency = net._adjacency
         factory = self._factory
         self._contexts: Dict[Hashable, NodeContext] = {}
-        self._pairs: List[tuple] = []  # (ctx, program), participant order
-        for node in nodes:
-            neighbors = adjacency[node]
-            if not everyone:
-                neighbors = tuple(v for v in neighbors if v in node_set)
+        self._pairs: List[tuple] = []  # (ctx, program), graph order
+        for node in self.nodes:
             ctx = NodeContext(
                 node=node,
-                neighbors=neighbors,
+                neighbors=adjacency[node],
                 rng=stable_rng(net.seed, node, proto),
                 n=net._n,
-                max_degree=net._max_degree,
             )
             self._contexts[node] = ctx
             self._pairs.append((ctx, factory(node)))
@@ -544,15 +499,13 @@ class _ObjectEngine:
         if self.tracking:
             self._fresh.append((ctx.node, ctx.output))
 
-    def step(self, round_index: int) -> int:
-        """Deliver last round's mail, step every runnable node, and
-        return the number of messages delivered."""
+    def step(self, round_index: int) -> None:
+        """Deliver last round's mail and step every runnable node."""
 
         contexts = self._contexts
         for ctx in self._touched:
             ctx.inbox.clear()
         touched = self._touched = []
-        delivered = 0
         for src, dst, payload in self.in_flight:
             ctx = contexts[dst]
             if ctx._halted:
@@ -561,7 +514,6 @@ class _ObjectEngine:
             if not inbox:
                 touched.append(ctx)
             inbox[src] = payload
-            delivered += 1
 
         in_flight = self.in_flight = []
         collect = self.net._collect
@@ -577,7 +529,6 @@ class _ObjectEngine:
             else:
                 still_runnable.append(entry)
         self._runnable = still_runnable
-        return delivered
 
     def drain_fresh(self) -> tuple:
         fresh = tuple(self._fresh)

@@ -29,16 +29,14 @@ class NodeContext:
     """
 
     __slots__ = ("node", "neighbors", "rng", "round", "inbox",
-                 "_outbox", "_halted", "output", "n",
-                 "max_degree")
+                 "_outbox", "_halted", "output", "n")
 
     def __init__(self, node: Hashable, neighbors: Tuple[Hashable, ...],
-                 rng: random.Random, n: int, max_degree: int):
+                 rng: random.Random, n: int):
         self.node = node
         self.neighbors = neighbors
         self.rng = rng
         self.n = n
-        self.max_degree = max_degree
         self.round = -1
         self.inbox: Dict[Hashable, Payload] = {}
         self._outbox: Dict[Hashable, Payload] = {}

@@ -81,7 +81,6 @@ def improved_nearly_maximal_is(
     beta: float = 4.0,
     seed: int = 0,
     network: Optional[SynchronousNetwork] = None,
-    participants=None,
     collect_stats: bool = False,
     label: str = "improved-nmis",
 ) -> NearlyMaximalISResult:
@@ -105,7 +104,6 @@ def improved_nearly_maximal_is(
         k=k,
         seed=seed,
         network=network,
-        participants=participants,
         stats=stats,
         label=label,
     )

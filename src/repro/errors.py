@@ -128,8 +128,8 @@ class TransientFault(ReproError):
 
     The fault-injection plane raises this at its ``worker.transient``
     site, and user algorithm code may raise it (or a subclass) to opt a
-    failure into the bounded-retry path of the solver service and
-    ``solve_many``.  Anything else fails fast, as it always has.
+    failure into the solver service's bounded-retry path.  Anything else
+    fails fast, as it always has.
     """
 
 

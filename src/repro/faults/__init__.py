@@ -4,7 +4,7 @@ Chaos testing for the reproduction's production layers: a seeded
 :class:`FaultPlan` describes which compiled-in fault sites misbehave
 (journal write errors, torn temp files, transient worker exceptions,
 stalls, stream disconnects, dispatcher death) and is threaded through
-``JobManager(fault_plan=...)``, ``solve_many(fault_plan=...)`` and
+``JobManager(fault_plan=...)`` and
 ``python -m repro serve --fault-plan FILE``.  Decisions are pure
 functions of ``(seed, site, scope, roll index)``, so a chaos run is
 exactly reproducible — the ``faults`` experiment commits its recovery
@@ -14,9 +14,8 @@ Module map:
 
 * :mod:`~repro.faults.plan` — :class:`FaultPlan` / :class:`SiteRule`,
   the site catalog, and the ``--fault-plan`` file codec;
-* :mod:`~repro.faults.retry` — :class:`RetryPolicy`, the bounded
-  exponential backoff (deterministic jitter) shared by the service
-  and the batch engine.
+* :mod:`~repro.faults.retry` — :class:`RetryPolicy`, the service's
+  bounded exponential backoff (deterministic jitter).
 """
 
 from .plan import FAULT_PLAN_FORMAT, SITES, FaultPlan, SiteRule, make_fault

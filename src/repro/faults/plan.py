@@ -1,12 +1,12 @@
-"""Seeded, deterministic fault injection for the service/batch layers.
+"""Seeded, deterministic fault injection for the solver service.
 
 A :class:`FaultPlan` describes *where* and *how often* the library
 should fail on purpose: each registered fault **site** (a named hook
-compiled into the solver service and batch engine) carries a
+compiled into the solver service) carries a
 :class:`SiteRule` — a per-roll probability, an exact trigger index, an
 optional total-fire limit, and site-specific knobs like the stall
 duration.  The plan is injected explicitly
-(``JobManager(fault_plan=...)``, ``solve_many(fault_plan=...)``,
+(``JobManager(fault_plan=...)``,
 ``python -m repro serve --fault-plan FILE``); when absent every hook
 is a single ``is None`` check, so production paths pay nothing.
 
@@ -14,7 +14,7 @@ Determinism contract
 --------------------
 A decision is a **pure function** of ``(plan seed, site, scope, k)``
 where ``scope`` is the caller-supplied identity of the faulting
-context (a job id, a batch task key) and ``k`` is how many times that
+context (a job id) and ``k`` is how many times that
 ``(site, scope)`` pair has rolled before.  Thread/process scheduling
 reorders *when* decisions happen, never *what* they are: as long as
 each scope's rolls are sequential (true for a job driven by one worker
@@ -32,7 +32,7 @@ site                    effect when fired
 ``journal.tmp``         a stale ``*.json.tmp.<pid>`` file is left in
                         the state dir (a simulated crash mid-replace)
 ``worker.transient``    :class:`~repro.errors.TransientFault` at the
-                        start of a job/batch-task attempt (retryable)
+                        start of a job attempt (retryable)
 ``worker.stall``        the job runner blocks ``stall_s`` seconds at a
                         checkpoint boundary (watchdog fodder)
 ``stream.disconnect``   the HTTP layer drops a checkpoint stream
@@ -101,10 +101,7 @@ class SiteRule:
 class FaultPlan:
     """A seeded set of :class:`SiteRule` entries plus fire accounting.
 
-    Thread-safe; picklable (the lock is rebuilt, counters travel) so
-    ``solve_many`` can ship a plan to process workers — though fire
-    statistics then accumulate worker-side and are reported back
-    through each task's attempt record, not through :meth:`stats`.
+    Thread-safe: the service's worker threads share one plan.
     """
 
     def __init__(self, seed: int = 0,
@@ -129,16 +126,6 @@ class FaultPlan:
         self._counters: Dict[Tuple[str, str], int] = {}
         self._checks: Dict[str, int] = {}
         self._fires: Dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    # -- pickling (process-backend batch workers) ----------------------
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     # -- decisions -----------------------------------------------------

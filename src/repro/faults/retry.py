@@ -1,8 +1,8 @@
 """Bounded retry with exponential backoff and deterministic jitter.
 
-The :class:`RetryPolicy` is the one retry knob shared by the solver
-service (``JobManager(retry=...)``) and the batch engine
-(``solve_many(retry=...)``).  Only failures classified *transient*
+The :class:`RetryPolicy` is the solver service's retry knob
+(``JobManager(retry=...)``); ``solve_many`` runs each task once.
+Only failures classified *transient*
 (:class:`~repro.errors.TransientFault` — what the fault plane injects
 at ``worker.transient``, and what user code may raise to opt into
 retries) are retried; everything else fails fast, exactly as before.
@@ -64,9 +64,7 @@ class RetryPolicy:
         return base * (1.0 + self.jitter * spread)
 
 
-#: The service's default: three attempts, fast first backoff.  Batch
-#: callers opt in explicitly (``solve_many(retry=...)``) so historical
-#: single-attempt semantics are untouched.
+#: The service's default: three attempts, fast first backoff.
 DEFAULT_RETRY = RetryPolicy()
 
 

@@ -139,7 +139,6 @@ def nearly_maximal_is(
     k: float = 2.0,
     seed: int = 0,
     network: Optional[SynchronousNetwork] = None,
-    participants=None,
     stats: Optional[GoldenRoundStats] = None,
     label: str = "ghaffari-nmis",
 ) -> Tuple[Set[Hashable], Set[Hashable], int]:
@@ -153,12 +152,10 @@ def nearly_maximal_is(
         network = SynchronousNetwork(graph, seed=seed)
     result = network.run(
         lambda node: GhaffariProgram(k=k, iterations=iterations, stats=stats),
-        participants=participants,
         max_rounds=2 * iterations + 4,
         label=label,
     )
     independent = result.output_set(IN_IS)
     residual = result.output_set(RESIDUAL)
-    scope = set(graph.nodes) if participants is None else set(participants)
-    check_independent_set(graph.subgraph(scope), independent)
+    check_independent_set(graph, independent)
     return independent, residual, result.rounds

@@ -65,26 +65,20 @@ def luby_mis(
     graph: nx.Graph,
     seed: int = 0,
     network: Optional[SynchronousNetwork] = None,
-    participants=None,
     max_rounds: int = 10_000,
     label: str = "luby-mis",
 ) -> Tuple[Set[Hashable], int]:
     """Run Luby's MIS and return ``(mis_nodes, rounds)``.
 
     When ``network`` is provided the protocol runs on it (accumulating into
-    its metrics), restricted to ``participants``; otherwise a fresh CONGEST
-    network over ``graph`` is created.
+    its metrics); otherwise a fresh CONGEST network over ``graph`` is
+    created.
     """
 
     if network is None:
         network = SynchronousNetwork(graph, seed=seed)
     result = network.run(lambda node: LubyProgram(),
-                         participants=participants,
                          max_rounds=max_rounds, label=label)
     mis = result.output_set(IN_MIS)
-    subgraph_nodes = (
-        set(graph.nodes) if participants is None else set(participants)
-    )
-    check_independent_set(graph.subgraph(subgraph_nodes), mis,
-                          require_maximal=True)
+    check_independent_set(graph, mis, require_maximal=True)
     return mis, result.rounds

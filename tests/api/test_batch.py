@@ -236,6 +236,27 @@ class TestSolveMany:
             i.report.solution for i in threaded
         ]
 
+    @pytest.mark.parametrize("executor,workers,expected", [
+        (None, None, ("serial", 1)),
+        ("process", 1, ("serial", 1)),
+        (None, 2, ("process", 2)),
+        ("pool", None, ("external", 1)),
+    ])
+    def test_report_records_what_ran(self, executor, workers, expected):
+        # A single-worker pool runs in-process, and an executor instance
+        # is recorded as "external" with the worker count it was given.
+        instances = _instances(2)
+        if executor == "pool":
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                batch = solve_many(instances, "maxis-layers",
+                                   executor=pool, workers=workers)
+        else:
+            batch = solve_many(instances, "maxis-layers",
+                               executor=executor, workers=workers)
+        assert (batch.backend, batch.workers) == expected
+        assert batch.summary()["backend"] == expected[0]
+        assert len(batch.ok) == 2
+
     def test_failure_isolation(self):
         instances = _instances(2)
         batch = solve_many(instances, ["maxis-layers", "no-such-algo"],

@@ -19,26 +19,6 @@ class TestRoundLedger:
         with pytest.raises(ValueError):
             ledger.charge(-1, "oops")
 
-    def test_charge_broadcast_pipelines_wide_payloads(self):
-        ledger = RoundLedger()
-        ledger.charge_broadcast(payload_bits=100, bandwidth=32, label="wide")
-        assert ledger.breakdown["wide"] == 4  # ceil(100/32)
-
-    def test_charge_broadcast_minimum_one_round(self):
-        ledger = RoundLedger()
-        ledger.charge_broadcast(payload_bits=1, bandwidth=64, label="tiny")
-        assert ledger.breakdown["tiny"] == 1
-
-    def test_merge(self):
-        a = RoundLedger()
-        a.charge(2, "x")
-        b = RoundLedger()
-        b.charge(3, "x")
-        b.charge(1, "y")
-        a.merge(b)
-        assert a.total == 6
-        assert a.breakdown == {"x": 5, "y": 1}
-
     def test_as_dict_includes_total(self):
         ledger = RoundLedger()
         ledger.charge(4, "phase")

@@ -14,22 +14,6 @@ class TestNetworkMetrics:
         assert metrics.rounds == 6
         assert metrics.round_breakdown == {"phase-a": 5, "phase-b": 1}
 
-    def test_merge(self):
-        a = NetworkMetrics(rounds=2, messages=5, bits=100,
-                           max_bits_per_edge_round=20, violations=1)
-        a.round_breakdown["x"] = 2
-        b = NetworkMetrics(rounds=3, messages=7, bits=50,
-                           max_bits_per_edge_round=30, violations=0)
-        b.round_breakdown["x"] = 3
-        b.round_breakdown["y"] = 1
-        a.merge(b)
-        assert a.rounds == 5
-        assert a.messages == 12
-        assert a.bits == 150
-        assert a.max_bits_per_edge_round == 30
-        assert a.violations == 1
-        assert a.round_breakdown == {"x": 5, "y": 1}
-
 
 class TestRunResult:
     def test_output_set_filters_by_value(self):

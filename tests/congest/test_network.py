@@ -122,34 +122,6 @@ class TestTermination:
         assert result.rounds == 0
         assert result.output_set("done") == set(g.nodes)
 
-    def test_quiescence_halts(self):
-        class SilentWaiter(NodeProgram):
-            def on_round(self, ctx):
-                pass  # waits forever for a message that never comes
-
-        g = path_graph(3)
-        net = SynchronousNetwork(g, seed=0)
-        result = net.run(lambda n: SilentWaiter(), max_rounds=50,
-                         quiescence_halts=True)
-        assert result.rounds <= 2
-
-
-class TestParticipants:
-    def test_subset_run_restricts_neighbors(self):
-        g = path_graph(5)  # 0-1-2-3-4
-        net = SynchronousNetwork(g, seed=0)
-        result = net.run(lambda n: EchoOnce(), participants=[0, 1, 3],
-                         max_rounds=5)
-        assert result.outputs[0] == ["1"]
-        assert result.outputs[1] == ["0"]
-        assert result.outputs[3] == []  # 2 and 4 are not participating
-
-    def test_unknown_participant_rejected(self):
-        g = path_graph(3)
-        net = SynchronousNetwork(g, seed=0)
-        with pytest.raises(Exception):
-            net.run(lambda n: IdleProgram(), participants=[99])
-
 
 class TestMetrics:
     def test_message_and_bit_counts(self):

@@ -20,7 +20,7 @@ class ScriptedContext(NodeContext):
 
     def __init__(self, node, neighbors, seed, round_index, inbox):
         super().__init__(node=node, neighbors=tuple(neighbors),
-                         rng=stable_rng(seed, node), n=16, max_degree=4)
+                         rng=stable_rng(seed, node), n=16)
         self.round = round_index
         self.inbox = dict(inbox)
 
