@@ -54,6 +54,7 @@ from .api.persist import (
     write_envelope,
 )
 from .congest import BACKENDS
+from .errors import InvalidInstance
 
 MAXIS_ALGORITHMS = cli_names("maxis")
 MATCHING_ALGORITHMS = cli_names("matching")
@@ -277,7 +278,7 @@ def _run_resume(args: argparse.Namespace) -> int:
         envelope = load_envelope(args.state)
         report = resume_envelope_report(envelope, backend=args.backend,
                                         max_rounds=args.max_rounds)
-    except ResumeError as exc:
+    except (ResumeError, InvalidInstance) as exc:
         print(f"resume: {exc}", file=sys.stderr)
         return 1
     workload = envelope["workload"]
@@ -416,7 +417,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .serve import main as serve_main
 
         return serve_main(args)
-    row = _run_problem(args, args.command)
+    try:
+        row = _run_problem(args, args.command)
+    except InvalidInstance as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     print(render_table([row]))
     if args.export:
         path = write_rows([row], args.export)

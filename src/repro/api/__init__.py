@@ -28,10 +28,9 @@ The moving parts:
   algorithm's phase boundaries and returning the final report;
 * :func:`resume` / :func:`resume_iter` — the warm-start half of the
   anytime protocol: continue a truncated run from the JSON-safe
-  ``resume_state`` its report/checkpoint carries (or from
-  ``solve(..., warm_start=report)``), with round/traffic accounting
-  continued — at a fixed seed the continuation is bit-for-bit the run
-  that was never cut;
+  ``resume_state`` its report/checkpoint carries, with round/traffic
+  accounting continued — at a fixed seed the continuation is
+  bit-for-bit the run that was never cut;
 * :func:`solve_many` — the batch engine: fan an instance grid (×
   algorithms) across a process/thread pool with stable fingerprints,
   per-task failure isolation and a :class:`BatchReport` aggregate
@@ -61,7 +60,6 @@ from .persist import (
     load_envelope,
     resume_envelope,
     resume_envelope_report,
-    workload_recipe,
     write_envelope,
 )
 from .serialize import from_jsonable, to_jsonable
@@ -121,6 +119,5 @@ __all__ = [
     "solve_iter",
     "solve_many",
     "to_jsonable",
-    "workload_recipe",
     "write_envelope",
 ]

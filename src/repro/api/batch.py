@@ -21,11 +21,7 @@ Each task is identified by a stable :func:`instance_fingerprint`
 ``Instance`` field) plus the algorithm name.  Results are merged by
 submission index, so the items of a :class:`BatchReport` are in the
 same order for any backend and any worker count; the per-item
-``seconds`` wall-clock field is the only non-deterministic data.  With
-``isolate_seeds=True`` every task re-derives its instance seed through
-:func:`repro.utils.stable_rng` keyed by ``(seed, task index,
-algorithm)``, so no two tasks of the batch share a random stream even
-when the caller submits the same instance object many times.
+``seconds`` wall-clock field is the only non-deterministic data.
 
 A crashing task never sinks the batch: its :class:`BatchItem` records
 the error string and ``report=None``; healthy tasks are unaffected
@@ -45,7 +41,7 @@ from concurrent.futures import (
     Executor,
     wait,
 )
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import median
 from typing import (
     Callable,
@@ -249,13 +245,7 @@ def instance_fingerprint(instance: Instance) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class BatchItem:
-    """One ``(instance, algorithm)`` task outcome inside a batch.
-
-    ``warm_started`` records that the task consumed a warm-start
-    source from ``solve_many(..., warm_start=...)`` — either resumed
-    from a truncated prior report's checkpoint or passed through as an
-    already-complete result without re-execution.
-    """
+    """One ``(instance, algorithm)`` task outcome inside a batch."""
 
     index: int
     fingerprint: str
@@ -263,7 +253,6 @@ class BatchItem:
     report: Optional[SolveReport] = None
     error: Optional[str] = None
     seconds: float = 0.0
-    warm_started: bool = False
 
     @property
     def ok(self) -> bool:
@@ -354,7 +343,6 @@ class BatchReport:
         for item in self.items:
             status = item.status
             statuses[status] = statuses.get(status, 0) + 1
-        warm = sum(1 for item in self.items if item.warm_started)
         out: Dict[str, object] = {
             "tasks": len(self.items),
             "ok": len(reports),
@@ -366,10 +354,6 @@ class BatchReport:
             "messages_total": messages,
             "bits_total": bits,
         }
-        if warm:
-            # Key present only on warm batches: cold-batch summaries
-            # keep their historical shape byte for byte.
-            out["warm_started"] = warm
         if objectives:
             out["objective"] = {
                 "min": min(objectives),
@@ -384,52 +368,16 @@ class BatchReport:
 def _solve_task(task: tuple) -> Tuple[SolveReport, float]:
     """Worker body: one facade solve, timed.  Module-level → picklable.
 
-    ``task`` is ``(instance, algorithm, options[, warm])``; the optional
-    last element is a JSON-safe warm-start payload (the resume envelope
-    of a truncated prior run), and the solve then continues that run
-    instead of starting fresh.  Returns ``(report, seconds)``; a failure
-    raises and :func:`_run_chunk` records it.
+    ``task`` is ``(instance, algorithm, options)``.  Returns ``(report,
+    seconds)``; a failure raises and :func:`_run_chunk` records it.
     """
 
     from .facade import solve
 
-    instance, algorithm, options = task[:3]
-    warm = task[3] if len(task) == 4 else None
+    instance, algorithm, options = task
     started = time.perf_counter()
-    report = solve(instance, algorithm, warm_start=warm, **options)
+    report = solve(instance, algorithm, **options)
     return report, time.perf_counter() - started
-
-
-def _warm_payload(source) -> Tuple[Optional[dict], Optional[SolveReport]]:
-    """Normalize one warm-start source to ``(payload, passthrough)``.
-
-    Accepts a :class:`BatchItem`, :class:`SolveReport`, state-carrying
-    checkpoint, raw payload dict, or ``None``.  A *complete* prior
-    report has nothing left to run — it is passed through as the
-    task's result without re-execution.  A source without usable
-    resume state (a failed item, a truncated pre-protocol report)
-    degrades to a cold solve: by the resume contract that reproduces
-    the never-stopped run anyway.
-    """
-
-    if isinstance(source, BatchItem):
-        source = source.report
-    if source is None:
-        return None, None
-    if isinstance(source, SolveReport):
-        if source.status == "complete":
-            return None, source
-        return source.resume_state, None
-    if isinstance(source, dict):
-        return source, None
-    resume_state = getattr(source, "resume_state", None)
-    if resume_state is not None:
-        return resume_state, None
-    raise TypeError(
-        f"cannot warm-start a batch task from {type(source).__name__}; "
-        "expected a BatchItem, SolveReport, Checkpoint, payload dict "
-        "or None"
-    )
 
 
 def solve_many(
@@ -437,9 +385,6 @@ def solve_many(
     algorithms: Union[str, Sequence[str]],
     executor: Union[str, Executor, None] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    isolate_seeds: bool = False,
-    warm_start=None,
     **options,
 ) -> BatchReport:
     """Solve every instance with every algorithm, optionally in parallel.
@@ -452,25 +397,9 @@ def solve_many(
     algorithms:
         One registry name or a sequence of names; the task list is the
         cross product ``instances × algorithms`` in that order.
-    executor, workers, chunksize:
+    executor, workers:
         Backend selection, see :func:`execute_indexed`.  The default is
         serial for ``workers <= 1`` and a process pool otherwise.
-    isolate_seeds:
-        Re-derive each task's instance seed via ``stable_rng(seed,
-        "solve_many", index, algorithm)`` so tasks never share a random
-        stream, even for repeated identical instances.
-    warm_start:
-        Resume a previous batch instead of solving cold: a
-        :class:`BatchReport` from a prior (typically budget-truncated)
-        ``solve_many`` call over the same grid, or a per-task sequence
-        of sources (``None`` / :class:`BatchItem` /
-        :class:`~repro.api.SolveReport` / state-carrying checkpoint /
-        raw payload dict), aligned with the task list.  Truncated
-        sources are resumed under the new budgets (bit-identical to a
-        never-stopped run, per the resume contract), complete sources
-        are passed through without re-execution, and sources without
-        usable state fall back to a cold solve.  Items touched this
-        way set :attr:`BatchItem.warm_started`.
     **options:
         Forwarded verbatim to every :func:`~repro.api.solve` call.
 
@@ -478,69 +407,23 @@ def solve_many(
     failed :class:`BatchItem` without aborting its siblings.
     """
 
-    from ..utils import stable_rng
-
     if isinstance(algorithms, str):
         algorithms = (algorithms,)
     tasks: List[tuple] = []
     keys: List[Tuple[str, str]] = []
     for instance in instances:
-        if not isolate_seeds:
-            fingerprint = instance_fingerprint(instance)
+        fingerprint = instance_fingerprint(instance)
         for algorithm in algorithms:
-            index = len(tasks)
-            task_instance = instance
-            if isolate_seeds:
-                # Each task gets its own seed, so its key is the
-                # fingerprint of the re-seeded instance.
-                derived = stable_rng(
-                    instance.seed, "solve_many", index, algorithm
-                ).getrandbits(31)
-                task_instance = replace(instance, seed=derived)
-                fingerprint = instance_fingerprint(task_instance)
-            tasks.append((task_instance, algorithm, options))
+            tasks.append((instance, algorithm, options))
             keys.append((fingerprint, algorithm))
-
-    passthrough: Dict[int, SolveReport] = {}
-    warm_flags = [False] * len(tasks)
-    if warm_start is not None:
-        sources = (warm_start.items if isinstance(warm_start, BatchReport)
-                   else list(warm_start))
-        if len(sources) != len(tasks):
-            raise ValueError(
-                f"warm_start carries {len(sources)} sources for "
-                f"{len(tasks)} tasks; the columns must align with the "
-                "instances × algorithms task list"
-            )
-        for index, source in enumerate(sources):
-            payload, done = _warm_payload(source)
-            if done is not None:
-                passthrough[index] = done
-                warm_flags[index] = True
-            elif payload is not None:
-                instance, algorithm, task_options = tasks[index]
-                tasks[index] = (instance, algorithm, task_options, payload)
-                warm_flags[index] = True
 
     executor, workers = _resolve_executor(executor, workers)
     backend = executor if isinstance(executor, str) else "external"
 
     started = time.perf_counter()
-    submit = [index for index in range(len(tasks))
-              if index not in passthrough]
-    submitted = execute_indexed(
-        _solve_task, [tasks[index] for index in submit],
-        executor=executor, workers=workers, chunksize=chunksize,
-    )
+    outcomes = execute_indexed(_solve_task, tasks, executor=executor,
+                               workers=workers)
     elapsed = time.perf_counter() - started
-
-    # Merge executed outcomes with the passed-through complete reports
-    # back into submission order.
-    outcomes: List[Tuple[object, Optional[str]]] = [None] * len(tasks)
-    for index, outcome in zip(submit, submitted):
-        outcomes[index] = outcome
-    for index, report in passthrough.items():
-        outcomes[index] = ((report, 0.0), None)
 
     items = []
     for index, ((fingerprint, algorithm), (result, error)) in enumerate(
@@ -550,7 +433,6 @@ def solve_many(
         items.append(BatchItem(
             index=index, fingerprint=fingerprint, algorithm=algorithm,
             report=report, error=error, seconds=seconds,
-            warm_started=warm_flags[index],
         ))
     return BatchReport(
         items=items,

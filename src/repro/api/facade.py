@@ -98,7 +98,6 @@ def solve_iter(
     instance: Union[Instance, nx.Graph],
     algorithm: str,
     problem: Optional[str] = None,
-    warm_start=None,
     **options,
 ) -> Iterator[Checkpoint]:
     """Run ``algorithm`` as a checkpoint stream (the anytime protocol).
@@ -121,17 +120,10 @@ def solve_iter(
 
     Lookup and model resolution happen eagerly — an unknown algorithm
     or unsupported model raises here, at the call site, not at the
-    first ``next()``.
-
-    ``warm_start`` accepts a truncated :class:`SolveReport`, a
-    state-carrying :class:`Checkpoint`, or a persisted resume payload
-    dict, and delegates to :func:`resume_iter`: the stream then
-    continues the captured run instead of starting fresh.
+    first ``next()``.  To continue a truncated run, use
+    :func:`resume_iter`.
     """
 
-    if warm_start is not None:
-        return resume_iter(warm_start, instance=instance,
-                           algorithm=algorithm, problem=problem, **options)
     spec, instance, model = _resolve(instance, algorithm, problem)
     return _solve_stream(spec, instance, model, **options)
 
@@ -252,7 +244,6 @@ def solve(
     instance: Union[Instance, nx.Graph],
     algorithm: str,
     problem: Optional[str] = None,
-    warm_start=None,
     **options,
 ) -> SolveReport:
     """Run ``algorithm`` on ``instance`` and return a :class:`SolveReport`.
@@ -280,19 +271,11 @@ def solve(
     ``resume_state``, so the instance fingerprint is never computed.
     Only a run that still ends truncated (an unbudgeted runner that
     hits its simulator cap) gets the envelope, built once at the end.
-    :func:`solve_iter` streams, budgeted ``solve`` and warm starts
+    :func:`solve_iter` streams, budgeted ``solve`` and resumed runs
     still stamp every stream's first checkpoint with the fresh marker.
-
-    ``warm_start`` continues a previously truncated run instead of
-    starting fresh: pass the truncated report (or a checkpoint /
-    persisted payload) and the returned report is — at a fixed seed —
-    bit-for-bit the report of the run that was never cut (see
-    :func:`resume`, which this delegates to).
+    To continue a truncated run, use :func:`resume`.
     """
 
-    if warm_start is not None:
-        return drain(solve_iter(instance, algorithm, problem=problem,
-                                warm_start=warm_start, **options))
     spec, instance, model = _resolve(instance, algorithm, problem)
     return drain(_solve_stream(spec, instance, model,
                                envelope=instance.max_rounds is not None,

@@ -10,7 +10,7 @@ which is the convention used throughout the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import networkx as nx
@@ -50,14 +50,15 @@ class Instance:
         RNG seed handed verbatim to the algorithm, so a fixed
         ``(instance, algorithm)`` pair reproduces a run bit-for-bit.
     max_rounds:
-        Optional hard round budget, enforced by the anytime solve
-        protocol: a run that exhausts it returns a
+        Optional hard round budget (a non-negative integer), enforced
+        by the anytime solve protocol: a run that exhausts it returns a
         ``status="truncated"`` report with the best valid partial
         solution instead of raising (``None`` keeps the algorithms'
         paper-derived budgets).
     bandwidth_factor:
         CONGEST per-edge bandwidth is ``bandwidth_factor · ⌈log2 n⌉``
-        bits per round (the simulator default is 8).
+        bits per round, ``bandwidth_factor >= 1`` (the simulator
+        default is 8).
     strict:
         When true, simulator-backed algorithms raise
         :class:`~repro.errors.BandwidthViolation` on CONGEST overruns
@@ -103,6 +104,16 @@ class Instance:
                 )
         if self.eps <= 0:
             raise InvalidInstance(f"eps must be positive, got {self.eps}")
+        if self.max_rounds is not None and (
+                not isinstance(self.max_rounds, int) or self.max_rounds < 0):
+            raise InvalidInstance(
+                f"max_rounds must be a non-negative integer, "
+                f"got {self.max_rounds!r}"
+            )
+        if self.bandwidth_factor < 1:
+            raise InvalidInstance(
+                f"bandwidth_factor must be >= 1, got {self.bandwidth_factor}"
+            )
         if self.backend is not None and self.backend not in BACKENDS:
             raise InvalidInstance(
                 f"unknown backend {self.backend!r} "
@@ -133,11 +144,6 @@ class Instance:
         """Maximum degree Δ of the instance graph."""
 
         return max_degree(self.graph)
-
-    def with_model(self, model: str) -> "Instance":
-        """A copy of this instance pinned to ``model``."""
-
-        return replace(self, model=model)
 
     def network(self, model: Optional[str] = None) -> SynchronousNetwork:
         """A fresh simulator for this instance (seeded, metered).

@@ -42,21 +42,6 @@ WORKLOAD_KEYS = ("problem", "nodes", "edge_probability", "max_weight",
                  "seed", "eps")
 
 
-def workload_recipe(problem: str, nodes: int, edge_probability: float,
-                    max_weight: int, seed: int,
-                    eps: float = 0.5) -> Dict[str, Any]:
-    """A workload recipe dict in the canonical key layout."""
-
-    return {
-        "problem": problem,
-        "nodes": nodes,
-        "edge_probability": edge_probability,
-        "max_weight": max_weight,
-        "seed": seed,
-        "eps": eps,
-    }
-
-
 def instance_from_workload(workload: Dict[str, Any],
                            backend: Optional[str] = None,
                            max_rounds: Optional[int] = None) -> Instance:
@@ -178,6 +163,5 @@ __all__ = [
     "resume_envelope",
     "resume_envelope_report",
     "validate_envelope",
-    "workload_recipe",
     "write_envelope",
 ]

@@ -55,11 +55,10 @@ class SolveReport:
     JSON-safe warm-start payload of the last resumable checkpoint the
     budget admitted.  Hand the report (or the payload itself, e.g.
     after persisting it through ``json.dumps``/``loads``) to
-    :func:`repro.api.resume` — or ``solve(..., warm_start=report)`` —
-    to continue the run from that boundary instead of re-solving from
-    scratch; at a fixed seed the continuation is bit-for-bit the run
-    that was never cut.  Complete reports carry ``None`` (there is
-    nothing left to run).
+    :func:`repro.api.resume` to continue the run from that boundary
+    instead of re-solving from scratch; at a fixed seed the
+    continuation is bit-for-bit the run that was never cut.  Complete
+    reports carry ``None`` (there is nothing left to run).
     """
 
     algorithm: str

@@ -7,8 +7,8 @@ pytest suite and the CI smoke gate all funnel through
 :class:`~repro.experiments.spec.ExperimentSpec` it
 
 1. expands the section's ``(cell, seed)`` grid into an ordered trial
-   plan (each entry carries the cell's graph spec, parameters and the
-   derived trial seed),
+   plan (each entry carries the cell's graph spec, parameters and
+   trial seed),
 2. executes the plan — serially with the cell's graph materialized
    once per seed sweep, or fanned across a process pool via the
    shared batch engine (:func:`repro.api.batch.execute_indexed`) when
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..utils import stable_rng
 from .artifact import SCHEMA, metrics_snapshot
 from .registry import build_graph, get_measurement
 from .spec import ExperimentSpec, Section
@@ -124,13 +123,6 @@ class Runner:
         self._pool = None
 
     # ------------------------------------------------------------------
-    def trial_seed(self, section: Section, cell_index: int, seed: int) -> int:
-        if not section.derive_seeds:
-            return seed
-        rng = stable_rng(seed, self.spec.name, section.name, cell_index)
-        return rng.getrandbits(31)
-
-    # ------------------------------------------------------------------
     def _section_plan(self, section: Section) -> List[dict]:
         """Expand a section into its ordered ``(cell, seed)`` trial plan.
 
@@ -157,7 +149,7 @@ class Runner:
                     "measurement": measurement,
                     "params": cell,
                     "label": label,
-                    "seed": self.trial_seed(section, cell_index, seed),
+                    "seed": seed,
                 })
         return plan
 

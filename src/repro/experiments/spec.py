@@ -57,11 +57,6 @@ class Section:
         entry is passed to the measurement as a keyword parameter.
     seeds:
         Algorithm seeds; the runner executes every cell once per seed.
-    derive_seeds:
-        If true, the per-trial seed is derived via ``stable_rng`` from
-        ``(experiment, section, cell_index, seed)`` instead of being
-        passed through verbatim — use for experiments that should not
-        share randomness with anything else.
     reduce:
         Optional ``trials -> rows`` reduction (e.g. mean over seeds).
         The default emits one row per trial: ``params + seed +
@@ -78,7 +73,6 @@ class Section:
     measurement: str
     grid: Tuple[Mapping, ...]
     seeds: Tuple[int, ...] = (0,)
-    derive_seeds: bool = False
     reduce: Optional[Callable[[List[dict]], List[dict]]] = None
     checks: Tuple[Check, ...] = ()
     render: str = "table"

@@ -23,10 +23,11 @@ thread drains the submission queue into batches and runs each batch
 via :func:`repro.api.execute_indexed` over one long-lived
 ``ThreadPoolExecutor`` — the same fan-out core the experiment runner
 and ``solve_many`` use, with its per-task failure isolation.  Each
-task drives :func:`repro.api.solve_iter` so the job streams per-phase
-checkpoints, journals every captured ``resume_state`` (crash safety),
-and can stop at a wall-clock deadline with the best certified partial
-solution (SLA truncation).
+task drives :func:`repro.api.solve_iter` (:func:`repro.api.resume_iter`
+when it warm-starts) so the job streams per-phase checkpoints, journals
+every captured ``resume_state`` (crash safety), and can stop at a
+wall-clock deadline with the best certified partial solution (SLA
+truncation).
 
 Resilience plane (PR 8): a seeded
 :class:`~repro.faults.FaultPlan` injects deterministic failures at the
@@ -50,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..api import execute_indexed, solve_iter
+from ..api import execute_indexed, resume_iter, solve_iter
 from ..api.persist import instance_from_workload
 from ..faults import DEFAULT_RETRY, FaultPlan, RetryPolicy
 from .cache import ResultCache
@@ -638,9 +639,13 @@ class JobManager:
         if spec["time_budget_s"] is not None:
             deadline = time.monotonic() + spec["time_budget_s"]
         started = time.perf_counter()
-        stream = solve_iter(instance, spec["algorithm"], problem=problem,
-                            warm_start=job.warm_payload,
-                            **spec["options"])
+        if job.warm_payload is not None:
+            stream = resume_iter(job.warm_payload, instance=instance,
+                                 algorithm=spec["algorithm"],
+                                 problem=problem, **spec["options"])
+        else:
+            stream = solve_iter(instance, spec["algorithm"],
+                                problem=problem, **spec["options"])
         best = job.best_checkpoint
         last_payload = job.warm_payload
         report = None

@@ -25,6 +25,21 @@ class TestValidation:
         with pytest.raises(InvalidInstance):
             Instance(graph, eps=-1.0)
 
+    @pytest.mark.parametrize("max_rounds", [-1, 2.5, "4"])
+    def test_max_rounds_must_be_a_non_negative_integer(self, graph,
+                                                       max_rounds):
+        with pytest.raises(InvalidInstance, match="max_rounds"):
+            Instance(graph, max_rounds=max_rounds)
+        with pytest.raises(InvalidInstance, match="max_rounds"):
+            dataclasses.replace(Instance(graph), max_rounds=max_rounds)
+        assert Instance(graph, max_rounds=0).max_rounds == 0
+
+    @pytest.mark.parametrize("factor", [0, -2, 0.5])
+    def test_bandwidth_factor_below_one_rejected(self, graph, factor):
+        with pytest.raises(InvalidInstance, match="bandwidth_factor"):
+            Instance(graph, bandwidth_factor=factor)
+        assert Instance(graph, bandwidth_factor=1).bandwidth_factor == 1
+
     def test_frozen(self, graph):
         instance = Instance(graph)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -51,11 +66,6 @@ class TestDerivedViews:
         assert instance.n == graph.number_of_nodes()
         assert instance.m == graph.number_of_edges()
         assert instance.max_degree == max_degree(graph)
-
-    def test_with_model(self, graph):
-        pinned = Instance(graph).with_model(LOCAL)
-        assert pinned.model == LOCAL
-        assert Instance(graph).model is None  # original untouched
 
     def test_network_defaults_to_congest(self, graph):
         assert Instance(graph).network().model == CONGEST

@@ -11,6 +11,7 @@ from repro.api import (
     Instance,
     instance_fingerprint,
     random_instance,
+    resume,
     solve,
     solve_many,
 )
@@ -270,30 +271,14 @@ class TestSolveMany:
         direct = solve(instances[0], "maxis-layers")
         assert batch.ok[0].report.solution == direct.solution
 
-    def test_isolate_seeds_gives_distinct_streams(self):
-        inst = random_instance("maxis", n=14, p=0.25, seed=0)
-        batch = solve_many([inst] * 4, "maxis-layers", isolate_seeds=True)
-        seeds = [item.report.instance.seed for item in batch]
-        assert len(set(seeds)) == 4
-        fingerprints = [item.fingerprint for item in batch]
-        assert len(set(fingerprints)) == 4
-        # and the derivation is itself deterministic
-        again = solve_many([inst] * 4, "maxis-layers", isolate_seeds=True)
-        assert [i.report.instance.seed for i in again] == seeds
-
-    @pytest.mark.parametrize("isolate,expected", [
-        (False, ["58633c542e714b13", "58633c542e714b13",
-                 "af586cfd40e7c65f", "af586cfd40e7c65f"]),
-        (True, ["872d3f11c0681652", "67e1b0de16079f8b",
-                "4951560e90db601d", "e9da5cec26221f92"]),
-    ])
-    def test_item_fingerprints_pinned(self, isolate, expected):
-        # Batch keys: the instance's fingerprint, or with isolated seeds
-        # the re-seeded task instance's (never the discarded original).
+    def test_item_fingerprints_pinned(self):
+        # Batch keys: each task's instance fingerprint.
         batch = solve_many(_instances(count=2),
-                           ["maxis-layers", "maxis-greedy"],
-                           isolate_seeds=isolate)
-        assert [item.fingerprint for item in batch] == expected
+                           ["maxis-layers", "maxis-greedy"])
+        assert [item.fingerprint for item in batch] == [
+            "58633c542e714b13", "58633c542e714b13",
+            "af586cfd40e7c65f", "af586cfd40e7c65f",
+        ]
 
 
 class TestBatchReport:
@@ -330,7 +315,7 @@ class TestBatchReport:
 
 
 class TestWarmStart:
-    """``solve_many(..., warm_start=...)`` — resuming a budgeted batch."""
+    """Resuming a budgeted batch: each truncated item through ``resume``."""
 
     def _grid(self, budget):
         from dataclasses import replace
@@ -344,74 +329,20 @@ class TestWarmStart:
     def test_truncated_batch_resumes_bit_identically(self):
         cut = solve_many(self._grid(8), "matching-proposal",
                          executor="serial")
-        assert cut.truncated  # the budget really bit
-        resumed = solve_many(self._grid(None), "matching-proposal",
-                             executor="serial", warm_start=cut)
+        assert len(cut.truncated) == 3  # the budget bit every task
         cold = solve_many(self._grid(None), "matching-proposal",
                           executor="serial")
-        for warm_item, cold_item in zip(resumed, cold):
-            assert warm_item.report.status == "complete"
-            assert warm_item.report.solution == cold_item.report.solution
-            assert warm_item.report.rounds == cold_item.report.rounds
-            assert warm_item.report.objective == cold_item.report.objective
-        assert all(item.warm_started for item in resumed)
-        assert resumed.summary()["warm_started"] == 3
-
-    def test_complete_reports_pass_through_without_rerun(self):
-        done = solve_many(self._grid(None), "matching-proposal",
-                          executor="serial")
-        again = solve_many(self._grid(None), "matching-proposal",
-                           executor="serial", warm_start=done)
-        for prior, item in zip(done, again):
-            assert item.report is prior.report  # same object: no re-solve
-            assert item.warm_started
-            assert item.seconds == 0.0
-
-    def test_mixed_sources_per_task(self):
-        cut = solve_many(self._grid(8), "matching-proposal",
-                         executor="serial")
-        sources = [
-            cut.items[0],                       # BatchItem
-            cut.items[1].report.resume_state,   # raw payload dict
-            None,                               # cold solve
-        ]
-        resumed = solve_many(self._grid(None), "matching-proposal",
-                             executor="serial", warm_start=sources)
-        cold = solve_many(self._grid(None), "matching-proposal",
-                          executor="serial")
-        assert [item.warm_started for item in resumed] == \
-            [True, True, False]
-        for warm_item, cold_item in zip(resumed, cold):
-            assert warm_item.report.solution == cold_item.report.solution
-            assert warm_item.report.rounds == cold_item.report.rounds
-
-    def test_failed_item_source_degrades_to_cold_solve(self):
-        from repro.api.batch import BatchItem
-
-        failed = BatchItem(index=0, fingerprint="dead",
-                           algorithm="matching-proposal",
-                           error="RuntimeError: boom")
-        grid = self._grid(None)[:1]
-        resumed = solve_many(grid, "matching-proposal",
-                             executor="serial", warm_start=[failed])
-        cold = solve_many(grid, "matching-proposal", executor="serial")
-        assert not resumed.items[0].warm_started
-        assert resumed.items[0].report.solution == \
-            cold.items[0].report.solution
-
-    def test_misaligned_warm_column_raises(self):
-        cut = solve_many(self._grid(8), "matching-proposal",
-                         executor="serial")
-        with pytest.raises(ValueError, match="columns must align"):
-            solve_many(self._grid(None)[:2], "matching-proposal",
-                       executor="serial", warm_start=cut)
-
-    def test_unsupported_source_type_raises(self):
-        with pytest.raises(TypeError, match="cannot warm-start"):
-            solve_many(self._grid(None)[:1], "matching-proposal",
-                       executor="serial", warm_start=[42])
+        for item, instance, cold_item in zip(cut, self._grid(None), cold):
+            resumed = resume(item.report, instance=instance)
+            assert resumed.status == "complete"
+            assert resumed.solution == cold_item.report.solution
+            assert resumed.rounds == cold_item.report.rounds
+            assert resumed.objective == cold_item.report.objective
 
     def test_cold_batch_summary_keeps_historical_shape(self):
         summary = solve_many(self._grid(None), "matching-proposal",
                              executor="serial").summary()
-        assert "warm_started" not in summary
+        assert list(summary) == [
+            "tasks", "ok", "failed", "statuses", "backend", "workers",
+            "rounds_total", "messages_total", "bits_total", "objective",
+        ]

@@ -276,15 +276,6 @@ class TestMultiHop:
         resumed = resume(truncated, instance=base)  # stages= omitted
         assert_equals_unbounded(resumed, full, "pinned-options")
 
-    def test_warm_start_keyword_is_the_same_path(self, general_graph,
-                                                 unbounded):
-        full = unbounded["maxis-layers"]
-        base = Instance(general_graph, seed=SEED, eps=EPS)
-        truncated = solve(replace(base, max_rounds=full.rounds // 2),
-                          "maxis-layers")
-        resumed = solve(base, "maxis-layers", warm_start=truncated)
-        assert_equals_unbounded(resumed, full, "warm_start")
-
 
 # ----------------------------------------------------------------------
 # the backend axis: array-kernel runs honor the same contract

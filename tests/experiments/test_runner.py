@@ -18,7 +18,7 @@ from repro.experiments import (
 SMOKE = get_experiment("smoke")
 
 
-def _tiny_spec(checks=(), seeds=(0, 1), derive_seeds=False):
+def _tiny_spec(checks=(), seeds=(0, 1)):
     return ExperimentSpec(
         name="tiny",
         title="tiny test spec",
@@ -34,7 +34,6 @@ def _tiny_spec(checks=(), seeds=(0, 1), derive_seeds=False):
                                                 "seed": 2}}},
                 ),
                 seeds=seeds,
-                derive_seeds=derive_seeds,
                 checks=tuple(checks),
             ),
         ),
@@ -115,20 +114,6 @@ class TestRunner:
         assert check["passed"] is False  # str vs int comparison crashed
         assert "TypeError" in check["detail"]
         assert "inf" in text
-
-    def test_derived_seeds_differ_from_literal(self):
-        literal = Runner(_tiny_spec()).run()
-        derived = Runner(_tiny_spec(derive_seeds=True)).run()
-        literal_seeds = [t["seed"]
-                         for t in literal["sections"][0]["trials"]]
-        derived_seeds = [t["seed"]
-                         for t in derived["sections"][0]["trials"]]
-        assert literal_seeds == [0, 1]
-        assert derived_seeds != literal_seeds
-        again = Runner(_tiny_spec(derive_seeds=True)).run()
-        assert derived_seeds == [
-            t["seed"] for t in again["sections"][0]["trials"]
-        ]
 
     def test_section_subset(self):
         artifact = Runner(SMOKE).run(sections=["maxis_ratio"])

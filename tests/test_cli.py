@@ -46,6 +46,13 @@ class TestMaxis:
         assert "ratio" in out
         assert "rounds" in out
 
+    def test_negative_max_rounds_rejected(self, capsys):
+        code = main(["maxis", "--nodes", "18", "--max-rounds", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "max_rounds must be a non-negative integer" in captured.err
+        assert "truncated" not in captured.out
+
     def test_skip_oracle(self, capsys):
         main(["maxis", "--nodes", "18", "--skip-oracle"])
         out = capsys.readouterr().out
@@ -130,6 +137,16 @@ class TestResumeVerb:
         code = main(["resume", str(tmp_path / "nope.json")])
         assert code == 1
         assert "cannot read state file" in capsys.readouterr().err
+
+    def test_negative_max_rounds_fails_cleanly(self, tmp_path, capsys):
+        state = tmp_path / "cp.json"
+        main(["maxis", "--nodes", "60", "--seed", "5", "--skip-oracle",
+              "--max-rounds", "3", "--save-state", str(state)])
+        capsys.readouterr()
+        code = main(["resume", str(state), "--max-rounds", "-1"])
+        assert code == 1
+        assert "max_rounds must be a non-negative integer" in \
+            capsys.readouterr().err
 
     def test_malformed_file_fails_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
