@@ -48,7 +48,6 @@ from typing import List, Optional
 from .analysis import render_artifact, render_table, write_rows
 from .api import cli_names, list_algorithms, solve
 from .api.persist import (
-    RESUME_FILE_FORMAT,
     instance_from_workload,
     resume_envelope,
     write_envelope,

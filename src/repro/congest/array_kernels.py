@@ -27,12 +27,8 @@ originals by the parity tests.
 
 from __future__ import annotations
 
-import operator
-from typing import Dict, Hashable, List
-
 import numpy as np
 
-from ..utils import rng_state
 from .array_network import (
     MAX_EXACT_INT,
     TAG_BITS,
@@ -66,12 +62,6 @@ def _check_weights(weights, max_degree: int) -> None:
         raise ArrayBackendUnsupported("weights too large for exact bit math")
     if top * (max_degree + 1) >= (1 << 62):
         raise ArrayBackendUnsupported("weight sums could overflow int64")
-
-
-def _as_int(value) -> int:
-    """Coerce a resumed payload word to a true int (floats refused)."""
-
-    return operator.index(value)
 
 
 def _int_column(table: dict, name: str, count: int):
@@ -199,24 +189,8 @@ class _LocalRatioKernel(ArrayKernel):
                 out[int(i)] = IN_IS if joined[i] else NOT_IN_IS
             self.record_halts(indices)
 
-    # -- shared state export/restore -----------------------------------
-    def _row(self, i: int) -> slice:
-        indptr = self.csr.indptr
-        return slice(int(indptr[i]), int(indptr[i + 1]))
-
-    def _edge_set(self, mask, i: int) -> set:
-        row = self._row(i)
-        nbr = self.csr.indices[row]
-        nodes = self.csr.nodes
-        return {nodes[int(j)] for j in nbr[mask[row]]}
-
-    def _set_edges(self, mask, i: int, members) -> None:
-        index = self.csr.index
-        edge_pos = self.csr.edge_pos
-        for u in members:
-            mask[edge_pos[(i, index[u])]] = True
-
-    def _base_program_state(self, i: int) -> dict:
+    # -- checkpoint program state --------------------------------------
+    def _program_state(self, i: int) -> dict:
         return {
             "weight": int(self.weight[i]),
             "status": CANDIDATE if self.candidate[i] else ACTIVE,
@@ -224,11 +198,11 @@ class _LocalRatioKernel(ArrayKernel):
             "wait_set": self._edge_set(self.wait_e, i),
         }
 
-    def _restore_base_program(self, i: int, prog: dict) -> None:
+    def _restore_program(self, i: int, prog: dict) -> None:
         status = prog["status"]
         if status not in (ACTIVE, CANDIDATE):
             raise ArrayBackendUnsupported(f"unknown status {status!r}")
-        self.weight[i] = _as_int(prog["weight"])
+        self.weight[i] = self._as_int(prog["weight"])
         self.candidate[i] = status == CANDIDATE
         self._set_edges(self.active_e, i, prog["active_neighbors"])
         self._set_edges(self.wait_e, i, prog["wait_set"])
@@ -240,7 +214,13 @@ class MaxISLayersKernel(_LocalRatioKernel):
     selection iteration (info / bid / resolve)."""
 
     PROGRAM = "repro.core.maxis_layers.MaxISLayersProgram"
-    KINDS = ("reduce", "removed", "join", "info", "bid")
+    MESSAGES = (
+        ("removed", "out_removed", ()),
+        ("join", "out_join", ()),
+        ("info", "out_info", ("out_info_w", "out_info_layer")),
+        ("bid", "out_bid", ("out_bid_val",)),
+        ("reduce", "out_reduce", ("out_reduce_amt",)),
+    )
 
     def __init__(self, net, csr, probe, table):
         """Table: ``weight`` per node, plus the ``trace`` every node
@@ -363,86 +343,34 @@ class MaxISLayersKernel(_LocalRatioKernel):
         self._emit_decisions(retired if h_join is None else h_join | retired,
                              joined)
 
-    # -- checkpoint payloads -------------------------------------------
-    def export_in_flight(self) -> List[list]:
+    # -- checkpoint program state --------------------------------------
+    def _program_state(self, i: int) -> dict:
+        program = super()._program_state(i)
+        row = self._row(i)
+        nbr = self.csr.indices[row]
         nodes = self.csr.nodes
-        rows, indices = self.csr.rows, self.csr.indices
-        any_e = (self.out_removed | self.out_join | self.out_info
-                 | self.out_bid | self.out_reduce)
-        out = []
-        for p in np.flatnonzero(any_e):
-            p = int(p)
-            s = int(rows[p])
-            if self.out_removed[p]:
-                payload = ("removed",)
-            elif self.out_join[p]:
-                payload = ("join",)
-            elif self.out_info[p]:
-                payload = ("info", int(self.out_info_w[s]),
-                           int(self.out_info_layer[s]))
-            elif self.out_bid[p]:
-                payload = ("bid", int(self.out_bid_val[s]))
-            else:
-                payload = ("reduce", int(self.out_reduce_amt[s]))
-            out.append([nodes[s], nodes[int(indices[p])], payload])
-        return out
+        nl_layer = self.nl_layer[row]
+        program["neighbor_layers"] = {
+            nodes[int(nbr[k])]: int(nl_layer[k])
+            for k in np.flatnonzero(self.nl_mask[row])
+        }
+        program["bid"] = int(self.bid[i]) if self.has_bid[i] else None
+        program["eligible"] = bool(self.eligible[i])
+        return program
 
-    def export_live(self) -> Dict[Hashable, dict]:
-        nodes = self.csr.nodes
-        indices = self.csr.indices
-        live: Dict[Hashable, dict] = {}
-        for i in np.flatnonzero(~self.halted):
-            i = int(i)
-            row = self._row(i)
-            nbr = indices[row]
-            layers = {}
-            nl_layer = self.nl_layer[row]
-            for k in np.flatnonzero(self.nl_mask[row]):
-                layers[nodes[int(nbr[k])]] = int(nl_layer[k])
-            program = self._base_program_state(i)
-            program["neighbor_layers"] = layers
-            program["bid"] = int(self.bid[i]) if self.has_bid[i] else None
-            program["eligible"] = bool(self.eligible[i])
-            live[nodes[i]] = {"sleeping": False, "rng": rng_state(self.rng(i)),
-                              "program": program}
-        return live
-
-    def _restore(self, state: dict) -> None:
+    def _restore_program(self, i: int, prog: dict) -> None:
+        super()._restore_program(i, prog)
         index = self.csr.index
         edge_pos = self.csr.edge_pos
-        for i in np.flatnonzero(~self.halted):
-            i = int(i)
-            prog = self._live_program_state(state, i)
-            self._restore_base_program(i, prog)
-            for u, layer in prog["neighbor_layers"].items():
-                p = edge_pos[(i, index[u])]
-                self.nl_mask[p] = True
-                self.nl_layer[p] = _as_int(layer)
-            bid = prog["bid"]
-            if bid is not None:
-                self.bid[i] = _as_int(bid)
-                self.has_bid[i] = True
-            self.eligible[i] = bool(prog["eligible"])
-        for src, dst, payload in state["in_flight"]:
-            s, d = index[src], index[dst]
-            p = edge_pos[(s, d)]
-            kind = payload[0]
-            if kind == "removed":
-                self.out_removed[p] = True
-            elif kind == "join":
-                self.out_join[p] = True
-            elif kind == "info":
-                self.out_info[p] = True
-                self.out_info_w[s] = _as_int(payload[1])
-                self.out_info_layer[s] = _as_int(payload[2])
-            elif kind == "bid":
-                self.out_bid[p] = True
-                self.out_bid_val[s] = _as_int(payload[1])
-            elif kind == "reduce":
-                self.out_reduce[p] = True
-                self.out_reduce_amt[s] = _as_int(payload[1])
-            else:
-                raise ArrayBackendUnsupported(f"unknown payload {kind!r}")
+        for u, layer in prog["neighbor_layers"].items():
+            p = edge_pos[(i, index[u])]
+            self.nl_mask[p] = True
+            self.nl_layer[p] = self._as_int(layer)
+        bid = prog["bid"]
+        if bid is not None:
+            self.bid[i] = self._as_int(bid)
+            self.has_bid[i] = True
+        self.eligible[i] = bool(prog["eligible"])
 
 
 @register_kernel
@@ -456,7 +384,11 @@ class MaxISColoringKernel(_LocalRatioKernel):
     """
 
     PROGRAM = "repro.core.maxis_coloring.MaxISColoringProgram"
-    KINDS = ("reduce", "removed", "join")
+    MESSAGES = (
+        ("removed", "out_removed", ()),
+        ("join", "out_join", ()),
+        ("reduce", "out_reduce", ("out_reduce_amt",)),
+    )
 
     def __init__(self, net, csr, probe, table):
         """Table: ``weight`` and ``color`` per node.  One color array
@@ -511,53 +443,6 @@ class MaxISColoringKernel(_LocalRatioKernel):
         self._emit_decisions(retired if h_join is None else h_join | retired,
                              joined)
 
-    # -- checkpoint payloads -------------------------------------------
-    def export_in_flight(self) -> List[list]:
-        nodes = self.csr.nodes
-        rows, indices = self.csr.rows, self.csr.indices
-        any_e = self.out_removed | self.out_join | self.out_reduce
-        out = []
-        for p in np.flatnonzero(any_e):
-            p = int(p)
-            if self.out_removed[p]:
-                payload = ("removed",)
-            elif self.out_join[p]:
-                payload = ("join",)
-            else:
-                payload = ("reduce", int(self.out_reduce_amt[int(rows[p])]))
-            out.append([nodes[int(rows[p])], nodes[int(indices[p])], payload])
-        return out
-
-    def export_live(self) -> Dict[Hashable, dict]:
-        nodes = self.csr.nodes
-        live: Dict[Hashable, dict] = {}
-        for i in np.flatnonzero(~self.halted):
-            i = int(i)
-            live[nodes[i]] = {"sleeping": False, "rng": rng_state(self.rng(i)),
-                              "program": self._base_program_state(i)}
-        return live
-
-    def _restore(self, state: dict) -> None:
-        index = self.csr.index
-        edge_pos = self.csr.edge_pos
-        for i in np.flatnonzero(~self.halted):
-            self._restore_base_program(
-                int(i), self._live_program_state(state, int(i))
-            )
-        for src, dst, payload in state["in_flight"]:
-            s, d = index[src], index[dst]
-            p = edge_pos[(s, d)]
-            kind = payload[0]
-            if kind == "removed":
-                self.out_removed[p] = True
-            elif kind == "join":
-                self.out_join[p] = True
-            elif kind == "reduce":
-                self.out_reduce[p] = True
-                self.out_reduce_amt[s] = _as_int(payload[1])
-            else:
-                raise ArrayBackendUnsupported(f"unknown payload {kind!r}")
-
 
 @register_kernel
 class ProposalKernel(ArrayKernel):
@@ -571,7 +456,11 @@ class ProposalKernel(ArrayKernel):
     """
 
     PROGRAM = "repro.core.proposal_matching.ProposalProgram"
-    KINDS = ("propose", "retired", "accept")
+    MESSAGES = (
+        ("retired", "out_retired", ()),
+        ("accept", "out_accept", ()),
+        ("propose", "out_propose", ()),
+    )
 
     def __init__(self, net, csr, probe, table):
         """Table: ``side`` (``"L"``/``"R"``) per node, plus the
@@ -670,61 +559,16 @@ class ProposalKernel(ArrayKernel):
                     out[i] = (MATCHED, nodes[int(winner[i])])
                 self.record_halts(halted_now)
 
-    # -- checkpoint payloads -------------------------------------------
-    def export_in_flight(self) -> List[list]:
-        nodes = self.csr.nodes
-        rows, indices = self.csr.rows, self.csr.indices
-        any_e = self.out_retired | self.out_accept | self.out_propose
-        out = []
-        for p in np.flatnonzero(any_e):
-            p = int(p)
-            if self.out_retired[p]:
-                payload = ("retired",)
-            elif self.out_accept[p]:
-                payload = ("accept",)
-            else:
-                payload = ("propose",)
-            out.append([nodes[int(rows[p])], nodes[int(indices[p])], payload])
-        return out
+    # -- checkpoint program state --------------------------------------
+    def _program_state(self, i: int) -> dict:
+        proposed = self.csr.nodes[int(self.proposed_idx[i])] \
+            if self.has_proposed[i] else None
+        return {"live": self._edge_set(self.live_e, i),
+                "proposed_to": proposed}
 
-    def export_live(self) -> Dict[Hashable, dict]:
-        csr = self.csr
-        nodes = csr.nodes
-        live: Dict[Hashable, dict] = {}
-        for i in np.flatnonzero(~self.halted):
-            i = int(i)
-            lo, hi = int(csr.indptr[i]), int(csr.indptr[i + 1])
-            members = {nodes[int(j)]
-                       for j in csr.indices[lo:hi][self.live_e[lo:hi]]}
-            proposed = nodes[int(self.proposed_idx[i])] \
-                if self.has_proposed[i] else None
-            live[nodes[i]] = {
-                "sleeping": False,
-                "rng": rng_state(self.rng(i)),
-                "program": {"live": members, "proposed_to": proposed},
-            }
-        return live
-
-    def _restore(self, state: dict) -> None:
-        index = self.csr.index
-        edge_pos = self.csr.edge_pos
-        for i in np.flatnonzero(~self.halted):
-            i = int(i)
-            prog = self._live_program_state(state, i)
-            for u in prog["live"]:
-                self.live_e[edge_pos[(i, index[u])]] = True
-            proposed = prog["proposed_to"]
-            if proposed is not None:
-                self.proposed_idx[i] = index[proposed]
-                self.has_proposed[i] = True
-        for src, dst, payload in state["in_flight"]:
-            p = edge_pos[(index[src], index[dst])]
-            kind = payload[0]
-            if kind == "retired":
-                self.out_retired[p] = True
-            elif kind == "accept":
-                self.out_accept[p] = True
-            elif kind == "propose":
-                self.out_propose[p] = True
-            else:
-                raise ArrayBackendUnsupported(f"unknown payload {kind!r}")
+    def _restore_program(self, i: int, prog: dict) -> None:
+        self._set_edges(self.live_e, i, prog["live"])
+        proposed = prog["proposed_to"]
+        if proposed is not None:
+            self.proposed_idx[i] = self.csr.index[proposed]
+            self.has_proposed[i] = True

@@ -36,6 +36,7 @@ Design constraints, in order of priority:
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import weakref
 from typing import Callable, Dict, Hashable, List, Optional
@@ -49,7 +50,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 
 from ..errors import InvalidInstance
 from ..utils import restore_rng, stable_rng
-from .network import CONGEST, SynchronousNetwork
+from .network import CONGEST, SynchronousNetwork, live_entry
 from .node import NodeProgram
 
 #: Environment variable consulted when an Instance does not pin a
@@ -367,16 +368,25 @@ class ArrayKernel:
     * :meth:`step` — one synchronous round (returns nothing, like the
       object engine's),
     * :meth:`export_*` / :meth:`restore` — the checkpoint payload, in
-      the object backend's format so payloads are interchangeable,
+      the object backend's format so payloads are interchangeable; the
+      base class writes and reads it from :attr:`MESSAGES` and the two
+      per-node hooks :meth:`_program_state` / :meth:`_restore_program`,
     * :meth:`outputs` / :attr:`halted_count` / :attr:`total` — results.
     """
 
     #: Fully-qualified program class this kernel vectorizes.
     PROGRAM: str = ""
 
-    #: Payload tags this kernel's protocol uses; resumed in-flight
-    #: messages with any other tag force a fallback.
-    KINDS: tuple = ()
+    #: The messages this kernel's protocol sends, as ``(tag, mask,
+    #: words)``: ``mask`` names the per-directed-edge send mask and
+    #: ``words`` the per-sender int64 arrays holding the payload words
+    #: after the tag.  An edge with several masks set exports the first
+    #: listed; resumed in-flight messages with any other tag force a
+    #: fallback.
+    MESSAGES: tuple = ()
+
+    #: Coerce a resumed payload word to a true int (floats refused).
+    _as_int = staticmethod(operator.index)
 
     def __init__(self, net: "ArrayNetwork", csr: GraphCSR,
                  probe: NodeProgram, table: dict):
@@ -487,8 +497,24 @@ class ArrayKernel:
         return {node: self.node_output[i]
                 for i, node in enumerate(self.csr.nodes)}
 
-    def export_in_flight(self) -> List[list]:  # pragma: no cover
-        raise NotImplementedError
+    def export_in_flight(self) -> List[list]:
+        """Checkpoint payload: ``[src, dst, (tag, *words)]`` per pending
+        send, in CSR position order."""
+
+        nodes = self.csr.nodes
+        rows, indices = self.csr.rows, self.csr.indices
+        messages = [(tag, getattr(self, mask), [getattr(self, w) for w in words])
+                    for tag, mask, words in self.MESSAGES]
+        pending = np.logical_or.reduce([mask for _, mask, _ in messages])
+        out = []
+        for p in np.flatnonzero(pending).tolist():
+            s = int(rows[p])
+            for tag, mask, words in messages:
+                if mask[p]:
+                    break
+            payload = (tag, *(int(word[s]) for word in words))
+            out.append([nodes[s], nodes[int(indices[p])], payload])
+        return out
 
     def export_halted(self) -> Dict[Hashable, object]:
         """Checkpoint payload: output per halted node (graph order)."""
@@ -498,8 +524,29 @@ class ArrayKernel:
         return {nodes[int(i)]: out[int(i)]
                 for i in np.flatnonzero(self.halted)}
 
-    def export_live(self) -> Dict[Hashable, dict]:  # pragma: no cover
+    def export_live(self) -> Dict[Hashable, dict]:
+        """Checkpoint payload: a live entry per running node."""
+
+        nodes = self.csr.nodes
+        return {nodes[i]: live_entry(self.rng(i), self._program_state(i))
+                for i in np.flatnonzero(~self.halted).tolist()}
+
+    def _program_state(self, i: int) -> dict:  # pragma: no cover
+        """Node ``i``'s program state, as its program's ``export_state``."""
+
         raise NotImplementedError
+
+    def _row(self, i: int) -> slice:
+        indptr = self.csr.indptr
+        return slice(int(indptr[i]), int(indptr[i + 1]))
+
+    def _edge_set(self, mask, i: int) -> set:
+        """The neighbors on node ``i``'s row where ``mask`` is set."""
+
+        row = self._row(i)
+        nbr = self.csr.indices[row]
+        nodes = self.csr.nodes
+        return {nodes[int(j)] for j in nbr[mask[row]]}
 
     # -- resume --------------------------------------------------------
     def restore(self, state: dict) -> None:
@@ -559,8 +606,40 @@ class ArrayKernel:
             restore_rng(self.rng(i), entry["rng"])
         return entry["program"]
 
-    def _restore(self, state: dict) -> None:  # pragma: no cover
+    def _restore(self, state: dict) -> None:
+        """Load every running node's live entry, then the in-flight
+        messages through :attr:`MESSAGES`."""
+
+        for i in np.flatnonzero(~self.halted).tolist():
+            self._restore_program(i, self._live_program_state(state, i))
+        index = self.csr.index
+        edge_pos = self.csr.edge_pos
+        messages = {tag: (getattr(self, mask), [getattr(self, w) for w in words])
+                    for tag, mask, words in self.MESSAGES}
+        for src, dst, payload in state["in_flight"]:
+            s = index[src]
+            p = edge_pos[(s, index[dst])]
+            kind = payload[0]
+            if kind not in messages:
+                raise ArrayBackendUnsupported(f"unknown payload {kind!r}")
+            mask, words = messages[kind]
+            mask[p] = True
+            for k, word in enumerate(words, 1):
+                word[s] = self._as_int(payload[k])
+
+    def _restore_program(self, i: int, state: dict) -> None:  # pragma: no cover
+        """Load node ``i``'s program state (the inverse of
+        :meth:`_program_state`)."""
+
         raise NotImplementedError
+
+    def _set_edges(self, mask, i: int, members) -> None:
+        """Set ``mask`` on node ``i``'s row for each neighbor in ``members``."""
+
+        index = self.csr.index
+        edge_pos = self.csr.edge_pos
+        for u in members:
+            mask[edge_pos[(i, index[u])]] = True
 
 
 #: Registry of vectorized kernels, keyed by the fully-qualified name of

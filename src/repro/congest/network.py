@@ -412,6 +412,20 @@ class SynchronousNetwork:
             self._run_max_bits = max_bits
 
 
+def live_entry(rng, program_state: dict) -> dict:
+    """One live node's entry in a checkpoint payload's ``live`` map.
+
+    The only writer of the layout both engines restore: the node's RNG
+    state and its program's ``export_state``.  ``rng=None`` marks a
+    fresh entry (the dynamic-graph compat policy splices these in),
+    which keeps the node's stable per-node stream on resume.
+    """
+
+    return {"sleeping": False,
+            "rng": None if rng is None else rng_state(rng),
+            "program": program_state}
+
+
 class _ObjectEngine:
     """The reference engine: one :class:`NodeProgram` object per node.
 
@@ -548,11 +562,5 @@ class _ObjectEngine:
         return {ctx.node: ctx.output for ctx, _ in self._pairs if ctx._halted}
 
     def export_live(self) -> Dict[Hashable, dict]:
-        return {
-            ctx.node: {
-                "sleeping": False,
-                "rng": rng_state(ctx.rng),
-                "program": program.export_state(),
-            }
-            for ctx, program in self._pairs if not ctx._halted
-        }
+        return {ctx.node: live_entry(ctx.rng, program.export_state())
+                for ctx, program in self._pairs if not ctx._halted}

@@ -25,6 +25,7 @@ from typing import Callable, Hashable, Iterable, Sequence, Tuple
 
 import networkx as nx
 
+from ..congest.linegraph import CongestionAudit, canonical_edge, line_graph
 from ..errors import AlgorithmContractViolation
 
 
@@ -106,39 +107,27 @@ class SimulationCost:
 def theorem_2_8_simulation_cost(graph: nx.Graph) -> SimulationCost:
     """Cost of simulating one broadcast round of a line-graph algorithm.
 
-    Naive strategy: the primary endpoint of each edge ``e`` sends one
-    message to the primary endpoint of every line-neighbor ``e'``; a
-    message crosses a physical edge whenever the two primaries differ
-    from the shared endpoint.  The busiest physical edge carries Θ(Δ)
-    messages.
-
-    Aggregation strategy (Theorem 2.8): each physical edge carries one
-    partial aggregate (secondary → primary) plus one state update
-    (primary → secondary) regardless of Δ.
+    Every line-node sends one message to each line-neighbor, and
+    :class:`~repro.congest.linegraph.CongestionAudit` prices the round
+    under both strategies.  Naive: a message crosses a physical edge
+    whenever a primary endpoint differs from the shared endpoint, so
+    the busiest physical edge carries Θ(Δ) messages.  Aggregation
+    (Theorem 2.8): each physical edge carries one partial aggregate
+    (secondary → primary) plus one state update (primary → secondary)
+    regardless of Δ.
     """
 
-    from ..congest.linegraph import canonical_edge, primary_endpoint
-
-    naive: dict = {}
-    for u, v in graph.edges:
-        e = canonical_edge(u, v)
-        for shared in (u, v):
-            for w in graph.neighbors(shared):
-                if w == u or w == v:
-                    continue
-                e2 = canonical_edge(shared, w)
-                # Message e -> e2 routed primary(e) -> shared -> primary(e2).
-                for hop_src, hop_dst in (
-                    (primary_endpoint(e), shared),
-                    (primary_endpoint(e2), shared),
-                ):
-                    if hop_src != hop_dst:
-                        key = canonical_edge(hop_src, hop_dst)
-                        naive[key] = naive.get(key, 0) + 1
-    aggregated = {canonical_edge(u, v): 2 for u, v in graph.edges}
+    audit = CongestionAudit()
+    lg = line_graph(graph)
+    for e in lg:
+        for e2 in lg[e]:
+            audit.record_line_message(0, e, e2)
+    audit.record_aggregated_round(0, graph)
+    naive = audit.naive_per_round.get(0, {})
+    aggregated = audit.aggregated_per_round[0]
     return SimulationCost(
-        naive_max_load=max(naive.values(), default=0),
-        aggregated_max_load=max(aggregated.values(), default=0),
+        naive_max_load=audit.max_naive_load(),
+        aggregated_max_load=audit.max_aggregated_load(),
         naive_total=sum(naive.values()),
         aggregated_total=sum(aggregated.values()),
     )
@@ -165,8 +154,6 @@ def fold_over_hosted_neighbors(
         raise AlgorithmContractViolation(
             f"{endpoint!r} is not an endpoint of {edge!r}"
         )
-    from ..congest.linegraph import canonical_edge
-
     hosted = []
     for w in graph.neighbors(endpoint):
         if {endpoint, w} == {u, v}:

@@ -16,7 +16,6 @@ exactly that claim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Set
 
@@ -25,11 +24,11 @@ import networkx as nx
 from ..congest import CongestionAudit, line_graph
 from ..congest.network import CONGEST, SynchronousNetwork
 from ..errors import InvalidInstance
-from ..graphs import check_matching, edge_weight, max_node_weight
+from ..graphs import check_matching, edge_weight
 from ..mis.coloring import delta_plus_one_coloring
 from .maxis_coloring import MaxISColoringProgram
 from .maxis_coloring import IN_IS as COLORING_IN_IS
-from .maxis_layers import IN_IS, MaxISLayersProgram
+from .maxis_layers import IN_IS, MaxISLayersProgram, default_round_budget
 from .stepwise import opening_checkpoint, stepper_checkpoints
 
 
@@ -90,11 +89,8 @@ def matching_lines_phases(
     # must truncate at the initial state, not fall back to the default
     # cap (`or` would swallow it).
     if method == "layers":
-        w = max(2, max_node_weight(lg))
-        n = max(2, lg.number_of_nodes())
-        budget = max_rounds if max_rounds is not None else 600 * (
-            (math.ceil(math.log2(n)) + 2) * (math.ceil(math.log2(w)) + 2)
-        )
+        budget = max_rounds if max_rounds is not None \
+            else default_round_budget(lg)
 
         def factory(e):
             return MaxISLayersProgram(lg.nodes[e].get("weight", 1))

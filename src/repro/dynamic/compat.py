@@ -33,7 +33,6 @@ from ..api.instance import Instance
 from ..api.serialize import from_jsonable
 from ..errors import ResumeMismatch
 from .mutations import (
-    REMOVE_NODE,
     MutationBatch,
     apply_batch,
     as_batch,

@@ -19,7 +19,7 @@ requiring the caller to keep it around.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import Hashable, Iterator, Optional, Set, Tuple
 
 import networkx as nx
 

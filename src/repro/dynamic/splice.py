@@ -20,6 +20,7 @@ from typing import Callable, Dict, Hashable, Set
 
 import networkx as nx
 
+from ..congest.network import live_entry
 from ..core.maxis_layers import NOT_IN_IS, MaxISLayersProgram
 from ..errors import ResumeMismatch
 from ..graphs.weights import node_weight
@@ -108,19 +109,15 @@ def splice_maxis_layers(state: dict, graph: nx.Graph,
             if u in revived
             or (u in live and live[u]["program"]["status"] == active)
         }
-        live[v] = {
-            "sleeping": False,
-            "rng": None,  # fresh stable per-node stream
-            "program": {
-                "weight": node_weight(graph, v),
-                "status": active,
-                "active_neighbors": neighbors,
-                "wait_set": set(),
-                "neighbor_layers": {},
-                "bid": None,
-                "eligible": False,
-            },
-        }
+        live[v] = live_entry(None, {  # fresh stable per-node stream
+            "weight": node_weight(graph, v),
+            "status": active,
+            "active_neighbors": neighbors,
+            "wait_set": set(),
+            "neighbor_layers": {},
+            "bid": None,
+            "eligible": False,
+        })
     sim["in_flight"] = [
         message for message in sim["in_flight"]
         if message[0] not in local and message[1] not in local

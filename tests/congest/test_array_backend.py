@@ -418,6 +418,77 @@ class TestDriveDifferential:
             assert metrics_tuple(tail_net) == metrics_tuple(reference)
 
 
+#: Edits that make a resumed in-flight payload one the kernels' codec
+#: cannot model, each with the test a message must pass to be edited.
+PAYLOAD_EDITS = {
+    "foreign tag": (lambda payload: True,
+                    lambda payload: ("foreign", *payload[1:])),
+    "missing word": (lambda payload: len(payload) > 1,
+                     lambda payload: tuple(payload[:-1])),
+    "float word": (lambda payload: len(payload) > 1,
+                   lambda payload: (*payload[:-1], payload[-1] + 0.5)),
+}
+
+KERNEL_OF = {
+    "layers": "MaxISLayersKernel",
+    "coloring": "MaxISColoringKernel",
+    "proposal": "ProposalKernel",
+}
+
+
+class TestCodecRefusals:
+    """A resumed in-flight message the kernel's ``MESSAGES`` cannot
+    model — a foreign tag, a missing word, a word that is no int —
+    makes the array run fall back, and it then ends exactly as the
+    object run of the same payload does."""
+
+    @pytest.mark.parametrize("protocol,edit", [
+        ("layers", "foreign tag"),
+        ("layers", "missing word"),
+        ("layers", "float word"),
+        ("coloring", "foreign tag"),
+        ("coloring", "missing word"),
+        ("coloring", "float word"),
+        ("proposal", "foreign tag"),
+    ])
+    def test_refused_payload_falls_back_to_the_object_run(
+            self, spy, protocol, edit):
+        factory_of, label = PROTOCOLS[protocol]
+        if protocol == "proposal":
+            graph, seed = bipartite_graph(20, 24, 0.18, seed=10), 3
+        else:
+            graph, seed = weighted_gnp(40, 0.1, seed=12), 0
+        editable, rewrite = PAYLOAD_EDITS[edit]
+        for cut in range(1, 10):
+            head_net = make_network(graph, seed=seed, backend=OBJECT_BACKEND)
+            _head, state = drain_with_state(stepwise(
+                head_net, factory_of(graph), max_rounds=cut, label=label,
+                stop_on_limit=True, capture_state=True, checkpoint_every=1,
+            ))
+            targets = [message for message in state["in_flight"]
+                       if editable(message[2])]
+            if targets:
+                break
+        else:
+            pytest.fail(f"no in-flight message to edit for {edit!r}")
+        targets[0][2] = rewrite(targets[0][2])
+
+        outcomes = []
+        for backend in (OBJECT_BACKEND, ARRAY_BACKEND):
+            net = make_network(graph, seed=seed, backend=backend)
+            try:
+                result = drain(stepwise(net, factory_of(graph), label=label,
+                                        resume_state=state))
+            except Exception as exc:  # the other backend must raise it too
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append((result.outputs, result.rounds,
+                                 result.completed, metrics_tuple(net)))
+        assert outcomes[0] == outcomes[1]
+        assert spy[KERNEL_OF[protocol]] == 1
+        assert spy["fallbacks"] == 1
+
+
 # ----------------------------------------------------------------------
 # transparent fallback
 # ----------------------------------------------------------------------
