@@ -11,9 +11,11 @@ pins them empirically against the object backend.
 Two invariants every kernel leans on:
 
 * **Independent RNG streams.**  ``stable_rng(seed, node, proto)`` gives
-  every node its own generator, so a kernel may draw for nodes in any
-  order (we use position order) without perturbing any stream; draws
-  happen exactly when the object program would draw.
+  every node its own generator, so a kernel draws for all of a round's
+  nodes in one :meth:`~repro.congest.array_network.ArrayKernel.draw_below`
+  call (bulk-seeded streams, ``randrange`` for each node) without
+  perturbing any stream; draws happen exactly when the object program
+  would draw.
 * **Repr-rank rows.**  CSR rows are sorted by neighbor ``repr``-rank
   (see :class:`~repro.congest.array_network.GraphCSR`), so the object
   backend's ``sorted(..., key=repr)`` tie-breaks become integer rank
@@ -314,12 +316,10 @@ class MaxISLayersKernel(_LocalRatioKernel):
             elig = actors & ~seg_any(higher, indptr)
             self.eligible = np.where(actors, elig, self.eligible)
             self.has_bid = np.where(actors, elig, self.has_bid)
-            bound = self.bid_bound
-            bid = self.bid
-            for i in np.flatnonzero(elig):
-                bid[int(i)] = self.rng(int(i)).randrange(bound)
+            bidders = np.flatnonzero(elig)
+            self.bid[bidders] = self.draw_below(bidders, self.bid_bound)
             self.out_bid = elig[rows]
-            self.out_bid_val = bid.copy()
+            self.out_bid_val = self.bid.copy()
             self.charge_sends(np.where(elig, csr.degree, 0),
                               TAG_BITS + int_word_bits(self.out_bid_val))
         else:
@@ -515,32 +515,31 @@ class ProposalKernel(ArrayKernel):
             rem &= ~isolated
             unlucky = rem & (round_index // 2 >= self.phases)
             rem &= ~unlucky
-            for i in np.flatnonzero(rem & self.is_left):
-                i = int(i)
-                lo = int(indptr[i])
-                pos = np.flatnonzero(self.live_e[lo:int(indptr[i + 1])]) + lo
-                # rng.choice over the rank-sorted live positions draws
-                # the same stream (one _randbelow(len)) and lands on the
-                # same neighbor as choice(sorted(live, key=repr)).
-                p = int(self.rng(i).choice(pos))
+            proposers = np.flatnonzero(rem & self.is_left)
+            if proposers.size:
+                # choice(sorted(live, key=repr)) is one _randbelow(len)
+                # on the node's stream; rows are rank-sorted, so it
+                # lands on the k-th live position of the proposer's row.
+                live = np.flatnonzero(self.live_e)
+                first = np.searchsorted(live, indptr[proposers])
+                count = np.searchsorted(live, indptr[proposers + 1]) - first
+                p = live[first + self.draw_below(proposers, count)]
                 self.out_propose[p] = True
-                self.proposed_idx[i] = indices[p]
-                self.has_proposed[i] = True
+                self.proposed_idx[proposers] = indices[p]
+                self.has_proposed[proposers] = True
             self.out_retired = sealed[rows]
             self.charge_sends(np.where(sealed, deg, 0), TAG_BITS)
             self.charge_sends((rem & self.is_left).astype(np.int64), TAG_BITS)
             done = sealed | isolated | unlucky
             if done.any():
-                halted_now = np.flatnonzero(done)
-                for i in halted_now:
-                    i = int(i)
-                    if sealed[i]:
-                        out[i] = (MATCHED, nodes[int(partner[i])])
-                    elif isolated[i]:
-                        out[i] = (ISOLATED, None)
-                    else:
-                        out[i] = (UNLUCKY, None)
-                self.record_halts(halted_now)
+                for i, j in zip(np.flatnonzero(sealed).tolist(),
+                                partner[sealed].tolist()):
+                    out[i] = (MATCHED, nodes[j])
+                for i in np.flatnonzero(isolated).tolist():
+                    out[i] = (ISOLATED, None)
+                for i in np.flatnonzero(unlucky).tolist():
+                    out[i] = (UNLUCKY, None)
+                self.record_halts(np.flatnonzero(done))
         else:
             right = alive & ~self.is_left
             prop_in = in_propose & right[rows]
@@ -554,9 +553,9 @@ class ProposalKernel(ArrayKernel):
             if responders.any():
                 winner = seg_max(np.where(win_e, indices, -1), indptr)
                 halted_now = np.flatnonzero(responders)
-                for i in halted_now:
-                    i = int(i)
-                    out[i] = (MATCHED, nodes[int(winner[i])])
+                for i, j in zip(halted_now.tolist(),
+                                winner[halted_now].tolist()):
+                    out[i] = (MATCHED, nodes[j])
                 self.record_halts(halted_now)
 
     # -- checkpoint program state --------------------------------------

@@ -13,10 +13,13 @@ Design constraints, in order of priority:
 1. **Bit-compatibility.**  An array run must be indistinguishable from
    the object run: same outputs, same rounds/messages/bits/violations
    counters, same checkpoint payloads, same randomness.  Per-node RNG
-   streams (``stable_rng(seed, node, proto)``) are independent, so the
-   kernels keep one ``random.Random`` per node and draw from it exactly
-   when the object program would — only the message exchange and the
-   state updates are vectorized.
+   streams (``stable_rng(seed, node, proto)``) are independent, so a
+   kernel draws for all of a round's nodes at once
+   (:meth:`ArrayKernel.draw_below`), each exactly when the object
+   program would.  Large batches of fresh streams are seeded in bulk,
+   CPython's MT19937 replayed over numpy columns (:func:`mt_words`);
+   the rest, and every stream a checkpoint reads or writes, are one
+   ``random.Random`` per node.
 2. **Same round loop.**  :class:`ArrayNetwork` subclasses
    :class:`~repro.congest.network.SynchronousNetwork`, and a kernel is
    a step-able engine driven by the parent's ``_drive`` — the one loop
@@ -35,6 +38,7 @@ Design constraints, in order of priority:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -49,7 +53,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None
 
 from ..errors import InvalidInstance
-from ..utils import restore_rng, stable_rng
+from ..utils import restore_rng, stable_rng, stable_seed
 from .network import CONGEST, SynchronousNetwork, live_entry
 from .node import NodeProgram
 
@@ -348,6 +352,129 @@ TAG_BITS = 4
 
 
 # ----------------------------------------------------------------------
+# Bulk per-node RNG streams (CPython's MT19937, column-wise)
+# ----------------------------------------------------------------------
+#: A draw that seeds fewer fresh streams than this seeds them one by one
+#: (``stable_rng``): below it the bulk seeding's fixed cost, one pass of
+#: about 6,000 numpy calls per chunk (4 ms on a 2-CPU container), loses
+#: to CPython's own seeding.  Measured break-even: 640-768 streams.
+BANK_MIN_STREAMS = 640
+
+#: Tempered output words kept per banked stream.  A stream that needs
+#: more moves to a scalar ``random.Random`` (see :meth:`ArrayKernel.rng`).
+BANK_WORDS = 8
+
+#: Streams seeded per chunk; bounds the (624, chunk) ``uint32`` seeding
+#: state (5 MB) whatever the batch size.
+BANK_CHUNK = 2048
+
+_MT_N, _MT_M = 624, 397
+
+#: Where a node's stream lives (:attr:`ArrayKernel._stream`): not
+#: derived yet, in the bank, or a ``random.Random`` in ``_rngs``.
+_UNDRAWN, _BANKED, _SCALAR = 0, 1, 2
+
+
+@functools.lru_cache(maxsize=None)
+def _mt_constants() -> tuple:
+    """``init_genrand(19650218)``, the state every seeding starts from,
+    and the step indices, as ``uint32`` scalars (built once)."""
+
+    mt = [19650218]
+    for i in range(1, _MT_N):
+        prev = mt[-1]
+        mt.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+    return (tuple(map(np.uint32, mt)),
+            tuple(map(np.uint32, range(_MT_N))))
+
+
+def _mt_seed_chunk(lo, hi):
+    """The state ``random.Random(key)`` holds right after seeding, one
+    column per two-word key ``hi << 32 | lo``: CPython's
+    ``init_by_array`` step for step, every step vectorised over the
+    keys.  The loop runs 1,247 steps of five in-place ufunc calls, so
+    per-call overhead is what it costs: outputs are positional and
+    every constant is a prebuilt ``uint32`` scalar."""
+
+    init, index = _mt_constants()
+    u32 = np.uint32
+    mt = np.empty((_MT_N, lo.size), dtype=u32)
+    rows = list(mt)
+    tmp = np.empty(lo.size, dtype=u32)
+    shr, xor, mul, add, sub = (np.right_shift, np.bitwise_xor, np.multiply,
+                               np.add, np.subtract)
+    thirty = u32(30)
+    # init_key[j] + j for j = 0, 1 (uint32 wrap-around, as in C).
+    key_plus_j = (lo, hi + u32(1))
+    rows[0][...] = init[0]
+    prev = rows[0]
+    # Each pass steps i up to 623, then mt[0] takes mt[623] and i wraps
+    # to 1 for the pass's last step.  The first pass takes 624 steps
+    # from i = 1, j alternating 0, 1; until the wrap the old mt[i] it
+    # mixes in is still init_genrand's constant.
+    mult = u32(1664525)
+    for step, i in enumerate((*range(1, _MT_N), 1)):
+        if step == _MT_N - 1:
+            rows[0][...] = prev
+        row = rows[i]
+        shr(prev, thirty, tmp)
+        xor(tmp, prev, tmp)
+        mul(tmp, mult, tmp)
+        xor(tmp, init[i] if step < _MT_N - 1 else row, row)
+        add(row, key_plus_j[step & 1], row)
+        prev = row
+    # The second pass takes 623 steps from i = 2.
+    mult = u32(1566083941)
+    for step, i in enumerate((*range(2, _MT_N), 1)):
+        if step == _MT_N - 2:
+            rows[0][...] = prev
+        row = rows[i]
+        shr(prev, thirty, tmp)
+        xor(tmp, prev, tmp)
+        mul(tmp, mult, tmp)
+        xor(row, tmp, row)
+        sub(row, index[i], row)
+        prev = row
+    mt[0] = 0x80000000
+    return mt
+
+
+def mt_words(keys, count: int):
+    """The first ``count`` outputs of ``random.Random(key)`` (each what
+    ``getrandbits(32)`` returns) for every key, as a ``(count,
+    len(keys))`` ``uint32`` array.
+
+    Keys must lie in ``[2**32, 2**64)``: CPython seeds an int through
+    MT19937's ``init_by_array`` over its 32-bit words, low word first,
+    and this replays the two-word case.  ``count`` is at most 227, the
+    words one twist yields from the seeded state alone.  Keys are
+    seeded :data:`BANK_CHUNK` at a time.
+    """
+
+    if not 0 < count <= _MT_N - _MT_M:
+        raise ValueError(f"count must lie in [1, {_MT_N - _MT_M}]")
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((count, keys.size), dtype=np.uint32)
+    for start in range(0, keys.size, BANK_CHUNK):
+        chunk = keys[start:start + BANK_CHUNK]
+        if int(chunk.min()) < (1 << 32):
+            raise ValueError("mt_words replays two-word keys only")
+        mt = _mt_seed_chunk((chunk & 0xFFFFFFFF).astype(np.uint32),
+                            (chunk >> 32).astype(np.uint32))
+        # The first twist, for the words it yields before reading any
+        # word it rewrote.
+        y = (mt[:count] & 0x80000000) | (mt[1:count + 1] & 0x7FFFFFFF)
+        y = mt[_MT_M:_MT_M + count] ^ (y >> 1) ^ ((y & 1) * 0x9908B0DF)
+        # Tempering.
+        y ^= y >> 11
+        y ^= (y << 7) & 0x9D2C5680
+        y ^= (y << 15) & 0xEFC60000
+        y ^= y >> 18
+        out[:, start:start + BANK_CHUNK] = y
+    return out
+
+
+# ----------------------------------------------------------------------
 # Kernel base class and registry
 # ----------------------------------------------------------------------
 class ArrayKernel:
@@ -367,6 +494,8 @@ class ArrayKernel:
       semantics (before round 0),
     * :meth:`step` — one synchronous round (returns nothing, like the
       object engine's),
+    * :meth:`draw_below` / :meth:`rng` — the per-node RNG streams, a
+      round's draws in one call,
     * :meth:`export_*` / :meth:`restore` — the checkpoint payload, in
       the object backend's format so payloads are interchangeable; the
       base class writes and reads it from :attr:`MESSAGES` and the two
@@ -397,6 +526,9 @@ class ArrayKernel:
         self.tracking = False
         self._fresh: List[tuple] = []
         self._rngs: Dict[int, object] = {}
+        self._stream = np.zeros(csr.n, dtype=np.int8)
+        self._used = np.zeros(csr.n, dtype=np.int64)
+        self._words = None  # (BANK_WORDS, n) uint32, on first bulk seed
         self._restored = False
         self.halted = np.zeros(csr.n, dtype=bool)
         self.halted_count = 0
@@ -411,13 +543,104 @@ class ArrayKernel:
 
     def rng(self, i: int):
         """The per-node RNG ``stable_rng(seed, node, proto)`` — the
-        object backend's stream — derived lazily."""
+        object backend's stream — derived lazily.  A banked stream
+        leaves the bank here: re-derived, then advanced past the words
+        the bank already drew from it."""
 
         r = self._rngs.get(i)
         if r is None:
             r = self._rngs[i] = stable_rng(self.net.seed, self.csr.nodes[i],
                                            self.proto)
+            if self._stream[i] == _BANKED and self._used[i]:
+                r.getrandbits(32 * int(self._used[i]))
+            self._stream[i] = _SCALAR
         return r
+
+    def draw_below(self, idx, bound):
+        """``self.rng(i).randrange(b)`` for every node position ``i`` in
+        ``idx`` (distinct) and its bound ``b`` (an aligned array, or one
+        value in ``[1, MAX_EXACT_INT)``), as an int64 array.
+
+        Streams are independent, so the order of draws across nodes
+        does not matter.  At least :data:`BANK_MIN_STREAMS` streams that
+        first draw here are seeded together into the bank
+        (:func:`mt_words`); each banked draw is CPython's
+        ``_randbelow``, ``getrandbits(bit_length)`` with rejection, read
+        off the banked words (one or two per draw).  Every other
+        stream — a small batch, a one-word key, a stream that runs past
+        its banked words, one restored from a payload — draws from its
+        scalar :meth:`rng`.
+        """
+
+        idx = np.asarray(idx, dtype=np.int64)
+        bound = np.broadcast_to(np.asarray(bound, dtype=np.int64), idx.shape)
+        out = np.empty(idx.size, dtype=np.int64)
+        if not idx.size:
+            return out
+        if int(bound.min()) < 1 or int(bound.max()) >= MAX_EXACT_INT:
+            raise ValueError(f"bounds must lie in [1, {MAX_EXACT_INT})")
+        fresh = idx[self._stream[idx] == _UNDRAWN]
+        if fresh.size >= BANK_MIN_STREAMS:
+            self._bank(fresh)
+        banked = self._stream[idx] == _BANKED
+        scalar = [np.flatnonzero(~banked)]
+        if banked.any():
+            scalar.append(self._draw_banked(idx, bound, banked, out))
+        for j in np.concatenate(scalar).tolist():
+            out[j] = self.rng(int(idx[j])).randrange(int(bound[j]))
+        return out
+
+    def _bank(self, fresh) -> None:
+        """Seed the streams of node positions ``fresh`` into the bank.
+        The SHA-256 key stays per node (:func:`~repro.utils.stable_seed`);
+        a one-word key (below 2**32) is left to the scalar path."""
+
+        nodes = self.csr.nodes
+        seed, proto = self.net.seed, self.proto
+        keys = np.array([stable_seed(seed, nodes[i], proto)
+                         for i in fresh.tolist()], dtype=np.uint64)
+        wide = keys >= (1 << 32)
+        fresh, keys = fresh[wide], keys[wide]
+        if not fresh.size:
+            return
+        if self._words is None:
+            self._words = np.empty((BANK_WORDS, self.csr.n), dtype=np.uint32)
+        self._words[:, fresh] = mt_words(keys, BANK_WORDS)
+        self._used[fresh] = 0
+        self._stream[fresh] = _BANKED
+
+    def _draw_banked(self, idx, bound, banked, out):
+        """The banked draws of :meth:`draw_below`, rejection rounds
+        vectorised; returns the positions (into ``idx``) whose stream
+        ran out of banked words, for the scalar path to finish."""
+
+        words, used = self._words, self._used
+        limit = words.shape[0]
+        pos = np.flatnonzero(banked)
+        spilled = []
+        while pos.size:
+            node = idx[pos]
+            bits = bit_lengths(bound[pos])
+            at = used[node]
+            need = at + np.where(bits > 32, 2, 1)
+            fits = need <= limit
+            if not fits.all():
+                spilled.append(pos[~fits])
+                pos, node, bits, at, need = (pos[fits], node[fits],
+                                             bits[fits], at[fits], need[fits])
+            # getrandbits(k): the first word holds the low 32 bits; a
+            # k <= 32 draw keeps its top k bits, a wider draw the top
+            # k - 32 bits of a second word as its high bits.
+            first = words[at, node].astype(np.int64)
+            second = words[np.minimum(at + 1, limit - 1),
+                           node].astype(np.int64)
+            value = ((first >> np.maximum(32 - bits, 0))
+                     | ((second >> np.minimum(64 - bits, 32)) << 32))
+            used[node] = need
+            accepted = value < bound[pos]
+            out[pos[accepted]] = value[accepted]
+            pos = pos[~accepted]
+        return np.concatenate(spilled) if spilled else np.empty(0, np.int64)
 
     def record_halts(self, indices) -> None:
         """Mark nodes halted and log them (graph order) for
@@ -807,6 +1030,7 @@ __all__ = [
     "graph_csr",
     "int_word_bits",
     "make_network",
+    "mt_words",
     "register_kernel",
     "resolve_backend",
     "seg_any",

@@ -507,6 +507,15 @@ class _ObjectEngine:
             program.restore_state(entry["program"])
             self._runnable.append((ctx, program))
         self.in_flight = [tuple(message) for message in state["in_flight"]]
+        programs = {ctx.node: program for ctx, program in self._pairs}
+        for _src, dst, payload in self.in_flight:
+            tags = getattr(programs.get(dst), "TAGS", None)
+            tag = payload[0] if payload else None
+            if tags is not None and tag not in tags:
+                raise SimulationError(
+                    f"resume state carries a {tag!r} message for node "
+                    f"{dst!r}, whose program sends only {sorted(tags)}"
+                )
 
     def _halt(self, ctx: NodeContext) -> None:
         self.halted_count += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Dict, Hashable, Tuple
+from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
 from .message import Payload, Word
 
@@ -83,6 +83,12 @@ class NodeContext:
 
 class NodeProgram(abc.ABC):
     """Behaviour of one node in a synchronous distributed algorithm."""
+
+    #: The first words (tags) of every message this program sends, if it
+    #: declares them; a resumed in-flight message with any other tag is
+    #: refused instead of being silently ignored.  ``None`` declares
+    #: nothing and checks nothing.
+    TAGS: Optional[FrozenSet[str]] = None
 
     def on_start(self, ctx: NodeContext) -> None:
         """Hook executed before the first round (round index -1)."""

@@ -56,6 +56,7 @@ class MaxISColoringProgram(NodeProgram):
 
     ACTIVE = "active"
     CANDIDATE = "candidate"
+    TAGS = frozenset({"removed", "join", "reduce"})
 
     def __init__(self, weight: int, color: int,
                  neighbor_colors: Dict[Hashable, int]):

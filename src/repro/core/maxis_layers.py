@@ -82,6 +82,7 @@ class MaxISLayersProgram(NodeProgram):
 
     ACTIVE = "active"
     CANDIDATE = "candidate"
+    TAGS = frozenset({"removed", "join", "info", "bid", "reduce"})
 
     def __init__(self, weight: int, trace: Optional[LayerTrace] = None):
         if weight <= 0 or int(weight) != weight:

@@ -19,6 +19,7 @@ Both run as genuine message-passing programs on the simulator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Set
@@ -90,6 +91,8 @@ class ProposalProgram(NodeProgram):
     live edges left halts ``unlucky``; right nodes halt when all
     neighbors retired (or the budget ends).
     """
+
+    TAGS = frozenset({"retired", "accept", "propose"})
 
     def __init__(self, side: str, phases: int):
         if side not in ("L", "R"):
@@ -380,14 +383,46 @@ def _masked_repetition(graph, parent, remaining, left, right, eps, k,
         network, np.where(on_left, "L", "R"),
         lambda node: "L" if node in left else "R",
         int(sub.degree.max()), eps, k, None, snapshots=False))
-    # check_matching on the sub-graph, without building it.
-    pairs = [tuple(e) for e in matching]
-    check_matching(graph, pairs)
-    if not all((u in left and v in right) or (u in right and v in left)
-               for u, v in pairs):
+    _check_crossing_matching(sub, on_left, matching)
+    return matching, result.unlucky, result.rounds
+
+
+def _check_crossing_matching(sub, on_left, matching) -> None:
+    """:func:`~repro.graphs.check_matching` of one repetition's pairs
+    on its sub-CSR, vectorised, without building the sub-graph: every
+    pair is an edge of ``sub``, no two pairs share an endpoint, and
+    every pair crosses the split.  The caller's final check against
+    the graph itself stays, since a cached CSR can be stale."""
+
+    if not matching:
+        return
+    pairs = list(matching)
+    ends = np.fromiter(
+        map(sub.index.get, itertools.chain.from_iterable(pairs),
+            itertools.repeat(-1)),
+        dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
+    u, v = ends[:, 0], ends[:, 1]
+    known = (u >= 0) & (v >= 0)
+    # Rows are rank-sorted, so (row, column rank) keys ascend over the
+    # CSR positions and one binary search finds each pair's edge.
+    n = sub.n
+    keys = sub.rows * n + sub.rank[sub.indices]
+    wanted = np.where(known, u * n + sub.rank[v], -1)
+    found = keys[np.minimum(np.searchsorted(keys, wanted), sub.m2 - 1)]
+    bad = np.flatnonzero(~known | (found != wanted))
+    if bad.size:
+        a, b = pairs[int(bad[0])]
+        raise AlgorithmContractViolation(
+            f"matching contains non-edge ({a!r}, {b!r})")
+    uses = np.bincount(ends.ravel(), minlength=n)
+    bad = np.flatnonzero((uses[u] > 1) | (uses[v] > 1))
+    if bad.size:
+        a, b = pairs[int(bad[0])]
+        raise AlgorithmContractViolation(
+            f"matching edges share an endpoint at ({a!r}, {b!r})")
+    if (on_left[u] == on_left[v]).any():
         raise AlgorithmContractViolation(
             "a matched pair is not a crossing edge")
-    return matching, result.unlucky, result.rounds
 
 
 def general_proposal_phases(

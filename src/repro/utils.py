@@ -9,24 +9,32 @@ import random
 from typing import Iterable
 
 
-def stable_rng(seed: int, *parts) -> random.Random:
-    """Return a :class:`random.Random` derived deterministically from parts.
+def stable_seed(seed: int, *parts) -> int:
+    """The 64-bit integer seed :func:`stable_rng` derives from parts.
 
     Python's built-in ``hash`` is salted per process for strings, so we
-    derive the stream from a SHA-256 digest instead.  The same
-    ``(seed, *parts)`` always yields the same stream, across processes and
-    platforms, which makes every simulation in this library reproducible.
+    derive the seed from a SHA-256 digest instead.  The same
+    ``(seed, *parts)`` always yields the same value, across processes
+    and platforms.
     """
 
-    key = "|".join([str(seed)] + [repr(p) for p in parts])
+    key = "|".join([str(seed), *map(repr, parts)])
     digest = hashlib.sha256(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
+def stable_rng(seed: int, *parts) -> random.Random:
+    """Return a :class:`random.Random` seeded with
+    :func:`stable_seed` of the same parts, which makes every simulation
+    in this library reproducible."""
+
     # Seed through the C base class, skipping random.Random.seed's
     # Python wrapper: for an int seed the state is identical to
     # random.Random(int_seed) (pinned by tests) and construction is
     # cheaper, which matters when a large run derives one stream per
     # node.
     rng = random.Random.__new__(random.Random)
-    _random.Random.seed(rng, int.from_bytes(digest[:8], "big"))
+    _random.Random.seed(rng, stable_seed(seed, *parts))
     rng.gauss_next = None
     return rng
 

@@ -394,6 +394,23 @@ class TestDriveDifferential:
            cut=st.integers(0, 14), seed=st.integers(0, 3))
     def test_cut_on_one_engine_resume_on_the_other(
             self, family, n, graph_seed, protocol, cut, seed):
+        self.cut_and_resume(family, n, graph_seed, protocol, cut, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(sorted(FAMILIES)),
+           n=st.integers(5, 24), graph_seed=st.integers(0, 50),
+           protocol=st.sampled_from(["layers", "proposal"]),
+           cut=st.integers(0, 14), seed=st.integers(0, 3))
+    def test_banked_streams_cut_and_resume(
+            self, family, n, graph_seed, protocol, cut, seed):
+        # Every stream the kernels draw from goes through the bank, so
+        # a capture re-derives banked streams mid-run.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(array_network, "BANK_MIN_STREAMS", 1)
+            self.cut_and_resume(family, n, graph_seed, protocol, cut, seed)
+
+    @staticmethod
+    def cut_and_resume(family, n, graph_seed, protocol, cut, seed):
         graph = FAMILIES[family](n, graph_seed)
         assign_node_weights(graph, 64, seed=graph_seed)
         factory_of, label = PROTOCOLS[protocol]
@@ -621,6 +638,13 @@ class TestSelection:
         assert array_kernels.MATCHED == proposal_matching.MATCHED
         assert array_kernels.UNLUCKY == proposal_matching.UNLUCKY
         assert array_kernels.ISOLATED == proposal_matching.ISOLATED
+        # Each kernel's message codec covers exactly its program's tags.
+        programs = {f"{cls.__module__}.{cls.__qualname__}": cls
+                    for cls in PROGRAMS}
+        assert set(programs) == set(array_network.KERNELS)
+        for path, kernel_cls in array_network.KERNELS.items():
+            tags = [tag for tag, _mask, _words in kernel_cls.MESSAGES]
+            assert sorted(tags) == sorted(programs[path].TAGS), path
 
     def test_csr_cache_shared_and_invalidated(self):
         # Networks over the same graph object share one compiled CSR;
@@ -665,6 +689,30 @@ class TestSelection:
             assert [fast.random() for _ in range(3)] == [
                 reference.random() for _ in range(3)
             ]
+
+    def test_kernel_rng_after_banked_draws(self, monkeypatch):
+        # Streams drawn from in bulk (draw_below, the bank) come back
+        # out of rng() as the stable_rng stream advanced by the same
+        # draws, so a checkpoint writes what the object backend would.
+        from repro.utils import stable_rng
+
+        monkeypatch.setattr(array_network, "BANK_MIN_STREAMS", 1)
+        graph = gnp_graph(40, 0.1, seed=5)
+        network = make_network(graph, seed=9, backend=ARRAY_BACKEND)
+        csr = network._ensure_csr()
+        factory, table = layers_factory(graph)
+        kernel = array_kernels.MaxISLayersKernel(
+            network, csr, factory(csr.nodes[0]), table,
+        )
+        kernel.bind(proto=2)
+        references = [stable_rng(9, node, 2) for node in csr.nodes]
+        everyone = np.arange(csr.n)
+        for bound in (kernel.bid_bound, 5, kernel.bid_bound):
+            drawn = kernel.draw_below(everyone, bound)
+            assert drawn.tolist() == [r.randrange(bound) for r in references]
+        assert (kernel._stream == array_network._BANKED).any()
+        for i, reference in enumerate(references):
+            assert kernel.rng(i).getstate() == reference.getstate()
 
 
 # ----------------------------------------------------------------------
