@@ -431,10 +431,10 @@ def _iter_proposal(instance: Instance, k=None, repetitions=None,
     """Anytime Lemma B.14: one checkpoint per bipartition repetition;
     stops cooperatively before any repetition past ``max_rounds``.
 
-    Under ``Instance(model="mpc")`` the repetitions execute on the MPC
-    fleet instead of the object simulator — same matching and round
-    count (the port replays the exact per-node RNG streams), with the
-    per-machine ledger summary attached as ``extras["mpc"]``.
+    Under ``Instance(model="mpc")`` every round's mail moves through
+    the MPC fleet's shuffle — same programs, so the same matching and
+    round count, with the per-machine ledger summary attached as
+    ``extras["mpc"]``.
     """
 
     network = bipartite = None

@@ -456,8 +456,9 @@ def general_proposal_phases(
     rounds)``.  The default drains :func:`bipartite_proposal_phases`
     on the simulator ``backend`` selects; the MPC model passes
     :func:`repro.mpc.run_bipartite_proposal` bound to its fleet, which
-    replays the same per-node RNG streams, so matchings and round
-    counts are identical either way.
+    runs the same :class:`ProposalProgram` through the same round loop
+    with the fleet's shuffle as the delivery step, so matchings and
+    round counts are identical either way.
 
     ``capture_state=True`` attaches a resume payload (matching,
     surviving node pool, ledger, split-RNG state) to every checkpoint;

@@ -121,13 +121,15 @@ class MPCNetwork:
         if self.sparsifier is not None and remote:
             if any(load > self.capacity for load in planned.values()):
                 self.sparsifier.stats.would_violate_without = True
-            before = {id(m): m for m in remote}
-            remote = self.sparsifier.thin_round(
+            kept = self.sparsifier.thin_round(
                 round_index, remote, planned, self.machine_of
             )
-            for key, msg in before.items():
-                if all(id(kept) != key for kept in remote):
-                    dropped_by_machine[self.assignment[msg.src]] += 1
+            if len(kept) < len(remote):
+                survivors = {id(msg) for msg in kept}
+                for msg in remote:
+                    if id(msg) not in survivors:
+                        dropped_by_machine[self.assignment[msg.src]] += 1
+            remote = kept
 
         for machine in sorted(planned):
             if planned[machine] > self.capacity:

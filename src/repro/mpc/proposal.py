@@ -1,19 +1,19 @@
-"""Lemma B.14 proposal matching ported to the MPC runtime.
+"""Lemma B.14 proposal matching on the MPC runtime.
 
-The port re-runs the exact protocol of
-:mod:`repro.core.proposal_matching` — same per-node RNG streams
-(``stable_rng(seed, node, 1)``, the stream the object simulator hands
-the first protocol on a fresh network), same propose/respond dynamics,
-same B.14 bipartition splits — but executes it on an
-:class:`~repro.mpc.network.MPCNetwork`: partition-local compute plus
-one shuffle per simulator round.  Matchings *and* round counts are
-therefore bit-identical to ``solve(instance, "matching-proposal")``;
-what changes is the accounting (per-machine ledgers, the sublinearity
-check) and the adaptive sparsification of outcome-neutral traffic
-(``retired`` notices addressed to nodes that already halted — the
-object simulator drops those at delivery anyway).
+Each Lemma B.13 pass runs
+:class:`~repro.core.proposal_matching.ProposalProgram` itself — the
+object simulator's reference program — through the simulator's round
+loop (:meth:`~repro.congest.network.SynchronousNetwork._drive`).  Only
+the delivery step is MPC: every round's in-flight mail passes through
+:meth:`~repro.mpc.network.MPCNetwork.exchange`, the fleet's shuffle,
+before the next round reads it.  Matchings *and* round counts are
+therefore those of ``solve(instance, "matching-proposal")`` by
+construction; what the fleet adds is the accounting (per-machine
+ledgers, the sublinearity check) and the adaptive sparsification of
+outcome-neutral traffic — a message whose recipient has halted is
+droppable, because the simulator never delivers it.
 
-The B.14 repetition loop itself is not duplicated here:
+The B.14 repetition loop is not duplicated here either:
 :func:`~repro.core.proposal_matching.general_proposal_phases` takes the
 per-repetition bipartite runner as a callable, and the MPC model passes
 :func:`run_bipartite_proposal` bound to one :class:`MPCNetwork`, shared
@@ -25,20 +25,49 @@ machines that actually ran, not the pre-truncation fleet.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Hashable, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..core.proposal_matching import (
-    ISOLATED,
-    MATCHED,
-    UNLUCKY,
-    lemma_b13_rounds,
-    optimal_k,
-)
-from ..graphs import max_degree
-from ..utils import stable_rng
+from ..congest.network import SynchronousNetwork, _ObjectEngine
+from ..core.proposal_matching import bipartite_proposal_phases
+from ..utils import drain
 from .network import MPCMessage, MPCNetwork
+
+
+class _ShuffledEngine(_ObjectEngine):
+    """The object engine with the fleet's shuffle as its delivery step."""
+
+    def step(self, round_index: int) -> None:
+        super().step(round_index)
+        contexts = self._contexts
+        inboxes = self.net.fleet.exchange(
+            MPCMessage(src, dst, payload, droppable=contexts[dst]._halted)
+            for src, dst, payload in self.in_flight
+        )
+        self.in_flight = [
+            (src, dst, payload)
+            for dst, inbox in inboxes.items()
+            for src, payload in inbox.items()
+        ]
+
+
+class _FleetNetwork(SynchronousNetwork):
+    """A simulator over one pass's graph whose rounds end in a shuffle
+    of ``fleet``."""
+
+    def __init__(self, graph: nx.Graph, fleet: MPCNetwork, seed: int):
+        super().__init__(graph, seed=seed)
+        self.fleet = fleet
+
+    def run_stepwise(self, program_factory, max_rounds=10_000,
+                     label="protocol", stop_on_limit=False,
+                     checkpoint_every=None, capture_state=False,
+                     resume_state=None, table=None):
+        return self._drive(
+            _ShuffledEngine(self, program_factory), max_rounds, label,
+            stop_on_limit, checkpoint_every, capture_state, resume_state,
+        )
 
 
 def run_bipartite_proposal(
@@ -48,108 +77,19 @@ def run_bipartite_proposal(
     eps: float = 0.25,
     k: Optional[int] = None,
     seed: int = 0,
-    phases: Optional[int] = None,
 ) -> Tuple[Set[frozenset], Set[Hashable], int]:
     """One Lemma B.13 run on ``sub`` over the MPC fleet.
 
-    Returns ``(matching, unlucky, rounds)`` — bit-identical to a drained
+    Returns ``(matching, unlucky, rounds)`` of a drained
     :func:`~repro.core.proposal_matching.bipartite_proposal_phases`
-    with ``seed`` (each node draws from ``stable_rng(seed, node, 1)``,
-    matching the fresh-network stream of the object simulator).
+    with ``seed``, whose rounds each end in ``network``'s shuffle.
     """
 
-    delta = max_degree(sub)
-    if k is None:
-        k = optimal_k(delta, eps)
-    if phases is None:
-        phases = lemma_b13_rounds(delta, eps, k)
-    cap = 2 * phases + 4
-    order = sorted(sub.nodes, key=repr)
-    sides = {v: ("L" if v in left else "R") for v in order}
-    neighbors = {
-        v: tuple(sorted(sub.neighbors(v), key=repr)) for v in order
-    }
-    live: Dict[Hashable, Set[Hashable]] = {
-        v: set(neighbors[v]) for v in order
-    }
-    rngs = {v: stable_rng(seed, v, 1) for v in order}
-    halted: Set[Hashable] = set()
-    outcome: Dict[Hashable, Tuple] = {}
-    inboxes: Dict[Hashable, Dict[Hashable, Tuple]] = {}
-    rounds = 0
-
-    for round_index in range(cap):
-        if len(halted) == len(order):
-            break
-        outbox: Dict[Hashable, Dict[Hashable, Tuple]] = {}
-
-        def send(sender, dst, payload):
-            outbox.setdefault(sender, {})[dst] = payload
-
-        for v in order:
-            if v in halted:
-                continue
-            inbox = inboxes.get(v, {})
-            for src, payload in inbox.items():
-                if payload and payload[0] == "retired":
-                    live[v].discard(src)
-            if round_index % 2 == 0:
-                accepted = None
-                for src, payload in inbox.items():
-                    if payload and payload[0] == "accept":
-                        accepted = src
-                        break
-                if accepted is not None:
-                    for u in neighbors[v]:
-                        send(v, u, ("retired",))
-                    halted.add(v)
-                    outcome[v] = (MATCHED, accepted)
-                elif not live[v]:
-                    halted.add(v)
-                    outcome[v] = (ISOLATED, None)
-                elif round_index // 2 >= phases:
-                    halted.add(v)
-                    outcome[v] = (UNLUCKY, None)
-                elif sides[v] == "L":
-                    target = rngs[v].choice(sorted(live[v], key=repr))
-                    send(v, target, ("propose",))
-            else:
-                if sides[v] == "L":
-                    continue
-                proposers = sorted(
-                    (src for src, payload in inbox.items()
-                     if payload and payload[0] == "propose"),
-                    key=repr,
-                )
-                if proposers:
-                    winner = proposers[-1]
-                    for u in neighbors[v]:
-                        send(v, u, ("retired",))
-                    send(v, winner, ("accept",))
-                    halted.add(v)
-                    outcome[v] = (MATCHED, winner)
-
-        messages = []
-        for sender in sorted(outbox, key=repr):
-            for dst in sorted(outbox[sender], key=repr):
-                payload = outbox[sender][dst]
-                # Retirement notices to halted nodes never get
-                # delivered (the object simulator skips them too), so
-                # the sparsifier may shed them under load.
-                droppable = payload[0] == "retired" and dst in halted
-                messages.append(MPCMessage(
-                    sender, dst, payload, weight=0.0,
-                    droppable=droppable,
-                ))
-        inboxes = network.exchange(messages, halted=frozenset(halted))
-        rounds = round_index + 1
-
-    matching = {
-        frozenset((v, out[1]))
-        for v, out in outcome.items() if out[0] == MATCHED
-    }
-    unlucky = {v for v, out in outcome.items() if out[0] == UNLUCKY}
-    return matching, unlucky, rounds
+    outcome = drain(bipartite_proposal_phases(
+        sub, left, sub.nodes - left, eps=eps, k=k, seed=seed,
+        network=_FleetNetwork(sub, network, seed),
+    ))
+    return outcome.matching, outcome.unlucky, outcome.rounds
 
 
 __all__ = ["run_bipartite_proposal"]
