@@ -220,9 +220,7 @@ def _iter_greedy_mis(instance: Instance, resume_state=None,
         yield Checkpoint(phase="init", solution=frozenset(), objective=0,
                          rounds=0)
         network = _mpc_network(instance, capacity_factor, sparsify)
-        chosen, weight, rounds, _ = mpc_greedy_mis(
-            instance.graph, network=network,
-        )
+        chosen, weight, rounds = mpc_greedy_mis(instance.graph, network)
         yield Checkpoint(phase="mpc-peel", solution=chosen,
                          objective=weight, rounds=rounds, final=True)
         return _report(instance, chosen, weight, rounds,

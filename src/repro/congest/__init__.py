@@ -33,7 +33,7 @@ from .linegraph import (
     secondary_endpoint,
     shared_endpoint,
 )
-from .message import Envelope, Payload, payload_bits, word_bits
+from .message import Payload, payload_bits, word_bits
 from .network import (
     CONGEST,
     LOCAL,
@@ -56,7 +56,6 @@ __all__ = [
     "CONGEST",
     "LOCAL",
     "CongestionAudit",
-    "Envelope",
     "IdleProgram",
     "NetworkMetrics",
     "NodeContext",

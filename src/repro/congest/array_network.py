@@ -32,8 +32,8 @@ Design constraints, in order of priority:
 3. **Transparent fallback.**  Kernels are registered per program class
    (:data:`KERNELS`); a program without a kernel — or a run using
    features the kernels do not model (no table, strict bandwidth
-   enforcement, a trace hook) — silently executes on the inherited
-   object engine.  Callers never need to know which engine ran.
+   enforcement) — silently executes on the inherited object engine.
+   Callers never need to know which engine ran.
 """
 
 from __future__ import annotations
@@ -971,15 +971,15 @@ class ArrayNetwork(SynchronousNetwork):
 
         Falls back to the inherited implementation whenever the array
         engine cannot guarantee bit-compatibility: numpy missing, no
-        table, a trace hook, ``strict`` bandwidth enforcement (the exact
-        violating ``(src, dst)`` pair matters there), an empty graph, an
+        table, ``strict`` bandwidth enforcement (the exact violating
+        ``(src, dst)`` pair matters there), an empty graph, an
         unregistered program class, or kernel-level feasibility checks
         failing.
         """
 
         kernel = None
         if not (np is None or table is None or self.strict
-                or self.trace is not None or self._n == 0):
+                or self._n == 0):
             kernel = self._kernel(program_factory, table, resume_state)
         if kernel is None:
             return super().run_stepwise(

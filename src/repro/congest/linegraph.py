@@ -18,9 +18,9 @@ This module provides:
 * :func:`primary_endpoint` — the simulation assignment,
 * :class:`CongestionAudit` — measure, per physical edge of ``G`` and per
   round, the message load of a node program run on ``L(G)`` under (a)
-  the naive simulation and (b) the aggregation mechanism.  It is fed by
-  the simulator's per-message ``trace`` hook in
-  :func:`repro.core.matching_lines_phases`, which is how the
+  the naive simulation and (b) the aggregation mechanism.  An audited
+  :func:`repro.core.matching_lines_phases` run feeds it from its engine,
+  one round's in-flight mail at a time, which is how the
   ``congestion`` experiment reproduces the Theorem 2.8 separation.
 """
 

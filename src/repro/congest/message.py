@@ -16,8 +16,7 @@ ints, floats and short strings) and charge bits per word:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Tuple
+from typing import Tuple
 
 Word = bool | int | float | str
 Payload = Tuple[Word, ...]
@@ -42,15 +41,3 @@ def payload_bits(payload: Payload) -> int:
 
     return sum(word_bits(word) for word in payload)
 
-
-@dataclass(frozen=True)
-class Envelope:
-    """A message in flight: source, destination and an immutable payload."""
-
-    src: Hashable
-    dst: Hashable
-    payload: Payload
-
-    @property
-    def bits(self) -> int:
-        return payload_bits(self.payload)

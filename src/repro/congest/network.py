@@ -27,7 +27,7 @@ import networkx as nx
 
 from ..errors import BandwidthViolation, RoundLimitExceeded, SimulationError
 from ..utils import restore_rng, rng_state, stable_rng
-from .message import Envelope, payload_bits
+from .message import payload_bits
 from .node import NodeContext, NodeProgram
 
 #: Execution models.  LOCAL imposes no bandwidth limit; CONGEST limits each
@@ -128,6 +128,11 @@ class SynchronousNetwork:
         instead of being recorded.
     """
 
+    #: The engine :meth:`run_stepwise` builds for a run, as
+    #: ``ENGINE(network, program_factory)``: the simulator's one
+    #: extension point (:class:`_ObjectEngine`, set below).
+    ENGINE: type
+
     def __init__(self, graph: nx.Graph, model: str = CONGEST, seed: int = 0,
                  bandwidth_factor: int = 8, strict: bool = False):
         self.graph = graph
@@ -159,9 +164,6 @@ class SynchronousNetwork:
         #: RunResult.metrics can report a per-run max while the network
         #: counter keeps the cumulative max.
         self._run_max_bits = 0
-        #: Optional callback ``(round_index, envelope)`` invoked for every
-        #: message sent; used by the line-graph congestion auditor.
-        self.trace: Optional[Callable[[int, Envelope], None]] = None
 
     @cached_property
     def _adjacency(self) -> Dict[Hashable, tuple]:
@@ -257,7 +259,7 @@ class SynchronousNetwork:
         builds every program with ``program_factory`` and ignores it.
         """
 
-        engine = _ObjectEngine(self, program_factory)
+        engine = self.ENGINE(self, program_factory)
         return (yield from self._drive(
             engine, max_rounds, label, stop_on_limit,
             checkpoint_every, capture_state, resume_state,
@@ -369,8 +371,7 @@ class SynchronousNetwork:
 
         Accounting is batched: counters are accumulated in locals and
         written to :class:`NetworkMetrics` once per drain, and payload
-        bit-costs come from the per-network memo cache.  Envelope objects
-        are only materialised when a trace hook is installed.
+        bit-costs come from the per-network memo cache.
         """
 
         outbox = ctx.drain_outbox()
@@ -379,7 +380,6 @@ class SynchronousNetwork:
         cache_limit = self._bits_cache_limit
         congest = self.model == CONGEST
         bandwidth = self.bandwidth
-        trace = self.trace
         src = ctx.node
         count = 0
         total_bits = 0
@@ -401,8 +401,6 @@ class SynchronousNetwork:
                 if self.strict:
                     raise BandwidthViolation(src, dst, bits, bandwidth)
                 metrics.violations += 1
-            if trace is not None:
-                trace(ctx.round, Envelope(src=src, dst=dst, payload=payload))
             in_flight.append((src, dst, payload))
         metrics.messages += count
         metrics.bits += total_bits
@@ -573,3 +571,6 @@ class _ObjectEngine:
     def export_live(self) -> Dict[Hashable, dict]:
         return {ctx.node: live_entry(ctx.rng, program.export_state())
                 for ctx, program in self._pairs if not ctx._halted}
+
+
+SynchronousNetwork.ENGINE = _ObjectEngine

@@ -22,7 +22,7 @@ from typing import Optional, Set
 import networkx as nx
 
 from ..congest import CongestionAudit, line_graph
-from ..congest.network import CONGEST, SynchronousNetwork
+from ..congest.network import CONGEST, SynchronousNetwork, _ObjectEngine
 from ..errors import InvalidInstance
 from ..graphs import check_matching, edge_weight
 from ..mis.coloring import delta_plus_one_coloring
@@ -30,6 +30,39 @@ from .maxis_coloring import MaxISColoringProgram
 from .maxis_coloring import IN_IS as COLORING_IN_IS
 from .maxis_layers import IN_IS, MaxISLayersProgram, default_round_budget
 from .stepwise import opening_checkpoint, stepper_checkpoints
+
+
+class _AuditedEngine(_ObjectEngine):
+    """The object engine on ``L(G)``, pricing each round's ``in_flight``
+    mail into the network's audit; ``on_start`` mail is round ``-1``."""
+
+    def start(self) -> None:
+        super().start()
+        self._price(-1)
+
+    def step(self, round_index: int) -> None:
+        super().step(round_index)
+        self._price(round_index)
+
+    def _price(self, round_index: int) -> None:
+        if not self.in_flight:
+            return
+        audit = self.net.audit
+        for src, dst, _payload in self.in_flight:
+            audit.record_line_message(round_index, src, dst)
+        audit.record_aggregated_round(round_index, self.net.physical)
+
+
+class _AuditedNetwork(SynchronousNetwork):
+    """A CONGEST simulator on ``L(G)`` whose rounds feed ``audit``."""
+
+    ENGINE = _AuditedEngine
+
+    def __init__(self, line: nx.Graph, physical: nx.Graph,
+                 audit: CongestionAudit, seed: int):
+        super().__init__(line, model=CONGEST, seed=seed)
+        self.physical = physical
+        self.audit = audit
 
 
 @dataclass
@@ -120,19 +153,12 @@ def matching_lines_phases(
     else:
         raise InvalidInstance(f"unknown method {method!r}")
 
-    # The protocol runs on L(G); the audit maps every line-graph message
-    # back to physical-edge traffic.  The aggregated cost is per round,
-    # not per message, so it is recorded on a round's first message.
-    network = SynchronousNetwork(lg, model=CONGEST, seed=seed)
-    if audit is not None:
-        def trace(round_index, envelope):
-            audit.record_line_message(round_index, envelope.src,
-                                      envelope.dst)
-            if round_index not in audit.aggregated_per_round:
-                audit.record_aggregated_round(round_index, graph)
-
-        network.trace = trace
-
+    # The protocol runs on L(G); an audited run prices every round's
+    # line-graph mail as physical-edge traffic.
+    if audit is None:
+        network = SynchronousNetwork(lg, model=CONGEST, seed=seed)
+    else:
+        network = _AuditedNetwork(lg, graph, audit, seed)
     stepper = network.run_stepwise(
         factory,
         max_rounds=budget,

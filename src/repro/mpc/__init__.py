@@ -19,10 +19,11 @@ Run algorithms in this model through the facade::
                    "matching-proposal")
     report.extras["mpc"]          # capacity, per-machine peaks, drops
 
-``matching-proposal`` (Lemma B.14) runs the simulator's
-``ProposalProgram`` through its round loop, with the shuffle as the
-delivery step; ``maxis-greedy`` runs a message-passing peeler of its
-own.  Both have exact objective parity with their default-model runs.
+Both algorithms run as node programs through the simulator's round
+loop, with the shuffle as the delivery step: ``matching-proposal``
+(Lemma B.14) runs ``ProposalProgram``, ``maxis-greedy`` a joined/
+excluded peeler.  Both have exact objective parity with their
+default-model runs.
 """
 
 from .greedy import mpc_greedy_mis

@@ -1,112 +1,109 @@
 """Greedy weighted MIS on the MPC runtime.
 
-Message-passing form of :mod:`repro.core.greedy_mis`: every node keeps
-a *view* of which neighbors it still believes undecided, joins once it
-beats every viewed neighbor, and announces decisions — ``joined`` to
-knock neighbors out, ``excluded`` so neighbors shrink their views.
-The joined/excluded protocol converges to exactly the central greedy
-set (a node only joins after every higher-priority neighbor is known
-excluded; a higher-priority neighbor that joins knocks it out first),
-so the MPC run has exact objective parity with
-``solve(instance, "maxis-greedy")`` — the acceptance check the
-``mpc_scaling`` experiment pins per configuration.
+Message-passing form of :mod:`repro.core.greedy_mis`, run through the
+simulator's round loop with the fleet's shuffle as its delivery step.
+Every node keeps a *view* of which neighbors it still believes
+undecided, joins once it beats every viewed neighbor, then announces
+its decision and halts — ``joined`` to knock neighbors out,
+``excluded`` so neighbors shrink their views.  This converges to
+exactly the central greedy set (a node only joins after every
+higher-priority neighbor is known excluded), so the MPC run has exact
+objective parity with ``solve(instance, "maxis-greedy")``.
 
-Sparsification hooks: ``joined`` notices targeting one recipient are
-redundant as a group (one suffices to knock the recipient out — group
-key ``("excl", dst)``), and ``excluded`` notices to nodes that already
-decided are outcome-neutral (decided nodes ignore their inbox), so
-both may be shed under load.  Message weight is the sender's node
-weight, so the sparsifier sheds the lowest-weight edges first.  On a
-dense graph the one round where every knocked-out node broadcasts its
-exclusion is Θ(n²) traffic — entirely droppable — which is the
-configuration that passes the sublinearity check *only* because
-adaptive sparsification engages.
+Sparsification hooks: ``joined`` notices to one recipient are
+redundant as a group (one suffices — group key ``("excl", dst)``), and
+a notice to a node that already halted is never read, so both may be
+shed under load, lowest sender weight first.  On a dense graph the
+round where every knocked-out node broadcasts its exclusion is Θ(n²)
+traffic — entirely droppable — and passes the sublinearity check
+*only* because adaptive sparsification engages.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Tuple
 
 import networkx as nx
 
+from ..congest.node import NodeContext, NodeProgram
 from ..core.greedy_mis import greedy_priorities
 from ..graphs import check_independent_set, node_weight
-from .network import MPCMessage, MPCNetwork
+from .network import MPCMessage, MPCNetwork, _FleetNetwork, _ShuffledEngine
 
 JOINED = "joined"
 EXCLUDED = "excluded"
 
 
-def mpc_greedy_mis(
-    graph: nx.Graph,
-    network: Optional[MPCNetwork] = None,
-    seed: int = 0,
-) -> Tuple[frozenset, int, int, MPCNetwork]:
-    """Run the peeling protocol over an MPC fleet.
+class PeelingProgram(NodeProgram):
+    """One node of the joined/excluded protocol; outputs membership."""
 
-    Returns ``(independent_set, weight, rounds, network)`` where the
-    set and weight equal a drained
+    def __init__(self, priority: Dict[Hashable, Tuple[int, int]]):
+        self.priority = priority
+
+    def on_start(self, ctx: NodeContext) -> None:
+        self.view = set(ctx.neighbors)
+
+    def on_round(self, ctx: NodeContext) -> None:
+        view = self.view
+        view.difference_update(ctx.inbox)
+        knocked_out = (JOINED,) in ctx.inbox.values()
+        priority = self.priority
+        mine = priority[ctx.node]
+        joined = not knocked_out and all(mine > priority[u] for u in view)
+        if knocked_out or joined:
+            tag = JOINED if joined else EXCLUDED
+            for u in ctx.neighbors:
+                if u in view:
+                    ctx.send(u, tag)
+            ctx.halt(joined)
+
+
+class _PeelingEngine(_ShuffledEngine):
+    """Marks each notice with its sender's weight, and each ``joined``
+    notice with its recipient's redundancy group."""
+
+    def __init__(self, net: _FleetNetwork, program_factory):
+        super().__init__(net, program_factory)
+        graph = net.graph
+        self.weights = {v: float(node_weight(graph, v)) for v in self.nodes}
+
+    def mpc_messages(self) -> Iterable[MPCMessage]:
+        contexts = self._contexts
+        weights = self.weights
+        return [
+            MPCMessage(src, dst, payload, weight=weights[src],
+                       droppable=contexts[dst]._halted,
+                       group=("excl", dst) if payload[0] == JOINED else None)
+            for src, dst, payload in self.in_flight
+        ]
+
+
+class _PeelingNetwork(_FleetNetwork):
+    ENGINE = _PeelingEngine
+
+
+def mpc_greedy_mis(graph: nx.Graph,
+                   network: MPCNetwork) -> Tuple[frozenset, int, int]:
+    """Run the peeling protocol over the MPC fleet ``network``.
+
+    Returns ``(independent_set, weight, rounds)`` where the set and
+    weight equal a drained
     :func:`repro.core.greedy_mis.greedy_mis_phases` on the same graph
     (round counts differ: decision news travels one shuffle per hop
     here, while the central peeling sweeps globally).
     """
 
-    if network is None:
-        network = MPCNetwork(graph, seed=seed)
-    order = sorted(graph.nodes, key=repr)
     priority = greedy_priorities(graph)
-    view: Dict[Hashable, Set[Hashable]] = {
-        v: set(graph.neighbors(v)) for v in order
-    }
-    status: Dict[Hashable, Optional[str]] = {v: None for v in order}
-    inboxes: Dict[Hashable, Dict[Hashable, Tuple]] = {}
-    rounds = 0
-
-    while any(status[v] is None for v in order):
-        newly_excluded = []
-        for v in order:
-            if status[v] is not None:
-                continue
-            for src, payload in inboxes.get(v, {}).items():
-                view[v].discard(src)
-                if payload[0] == JOINED and status[v] is None:
-                    status[v] = EXCLUDED
-                    newly_excluded.append(v)
-        newly_joined = []
-        for v in order:
-            if status[v] is None and all(
-                priority[v] > priority[u] for u in view[v]
-            ):
-                status[v] = JOINED
-                newly_joined.append(v)
-
-        messages = []
-        for v in newly_joined:
-            for u in sorted(view[v], key=repr):
-                # One surviving notice per recipient knocks it out, so
-                # the group key marks the rest redundant under load.
-                messages.append(MPCMessage(
-                    v, u, (JOINED,),
-                    weight=float(node_weight(graph, v)),
-                    group=("excl", u),
-                ))
-        for v in newly_excluded:
-            for u in sorted(view[v], key=repr):
-                messages.append(MPCMessage(
-                    v, u, (EXCLUDED,),
-                    weight=float(node_weight(graph, v)),
-                    droppable=status[u] is not None,
-                ))
-        halted = frozenset(
-            v for v in order if status[v] is not None
-        )
-        inboxes = network.exchange(messages, halted=halted)
-        rounds += 1
-
-    chosen = frozenset(v for v in order if status[v] == JOINED)
+    # Every round decides the highest-priority undecided node.
+    result = _PeelingNetwork(graph, network, network.seed).run(
+        lambda v: PeelingProgram(priority),
+        max_rounds=graph.number_of_nodes() + 1,
+    )
+    chosen = frozenset(v for v in sorted(graph.nodes, key=repr)
+                       if result.outputs[v])
     check_independent_set(graph, chosen)
     weight = sum(node_weight(graph, v) for v in chosen)
-    return chosen, weight, rounds, network
+    return chosen, weight, result.rounds
 
 
 __all__ = ["mpc_greedy_mis"]

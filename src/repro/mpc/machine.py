@@ -11,7 +11,7 @@ stored adjacency entry, one per word of buffered inbound payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from .ledger import MachineLedger
 
@@ -32,18 +32,15 @@ class Machine:
 
     def __post_init__(self) -> None:
         self.ledger = MachineLedger(machine=self.index)
-
-    @property
-    def node_set(self) -> FrozenSet[Hashable]:
-        return frozenset(self.nodes)
+        self._base_words = len(self.nodes) + sum(
+            len(neigh) for neigh in self.adjacency.values()
+        )
 
     def base_memory_words(self) -> int:
         """Resident words before any round buffers: one word per node
-        plus one per adjacency entry."""
+        plus one per adjacency entry, fixed at construction."""
 
-        return len(self.nodes) + sum(
-            len(neigh) for neigh in self.adjacency.values()
-        )
+        return self._base_words
 
     def round_memory_words(self, buffered_payload_words: int) -> int:
         """Words resident during a round: base + inbound buffers."""

@@ -18,25 +18,22 @@ round.  The shuffle
    (bits at send time, mirroring the CONGEST simulator's accounting,
    so machines-per-node runs sum to ``NetworkMetrics.bits``), and
 5. delivers the surviving messages as per-node inboxes for the next
-   round, skipping halted recipients exactly like the object simulator
-   (the traffic was still moved, so it is still charged).
+   round.
+
+A :class:`_FleetNetwork` runs node programs through the simulator's
+round loop with this shuffle as its engine's delivery step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+
+import networkx as nx
 
 from ..congest.message import payload_bits
+from ..congest.network import SynchronousNetwork, _ObjectEngine
 from ..errors import MPCCapacityError
 from .ledger import aggregate_ledgers
 from .machine import Machine, build_machines
@@ -92,15 +89,13 @@ class MPCNetwork:
     def machine_of(self, node: Hashable) -> int:
         return self.assignment[node]
 
-    def exchange(self, messages: Iterable[MPCMessage],
-                 halted: FrozenSet[Hashable] = frozenset(),
+    def exchange(self, messages: Iterable[MPCMessage]
                  ) -> Dict[Hashable, Dict[Hashable, Tuple]]:
         """Run one shuffle step; returns next-round inboxes.
 
         The inbox of node ``v`` maps sender -> payload (one payload per
         sender per round, overwrite semantics, like the object
-        simulator's outbox).  Messages to halted recipients are charged
-        but not delivered.
+        simulator's outbox).
         """
 
         round_index = self.round
@@ -155,14 +150,12 @@ class MPCNetwork:
             received[dst_m] += 1
             received_bits[dst_m] += bits
             buffered_words[dst_m] += len(msg.payload)
-            if msg.dst not in halted:
-                inboxes.setdefault(msg.dst, {})[msg.src] = msg.payload
+            inboxes.setdefault(msg.dst, {})[msg.src] = msg.payload
         for msg in local:
             machine = self.assignment[msg.src]
             local_count[machine] += 1
             buffered_words[machine] += len(msg.payload)
-            if msg.dst not in halted:
-                inboxes.setdefault(msg.dst, {})[msg.src] = msg.payload
+            inboxes.setdefault(msg.dst, {})[msg.src] = msg.payload
 
         for machine in self.fleet:
             index = machine.index
@@ -215,6 +208,40 @@ class MPCNetwork:
 
     def ledgers(self) -> List[Dict[str, object]]:
         return [machine.ledger.as_dict() for machine in self.fleet]
+
+
+class _ShuffledEngine(_ObjectEngine):
+    """The object engine with the fleet's shuffle as its delivery step."""
+
+    def step(self, round_index: int) -> None:
+        super().step(round_index)
+        inboxes = self.net.fleet.exchange(self.mpc_messages())
+        self.in_flight = [
+            (src, dst, payload)
+            for dst, inbox in inboxes.items()
+            for src, payload in inbox.items()
+        ]
+
+    def mpc_messages(self) -> Iterable[MPCMessage]:
+        """This round's ``in_flight`` mail for the shuffle, droppable
+        where the recipient has halted (it is never delivered)."""
+
+        contexts = self._contexts
+        return (
+            MPCMessage(src, dst, payload, droppable=contexts[dst]._halted)
+            for src, dst, payload in self.in_flight
+        )
+
+
+class _FleetNetwork(SynchronousNetwork):
+    """A simulator over ``graph`` whose rounds end in a shuffle of
+    ``fleet``."""
+
+    ENGINE = _ShuffledEngine
+
+    def __init__(self, graph: nx.Graph, fleet: MPCNetwork, seed: int):
+        super().__init__(graph, seed=seed)
+        self.fleet = fleet
 
 
 __all__ = ["MPCMessage", "MPCNetwork"]

@@ -29,45 +29,9 @@ from typing import Hashable, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..congest.network import SynchronousNetwork, _ObjectEngine
 from ..core.proposal_matching import bipartite_proposal_phases
 from ..utils import drain
-from .network import MPCMessage, MPCNetwork
-
-
-class _ShuffledEngine(_ObjectEngine):
-    """The object engine with the fleet's shuffle as its delivery step."""
-
-    def step(self, round_index: int) -> None:
-        super().step(round_index)
-        contexts = self._contexts
-        inboxes = self.net.fleet.exchange(
-            MPCMessage(src, dst, payload, droppable=contexts[dst]._halted)
-            for src, dst, payload in self.in_flight
-        )
-        self.in_flight = [
-            (src, dst, payload)
-            for dst, inbox in inboxes.items()
-            for src, payload in inbox.items()
-        ]
-
-
-class _FleetNetwork(SynchronousNetwork):
-    """A simulator over one pass's graph whose rounds end in a shuffle
-    of ``fleet``."""
-
-    def __init__(self, graph: nx.Graph, fleet: MPCNetwork, seed: int):
-        super().__init__(graph, seed=seed)
-        self.fleet = fleet
-
-    def run_stepwise(self, program_factory, max_rounds=10_000,
-                     label="protocol", stop_on_limit=False,
-                     checkpoint_every=None, capture_state=False,
-                     resume_state=None, table=None):
-        return self._drive(
-            _ShuffledEngine(self, program_factory), max_rounds, label,
-            stop_on_limit, checkpoint_every, capture_state, resume_state,
-        )
+from .network import MPCNetwork, _FleetNetwork
 
 
 def run_bipartite_proposal(

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.congest import Envelope, payload_bits, word_bits
+from repro.congest import payload_bits, word_bits
 
 
 class TestWordBits:
@@ -43,14 +43,3 @@ class TestPayloadBits:
     def test_sum_of_words(self):
         payload = ("bid", 0.5, True)
         assert payload_bits(payload) == 4 + 64 + 1
-
-    def test_envelope_bits(self):
-        env = Envelope(src=1, dst=2, payload=("x", 7))
-        assert env.bits == 4 + 4
-
-
-class TestEnvelope:
-    def test_frozen(self):
-        env = Envelope(src=1, dst=2, payload=())
-        with pytest.raises(AttributeError):
-            env.src = 3

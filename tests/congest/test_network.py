@@ -158,14 +158,6 @@ class TestMetrics:
         net.run(lambda n: BigTalker(), max_rounds=3)
         assert net.metrics.violations == 0
 
-    def test_trace_hook_sees_messages(self):
-        g = path_graph(2)
-        net = SynchronousNetwork(g, seed=0)
-        seen = []
-        net.trace = lambda rnd, env: seen.append((rnd, env.src, env.dst))
-        net.run(lambda n: EchoOnce(), max_rounds=3)
-        assert len(seen) == 2
-
 
 class TestDeterminism:
     def test_same_seed_same_outputs(self):

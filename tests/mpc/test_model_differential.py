@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from repro.api import Instance, solve
 from repro.errors import MPCCapacityError
-from repro.graphs import FAMILIES, assign_node_weights, complete_graph
+from repro.graphs import (
+    FAMILIES,
+    assign_node_weights,
+    complete_graph,
+    star_graph,
+)
 from repro.mpc import AdaptiveSparsifier, MPCNetwork, mpc_greedy_mis
 
 
@@ -78,3 +83,41 @@ class TestDropAttribution:
         assert {machine.index: machine.ledger.dropped_messages
                 for machine in network.fleet} == \
             {index: sent[index] for index in range(network.machines)}
+
+
+class TestGreedyRedundancyGroup:
+    """On a star whose leaves all outweigh the centre, every leaf joins
+    in round 0 and sends ``joined`` to the centre: 30 notices in one
+    ``("excl", 0)`` group, of which one must arrive.  The group is what
+    lets the tight fleets pass; without it ``capacity_factor`` 1.0 and
+    2.0 raise :class:`~repro.errors.MPCCapacityError`."""
+
+    @staticmethod
+    def weighted_star():
+        graph = star_graph(30)
+        graph.nodes[0]["weight"] = 1
+        for leaf in range(1, 31):
+            graph.nodes[leaf]["weight"] = 10 + leaf
+        return graph
+
+    @pytest.mark.parametrize("capacity_factor,dropped,would_violate", [
+        (1.0, 41, True),
+        (2.0, 36, True),
+        (4.0, 27, False),
+    ])
+    def test_sparsify_stats_pinned(self, capacity_factor, dropped,
+                                   would_violate):
+        report = solve(Instance(self.weighted_star(), model="mpc",
+                                machines=4),
+                       "maxis-greedy", capacity_factor=capacity_factor)
+        assert report.rounds == 2
+        assert report.objective == 765
+        assert report.solution == frozenset(range(1, 31))
+        mpc = report.extras["mpc"]
+        assert mpc["sparsify"] == {
+            "triggers": 2,
+            "dropped_messages": dropped,
+            "would_violate_without": would_violate,
+            "rounds_engaged": [0, 1],
+        }
+        assert mpc["dropped_messages"] == dropped
