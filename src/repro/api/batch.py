@@ -32,6 +32,7 @@ bounded retries belong to the solver service
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import time
@@ -150,7 +151,13 @@ def execute_indexed(
     if isinstance(executor, str):
         from concurrent.futures import ProcessPoolExecutor
 
-        pool: Executor = ProcessPoolExecutor(max_workers=workers)
+        # A forked worker inherits the parent's whole heap (every graph
+        # of a grid); freezing it keeps the worker's generation-2
+        # collections to what its own tasks allocate.  Reference
+        # counting still frees everything, and workers live only as
+        # long as this call.
+        pool: Executor = ProcessPoolExecutor(max_workers=workers,
+                                             initializer=gc.freeze)
         own_pool = True
     else:
         pool, own_pool = executor, False

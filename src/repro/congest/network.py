@@ -19,6 +19,7 @@ factor unless the aggregation mechanism of Theorem 2.8 is used).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Hashable, List, Optional
@@ -26,7 +27,7 @@ from typing import Callable, Dict, Hashable, List, Optional
 import networkx as nx
 
 from ..errors import BandwidthViolation, RoundLimitExceeded, SimulationError
-from ..utils import restore_rng, rng_state, stable_rng
+from ..utils import restore_rng, rng_state
 from .message import payload_bits
 from .node import NodeContext, NodeProgram
 
@@ -448,20 +449,18 @@ class _ObjectEngine:
         self._touched: List[NodeContext] = []  # inboxes holding mail
 
     def bind(self, proto: int) -> None:
-        """Build every node's context (RNG stream ``proto``) and program."""
+        """Build every node's context and program.  A context derives
+        its RNG stream ``proto`` on first use, not here."""
 
         net = self.net
         adjacency = net._adjacency
         factory = self._factory
+        stream = (net.seed, proto)
+        n = net._n
         self._contexts: Dict[Hashable, NodeContext] = {}
         self._pairs: List[tuple] = []  # (ctx, program), graph order
         for node in self.nodes:
-            ctx = NodeContext(
-                node=node,
-                neighbors=adjacency[node],
-                rng=stable_rng(net.seed, node, proto),
-                n=net._n,
-            )
+            ctx = NodeContext(node, adjacency[node], None, n, stream)
             self._contexts[node] = ctx
             self._pairs.append((ctx, factory(node)))
 
@@ -498,10 +497,13 @@ class _ObjectEngine:
                     f"simulator steps every live node every round"
                 )
             # A ``None`` RNG marks a *fresh* entry (spliced in by the
-            # dynamic-graph compat policy): the node keeps the stable
-            # per-node stream it was built with, exactly as on a fresh
-            # run, so both backends derive identically.
-            restore_rng(ctx.rng, entry["rng"])
+            # dynamic-graph compat policy): the node keeps its stable
+            # per-node stream, derived on first use exactly as on a
+            # fresh run, so both backends derive identically.  Any
+            # other state replaces the stream outright, unseeded.
+            if entry["rng"] is not None:
+                ctx._rng = random.Random.__new__(random.Random)
+                restore_rng(ctx._rng, entry["rng"])
             program.restore_state(entry["program"])
             self._runnable.append((ctx, program))
         self.in_flight = [tuple(message) for message in state["in_flight"]]
@@ -569,6 +571,8 @@ class _ObjectEngine:
         return {ctx.node: ctx.output for ctx, _ in self._pairs if ctx._halted}
 
     def export_live(self) -> Dict[Hashable, dict]:
+        # ``ctx.rng`` derives a never-drawn stream here, so a capture
+        # writes the bytes an eager derivation would have written.
         return {ctx.node: live_entry(ctx.rng, program.export_state())
                 for ctx, program in self._pairs if not ctx._halted}
 

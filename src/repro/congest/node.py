@@ -18,6 +18,7 @@ import abc
 import random
 from typing import Dict, FrozenSet, Hashable, Optional, Tuple
 
+from ..utils import stable_rng
 from .message import Payload, Word
 
 
@@ -26,22 +27,39 @@ class NodeContext:
 
     The context is persistent across rounds; the simulator refreshes its
     ``round`` and ``inbox`` fields before each invocation.
+
+    ``rng`` is the node's random stream.  A context built with
+    ``rng=None`` and ``stream=(seed, proto)`` derives it on first access
+    as ``stable_rng(seed, node, proto)``: every stream is per node, so a
+    run draws exactly what an eager derivation would, and a program that
+    never draws never pays for the SHA-256-keyed seeding.
     """
 
-    __slots__ = ("node", "neighbors", "rng", "round", "inbox",
-                 "_outbox", "_halted", "output", "n")
+    __slots__ = ("node", "neighbors", "_rng", "_stream", "_neighbor_set",
+                 "round", "inbox", "_outbox", "_halted", "output", "n")
 
     def __init__(self, node: Hashable, neighbors: Tuple[Hashable, ...],
-                 rng: random.Random, n: int):
+                 rng: Optional[random.Random], n: int,
+                 stream: Optional[Tuple[int, int]] = None):
         self.node = node
         self.neighbors = neighbors
-        self.rng = rng
+        self._rng = rng
+        self._stream = stream
+        self._neighbor_set: Optional[FrozenSet[Hashable]] = None
         self.n = n
         self.round = -1
         self.inbox: Dict[Hashable, Payload] = {}
         self._outbox: Dict[Hashable, Payload] = {}
         self._halted = False
         self.output = None
+
+    @property
+    def rng(self) -> random.Random:
+        rng = self._rng
+        if rng is None:
+            seed, proto = self._stream
+            rng = self._rng = stable_rng(seed, self.node, proto)
+        return rng
 
     @property
     def degree(self) -> int:
@@ -59,8 +77,15 @@ class NodeContext:
         previous payload rather than queueing a second message.
         """
 
-        if dst not in self._outbox and dst not in self.neighbors:
-            raise ValueError(f"{self.node} cannot send to non-neighbor {dst}")
+        if dst not in self._outbox:
+            # ``neighbors`` stays the ordered tuple (broadcast order fixes
+            # delivery order); membership uses a set built on first send.
+            allowed = self._neighbor_set
+            if allowed is None:
+                allowed = self._neighbor_set = frozenset(self.neighbors)
+            if dst not in allowed:
+                raise ValueError(
+                    f"{self.node} cannot send to non-neighbor {dst}")
         self._outbox[dst] = tuple(words)
 
     def broadcast(self, *words: Word) -> None:

@@ -28,6 +28,7 @@ data; speed is measured by ``perfbench/``.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Iterable, List, Optional
 
 from .artifact import SCHEMA, metrics_snapshot
@@ -118,9 +119,6 @@ class Runner:
                  workers: Optional[int] = None):
         self.spec = spec
         self.workers = int(workers) if workers else 0
-        #: Pool shared across sections during run(); standalone
-        #: run_section() calls fall back to a per-call pool.
-        self._pool = None
 
     # ------------------------------------------------------------------
     def _section_plan(self, section: Section) -> List[dict]:
@@ -178,8 +176,7 @@ class Runner:
 
         outcomes = execute_indexed(
             _run_trial_task, [self._task(entry) for entry in plan],
-            executor=self._pool if self._pool is not None else "process",
-            workers=self.workers,
+            executor="process", workers=self.workers,
         )
         results: List[tuple] = []
         for entry, (result, error) in zip(plan, outcomes):
@@ -203,7 +200,12 @@ class Runner:
         if isinstance(section, str):
             section = self.spec.section(section)
         plan = self._section_plan(section)
-        results = self._execute(plan)
+        return self._record(section, plan, self._execute(plan))
+
+    def _record(self, section: Section, plan: List[dict],
+                results: List[tuple]) -> Dict:
+        """A section's record from its plan and the plan's results."""
+
         trials = [
             {
                 "cell": entry["cell"],
@@ -251,22 +253,20 @@ class Runner:
         wanted = None if sections is None else list(sections)
         selected = (self.spec.sections if wanted is None
                     else [self.spec.section(name) for name in wanted])
+        plans = [self._section_plan(section) for section in selected]
         try:
-            if self.workers > 1:
-                # One pool for the whole experiment: pool spin-up is
-                # paid once, not once per section.
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            records = [self.run_section(section) for section in selected]
+            # One plan for the whole experiment, so a pool is spun up
+            # once, not once per section.
+            results = self._execute([entry for plan in plans
+                                     for entry in plan])
         finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
             # Drop the serial path's graph memo so a long-lived process
             # does not retain the last workload graph.
             global _LAST_GRAPH
             _LAST_GRAPH = (None, None)
+        done = iter(results)
+        records = [self._record(section, plan, list(islice(done, len(plan))))
+                   for section, plan in zip(selected, plans)]
         trials = sum(len(r["trials"]) for r in records)
         checks_total = sum(len(r["checks"]) for r in records)
         checks_failed = sum(

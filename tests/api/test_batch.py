@@ -1,5 +1,6 @@
 """Tests for the batch execution engine (``repro.api.batch``)."""
 
+import gc
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,12 @@ def _exit_on_sentinel(x):
     if x == -1:
         os._exit(1)
     return x
+
+
+def _freeze_count(_):
+    """Module-level (picklable) task: the worker's frozen object count."""
+
+    return gc.get_freeze_count()
 
 
 def _graph(nodes, edges, node_weights=None, edge_weights=None):
@@ -188,6 +195,13 @@ class TestExecuteIndexed:
         assert "worker died" in results[1][1]
         for value, (result, error) in zip((1, 2), (results[0], results[2])):
             assert result == value or "worker died" in error
+
+    def test_pool_workers_freeze_the_inherited_heap(self):
+        results = execute_indexed(_freeze_count, [0, 1, 2, 3],
+                                  executor="process", workers=2,
+                                  chunksize=1)
+        assert all(error is None and count > 0
+                   for count, error in results)
 
 
 class TestSolveMany:

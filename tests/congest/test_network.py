@@ -82,6 +82,16 @@ class TestDelivery:
         with pytest.raises(ValueError):
             net.run(lambda n: BadSender(), max_rounds=2)
 
+    def test_non_neighbor_send_after_a_legal_one_raises(self):
+        class SendsTwice(NodeProgram):
+            def on_round(self, ctx):
+                ctx.send(ctx.neighbors[0], "ok")
+                ctx.send(99, "oops")
+
+        net = SynchronousNetwork(path_graph(2), seed=1)
+        with pytest.raises(ValueError):
+            net.run(lambda n: SendsTwice(), max_rounds=2)
+
     def test_double_send_overwrites(self):
         class DoubleSender(NodeProgram):
             def on_round(self, ctx):
