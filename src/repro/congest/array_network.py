@@ -53,7 +53,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None
 
 from ..errors import InvalidInstance
-from ..utils import restore_rng, stable_rng, stable_seed
+from ..utils import rng_from_state, stable_rng, stable_seed
 from .network import CONGEST, SynchronousNetwork, live_entry
 from .node import NodeProgram
 
@@ -826,7 +826,9 @@ class ArrayKernel:
             # A ``None`` RNG is a fresh entry spliced in by the
             # dynamic-graph compat policy: it keeps the lazily-derived
             # stable stream, matching the object backend bit for bit.
-            restore_rng(self.rng(i), entry["rng"])
+            # Any other state replaces the stream outright, unseeded.
+            self._rngs[i] = rng_from_state(entry["rng"])
+            self._stream[i] = _SCALAR
         return entry["program"]
 
     def _restore(self, state: dict) -> None:

@@ -16,7 +16,7 @@ ints, floats and short strings) and charge bits per word:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Tuple
 
 Word = bool | int | float | str
 Payload = Tuple[Word, ...]
@@ -41,3 +41,28 @@ def payload_bits(payload: Payload) -> int:
 
     return sum(word_bits(word) for word in payload)
 
+
+#: Bits of every payload priced so far, shared by every simulator and
+#: the MPC shuffle.  Payloads repeat heavily (a broadcast sends one
+#: tuple to every neighbor, protocols reuse the same tags round after
+#: round), so readers look a payload up with ``BITS_MEMO.get(payload)``
+#: and price a miss with :func:`memo_bits`.
+BITS_MEMO: Dict[Payload, int] = {}
+
+#: Entries :data:`BITS_MEMO` holds before it starts over.
+BITS_MEMO_LIMIT = 1 << 16
+
+
+def memo_bits(payload: Payload) -> int:
+    """Price a payload :data:`BITS_MEMO` missed and remember it.
+
+    A full memo is cleared rather than evicted entry by entry: threads
+    share it (the service runs jobs in threads), and ``clear`` never
+    iterates a dict another thread may be growing.
+    """
+
+    bits = payload_bits(payload)
+    if len(BITS_MEMO) >= BITS_MEMO_LIMIT:
+        BITS_MEMO.clear()
+    BITS_MEMO[payload] = bits
+    return bits

@@ -19,7 +19,6 @@ factor unless the aggregation mechanism of Theorem 2.8 is used).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, Hashable, List, Optional
@@ -27,8 +26,8 @@ from typing import Callable, Dict, Hashable, List, Optional
 import networkx as nx
 
 from ..errors import BandwidthViolation, RoundLimitExceeded, SimulationError
-from ..utils import restore_rng, rng_state
-from .message import payload_bits
+from ..utils import rng_from_state, rng_state
+from .message import BITS_MEMO, memo_bits
 from .node import NodeContext, NodeProgram
 
 #: Execution models.  LOCAL imposes no bandwidth limit; CONGEST limits each
@@ -153,14 +152,6 @@ class SynchronousNetwork:
         self.metrics = NetworkMetrics()
         self._protocol_index = 0
         self._n = n
-        #: Payloads repeat heavily (broadcasts send one tuple to every
-        #: neighbor, protocols reuse the same tags round after round), so
-        #: bit-accounting is memoised per payload tuple.  The cache is
-        #: shared across runs and bounded: on overflow the oldest entry
-        #: is evicted (FIFO over dict insertion order) instead of the
-        #: cache silently ceasing to admit new payloads.
-        self._bits_cache: Dict[tuple, int] = {}
-        self._bits_cache_limit = 1 << 16
         #: Largest single message of the *current* run, reset per run so
         #: RunResult.metrics can report a per-run max while the network
         #: counter keeps the cumulative max.
@@ -372,13 +363,13 @@ class SynchronousNetwork:
 
         Accounting is batched: counters are accumulated in locals and
         written to :class:`NetworkMetrics` once per drain, and payload
-        bit-costs come from the per-network memo cache.
+        bit-costs come from the module-wide memo
+        (:data:`~repro.congest.message.BITS_MEMO`).
         """
 
         outbox = ctx.drain_outbox()
         metrics = self.metrics
-        cache = self._bits_cache
-        cache_limit = self._bits_cache_limit
+        known = BITS_MEMO.get
         congest = self.model == CONGEST
         bandwidth = self.bandwidth
         src = ctx.node
@@ -386,14 +377,9 @@ class SynchronousNetwork:
         total_bits = 0
         max_bits = 0
         for dst, payload in outbox.items():
-            bits = cache.get(payload)
+            bits = known(payload)
             if bits is None:
-                bits = payload_bits(payload)
-                if len(cache) >= cache_limit:
-                    # FIFO eviction over dict insertion order: drop the
-                    # oldest payload so fresh traffic keeps caching.
-                    del cache[next(iter(cache))]
-                cache[payload] = bits
+                bits = memo_bits(payload)
             count += 1
             total_bits += bits
             if bits > max_bits:
@@ -502,8 +488,7 @@ class _ObjectEngine:
             # fresh run, so both backends derive identically.  Any
             # other state replaces the stream outright, unseeded.
             if entry["rng"] is not None:
-                ctx._rng = random.Random.__new__(random.Random)
-                restore_rng(ctx._rng, entry["rng"])
+                ctx._rng = rng_from_state(entry["rng"])
             program.restore_state(entry["program"])
             self._runnable.append((ctx, program))
         self.in_flight = [tuple(message) for message in state["in_flight"]]

@@ -28,22 +28,18 @@ default-model runs.
 
 from .greedy import mpc_greedy_mis
 from .ledger import MachineLedger, aggregate_ledgers
-from .machine import Machine, build_machines
-from .network import MPCMessage, MPCNetwork
+from .network import MPCNetwork
 from .partition import default_topology, partition_nodes
 from .proposal import run_bipartite_proposal
 from .sparsify import AdaptiveSparsifier, PeakHoldEstimator, SparsifyStats
 
 __all__ = [
     "AdaptiveSparsifier",
-    "Machine",
     "MachineLedger",
-    "MPCMessage",
     "MPCNetwork",
     "PeakHoldEstimator",
     "SparsifyStats",
     "aggregate_ledgers",
-    "build_machines",
     "default_topology",
     "mpc_greedy_mis",
     "partition_nodes",

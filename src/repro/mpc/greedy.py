@@ -21,14 +21,14 @@ traffic — entirely droppable — and passes the sublinearity check
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import networkx as nx
 
 from ..congest.node import NodeContext, NodeProgram
 from ..core.greedy_mis import greedy_priorities
 from ..graphs import check_independent_set, node_weight
-from .network import MPCMessage, MPCNetwork, _FleetNetwork, _ShuffledEngine
+from .network import MPCNetwork, _FleetNetwork, _ShuffledEngine
 
 JOINED = "joined"
 EXCLUDED = "excluded"
@@ -67,15 +67,10 @@ class _PeelingEngine(_ShuffledEngine):
         graph = net.graph
         self.weights = {v: float(node_weight(graph, v)) for v in self.nodes}
 
-    def mpc_messages(self) -> Iterable[MPCMessage]:
-        contexts = self._contexts
-        weights = self.weights
-        return [
-            MPCMessage(src, dst, payload, weight=weights[src],
-                       droppable=contexts[dst]._halted,
-                       group=("excl", dst) if payload[0] == JOINED else None)
-            for src, dst, payload in self.in_flight
-        ]
+    def mark(self, msg: tuple) -> Tuple[float, bool, Optional[tuple]]:
+        src, dst, payload = msg
+        group = ("excl", dst) if payload[0] == JOINED else None
+        return self.weights[src], self._contexts[dst]._halted, group
 
 
 class _PeelingNetwork(_FleetNetwork):

@@ -5,14 +5,16 @@ once per round with the cross-machine traffic the machine moved (sent
 and received messages/bits, counted at *send* time exactly like the
 CONGEST simulator's ``NetworkMetrics.bits``, so the two accountings are
 directly comparable) plus the resident memory footprint in words.  The
-per-round rows are what the sublinearity check and the ``mpc_scaling``
-experiment's load curves read; the cumulative counters summarize a run.
+counters are cumulative over a run, plus the peak load and resident
+memory of any one round; :meth:`~repro.mpc.MPCNetwork.summary` folds
+them into the fleet totals the reports and the ``mpc_scaling``
+experiment read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Sequence
 
 
 @dataclass
@@ -35,9 +37,8 @@ class MachineLedger:
     peak_load: int = 0
     peak_memory_words: int = 0
     dropped_messages: int = 0
-    per_round: List[Dict[str, int]] = field(default_factory=list)
 
-    def charge_round(self, round_index: int, sent: int, sent_bits: int,
+    def charge_round(self, sent: int, sent_bits: int,
                      received: int, received_bits: int, local: int,
                      memory_words: int, dropped: int = 0) -> None:
         """Record one round of traffic and the resident memory."""
@@ -54,31 +55,6 @@ class MachineLedger:
             self.peak_load = load
         if memory_words > self.peak_memory_words:
             self.peak_memory_words = memory_words
-        self.per_round.append({
-            "round": round_index,
-            "sent": sent,
-            "received": received,
-            "bits_sent": sent_bits,
-            "bits_received": received_bits,
-            "load": load,
-        })
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe summary (per-round rows included)."""
-
-        return {
-            "machine": self.machine,
-            "rounds": self.rounds,
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-            "bits_sent": self.bits_sent,
-            "bits_received": self.bits_received,
-            "local_messages": self.local_messages,
-            "peak_load": self.peak_load,
-            "peak_memory_words": self.peak_memory_words,
-            "dropped_messages": self.dropped_messages,
-            "per_round": [dict(row) for row in self.per_round],
-        }
 
 
 def aggregate_ledgers(ledgers: Sequence[MachineLedger]) -> Dict[str, int]:

@@ -3,22 +3,23 @@
 :class:`MPCNetwork` partitions the input graph across ``m`` machines
 with ``S = O(n^δ)`` budgets and routes every inter-machine message
 through :meth:`MPCNetwork.exchange` — the shuffle step that ends each
-round.  The shuffle
+round.  The shuffle takes the round's ``(src, dst, payload)`` mail as
+the simulator's engine collected it and
 
-1. splits the round's messages into local (same machine, free) and
-   remote traffic,
+1. splits it into local (same machine, free) and remote traffic,
 2. lets the :class:`~repro.mpc.sparsify.AdaptiveSparsifier` thin
    droppable/redundant remote messages when the peak-hold estimator
-   projects a machine at or above its guard line,
+   projects a machine at or above its guard line (the engine's
+   ``mark`` says which messages may go),
 3. enforces the hard MPC budget — every machine's cross-machine
    ``sent + received`` message count must stay ``<= capacity`` where
    ``capacity = ceil(capacity_factor * n^δ)`` — raising
    :class:`~repro.errors.MPCCapacityError` otherwise,
 4. charges each machine's :class:`~repro.mpc.ledger.MachineLedger`
-   (bits at send time, mirroring the CONGEST simulator's accounting,
-   so machines-per-node runs sum to ``NetworkMetrics.bits``), and
-5. delivers the surviving messages as per-node inboxes for the next
-   round.
+   (bits at send time, priced like the CONGEST simulator's, so
+   machines-per-node runs sum to ``NetworkMetrics.bits``), and
+5. returns the surviving mail for the next round: kept remote mail,
+   then local mail.
 
 A :class:`_FleetNetwork` runs node programs through the simulator's
 round loop with this shuffle as its engine's delivery step.
@@ -27,45 +28,30 @@ round loop with this shuffle as its engine's delivery step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 import networkx as nx
 
-from ..congest.message import payload_bits
+from ..congest.message import BITS_MEMO, memo_bits
 from ..congest.network import SynchronousNetwork, _ObjectEngine
 from ..errors import MPCCapacityError
-from .ledger import aggregate_ledgers
-from .machine import Machine, build_machines
+from .ledger import MachineLedger, aggregate_ledgers
 from .partition import default_topology, partition_nodes
 from .sparsify import AdaptiveSparsifier, PeakHoldEstimator
 
 
-@dataclass
-class MPCMessage:
-    """One routed message.
-
-    ``weight`` and ``droppable`` feed the sparsifier: only messages the
-    protocol marked droppable (outcome-neutral by construction) may be
-    dropped, lightest first.  ``group`` marks redundancy — of all
-    messages sharing a group key, only the heaviest must arrive.
-    """
-
-    src: Hashable
-    dst: Hashable
-    payload: Tuple
-    weight: float = 0.0
-    droppable: bool = False
-    group: Optional[Tuple] = field(default=None)
-
-
 class MPCNetwork:
-    """A fleet of sublinear-memory machines over one input graph."""
+    """A fleet of sublinear-memory machines over one input graph.
+
+    Memory is accounted in words: one per hosted node, one per entry of
+    its adjacency (a cross-machine edge is stored on both sides, like a
+    distributed edge list), and one per word of payload buffered for
+    delivery.
+    """
 
     def __init__(self, graph, machines: Optional[int] = None,
                  delta: Optional[float] = None, seed: int = 0,
-                 capacity_factor: float = 8.0, sparsify: bool = True,
-                 guard: float = 0.8):
+                 capacity_factor: float = 8.0, sparsify: bool = True):
         self.graph = graph
         self.seed = seed
         n = graph.number_of_nodes()
@@ -75,12 +61,16 @@ class MPCNetwork:
         )
         self.capacity_factor = capacity_factor
         self.assignment = partition_nodes(graph.nodes, self.machines)
-        self.fleet: List[Machine] = build_machines(
-            graph, self.assignment, self.machines
-        )
+        #: Each machine's resident words before any round buffers.
+        self.base_words = [0] * self.machines
+        adjacency = graph.adj
+        for node, machine in self.assignment.items():
+            self.base_words[machine] += 1 + len(adjacency[node])
+        self.ledgers = [MachineLedger(machine=index)
+                        for index in range(self.machines)]
         self.estimator = PeakHoldEstimator(self.machines)
         self.sparsifier = (
-            AdaptiveSparsifier(self.capacity, self.estimator, guard=guard)
+            AdaptiveSparsifier(self.capacity, self.estimator)
             if sparsify else None
         )
         self.round = 0
@@ -89,92 +79,90 @@ class MPCNetwork:
     def machine_of(self, node: Hashable) -> int:
         return self.assignment[node]
 
-    def exchange(self, messages: Iterable[MPCMessage]
-                 ) -> Dict[Hashable, Dict[Hashable, Tuple]]:
-        """Run one shuffle step; returns next-round inboxes.
+    def exchange(self, mail: List[tuple],
+                 mark: Callable[[tuple], tuple]) -> List[tuple]:
+        """Run one shuffle step over a round's ``(src, dst, payload)``
+        mail, in send order; returns the mail to deliver next round.
 
-        The inbox of node ``v`` maps sender -> payload (one payload per
-        sender per round, overwrite semantics, like the object
-        simulator's outbox).
+        That is the kept remote mail, then the local mail, each in
+        send order (a thinned group's keeper follows its round's other
+        remote mail), so every recipient reads its remote senders
+        first.  ``mark`` gives a remote message's ``(weight,
+        droppable, group)`` to the sparsifier, which reads it only in
+        a round where some machine projects hot.
         """
 
         round_index = self.round
-        local: List[MPCMessage] = []
-        remote: List[MPCMessage] = []
-        for msg in messages:
-            if self.assignment[msg.src] == self.assignment[msg.dst]:
+        assignment = self.assignment
+        machines = self.machines
+        local: List[tuple] = []
+        remote: List[tuple] = []
+        planned = [0] * machines
+        local_count = [0] * machines
+        buffered_words = [0] * machines
+        for msg in mail:
+            src_m = assignment[msg[0]]
+            dst_m = assignment[msg[1]]
+            if src_m == dst_m:
                 local.append(msg)
+                local_count[src_m] += 1
+                buffered_words[src_m] += len(msg[2])
             else:
                 remote.append(msg)
+                planned[src_m] += 1
+                planned[dst_m] += 1
 
-        planned: Dict[int, int] = {m: 0 for m in range(self.machines)}
-        for msg in remote:
-            planned[self.assignment[msg.src]] += 1
-            planned[self.assignment[msg.dst]] += 1
-
-        dropped_by_machine = [0] * self.machines
+        dropped = [0] * machines
         if self.sparsifier is not None and remote:
-            if any(load > self.capacity for load in planned.values()):
+            if any(load > self.capacity for load in planned):
                 self.sparsifier.stats.would_violate_without = True
             kept = self.sparsifier.thin_round(
-                round_index, remote, planned, self.machine_of
+                round_index, remote, planned, assignment, mark
             )
             if len(kept) < len(remote):
-                survivors = {id(msg) for msg in kept}
+                survivors = set(map(id, kept))
                 for msg in remote:
                     if id(msg) not in survivors:
-                        dropped_by_machine[self.assignment[msg.src]] += 1
+                        dropped[assignment[msg[0]]] += 1
             remote = kept
 
-        for machine in sorted(planned):
-            if planned[machine] > self.capacity:
+        for machine, load in enumerate(planned):
+            if load > self.capacity:
                 raise MPCCapacityError(
-                    machine, round_index, planned[machine], self.capacity
+                    machine, round_index, load, self.capacity
                 )
 
-        # -- charge ledgers and deliver --------------------------------
-        sent = [0] * self.machines
-        sent_bits = [0] * self.machines
-        received = [0] * self.machines
-        received_bits = [0] * self.machines
-        local_count = [0] * self.machines
-        buffered_words = [0] * self.machines
-        inboxes: Dict[Hashable, Dict[Hashable, Tuple]] = {}
-
-        for msg in remote:
-            src_m = self.assignment[msg.src]
-            dst_m = self.assignment[msg.dst]
-            bits = payload_bits(msg.payload)
+        # -- charge ledgers --------------------------------------------
+        sent = [0] * machines
+        sent_bits = [0] * machines
+        received = [0] * machines
+        received_bits = [0] * machines
+        known = BITS_MEMO.get
+        for src, dst, payload in remote:
+            src_m = assignment[src]
+            dst_m = assignment[dst]
+            bits = known(payload)
+            if bits is None:
+                bits = memo_bits(payload)
             sent[src_m] += 1
             sent_bits[src_m] += bits
             received[dst_m] += 1
             received_bits[dst_m] += bits
-            buffered_words[dst_m] += len(msg.payload)
-            inboxes.setdefault(msg.dst, {})[msg.src] = msg.payload
-        for msg in local:
-            machine = self.assignment[msg.src]
-            local_count[machine] += 1
-            buffered_words[machine] += len(msg.payload)
-            inboxes.setdefault(msg.dst, {})[msg.src] = msg.payload
+            buffered_words[dst_m] += len(payload)
 
-        for machine in self.fleet:
-            index = machine.index
-            load = sent[index] + received[index]
-            machine.ledger.charge_round(
-                round_index,
+        for index, ledger in enumerate(self.ledgers):
+            ledger.charge_round(
                 sent=sent[index], sent_bits=sent_bits[index],
                 received=received[index],
                 received_bits=received_bits[index],
                 local=local_count[index],
-                memory_words=machine.round_memory_words(
-                    buffered_words[index]
-                ),
-                dropped=dropped_by_machine[index],
+                memory_words=self.base_words[index] + buffered_words[index],
+                dropped=dropped[index],
             )
-            self.estimator.observe(index, load)
+            self.estimator.observe(index, sent[index] + received[index])
 
         self.round += 1
-        return inboxes
+        return remote + local
 
     # -- reporting -----------------------------------------------------
     def summary(self) -> Dict[str, object]:
@@ -185,7 +173,7 @@ class MPCNetwork:
         shuffle instead.
         """
 
-        totals = aggregate_ledgers([m.ledger for m in self.fleet])
+        totals = aggregate_ledgers(self.ledgers)
         summary: Dict[str, object] = {
             "machines": self.machines,
             "delta": self.delta,
@@ -194,11 +182,9 @@ class MPCNetwork:
             "sublinear_ok": totals["max_load"] <= self.capacity,
         }
         summary.update(totals)
-        summary["peak_loads"] = [
-            machine.ledger.peak_load for machine in self.fleet
-        ]
+        summary["peak_loads"] = [led.peak_load for led in self.ledgers]
         summary["peak_memory_words"] = [
-            machine.ledger.peak_memory_words for machine in self.fleet
+            led.peak_memory_words for led in self.ledgers
         ]
         if self.sparsifier is not None:
             summary["sparsify"] = self.sparsifier.stats.as_dict()
@@ -206,31 +192,19 @@ class MPCNetwork:
             summary["sparsify"] = None
         return summary
 
-    def ledgers(self) -> List[Dict[str, object]]:
-        return [machine.ledger.as_dict() for machine in self.fleet]
-
 
 class _ShuffledEngine(_ObjectEngine):
     """The object engine with the fleet's shuffle as its delivery step."""
 
     def step(self, round_index: int) -> None:
         super().step(round_index)
-        inboxes = self.net.fleet.exchange(self.mpc_messages())
-        self.in_flight = [
-            (src, dst, payload)
-            for dst, inbox in inboxes.items()
-            for src, payload in inbox.items()
-        ]
+        self.in_flight = self.net.fleet.exchange(self.in_flight, self.mark)
 
-    def mpc_messages(self) -> Iterable[MPCMessage]:
-        """This round's ``in_flight`` mail for the shuffle, droppable
+    def mark(self, msg: tuple) -> Tuple[float, bool, Optional[tuple]]:
+        """A remote message's ``(weight, droppable, group)``: droppable
         where the recipient has halted (it is never delivered)."""
 
-        contexts = self._contexts
-        return (
-            MPCMessage(src, dst, payload, droppable=contexts[dst]._halted)
-            for src, dst, payload in self.in_flight
-        )
+        return 0.0, self._contexts[msg[1]]._halted, None
 
 
 class _FleetNetwork(SynchronousNetwork):
@@ -244,4 +218,4 @@ class _FleetNetwork(SynchronousNetwork):
         self.fleet = fleet
 
 
-__all__ = ["MPCMessage", "MPCNetwork"]
+__all__ = ["MPCNetwork"]

@@ -9,10 +9,11 @@ Two cooperating pieces:
   engages *before* a machine first exceeds its budget rather than one
   round after.
 * :class:`AdaptiveSparsifier` — when a machine's projected traffic
-  reaches ``guard * capacity`` it drops droppable messages (lowest
-  weight first) addressed to or from that machine until the projection
-  is back under the guard line, and thins redundant message groups
-  (``group`` key: only the heaviest member of a group must survive).
+  reaches :data:`GUARD` of its capacity it drops droppable messages
+  (lowest weight first) addressed to or from that machine until the
+  projection is back under the guard line, and thins redundant message
+  groups (``group`` key: only the heaviest member of a group must
+  survive).
 
 A message is only ever dropped when the producing protocol marked it
 ``droppable=True`` — i.e. outcome-neutral by construction — so
@@ -25,9 +26,10 @@ for the dense ``mpc_scaling`` configurations).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Hashable, List
 
-from .ledger import MachineLedger  # noqa: F401  (re-export convenience)
+#: The fraction of capacity at which sparsification engages.
+GUARD = 0.8
 
 
 @dataclass
@@ -67,40 +69,40 @@ class PeakHoldEstimator:
         if actual > self._peaks[machine]:
             self._peaks[machine] = actual
 
-    def peaks(self) -> List[int]:
-        return list(self._peaks)
-
 
 class AdaptiveSparsifier:
     """Drops droppable low-weight traffic when a machine runs hot.
 
-    ``guard`` is the fraction of capacity at which sparsification
-    engages (default 0.8): projecting at or above ``guard * capacity``
-    marks the machine hot.  Dropping order is deterministic — ascending
-    ``(weight, repr(src), repr(dst))`` — so runs are byte-reproducible.
+    A machine projecting at or above ``GUARD * capacity`` is hot.
+    Dropping order is deterministic — ascending ``(weight, repr(src),
+    repr(dst))`` — so runs are byte-reproducible.
     """
 
-    def __init__(self, capacity: int, estimator: PeakHoldEstimator,
-                 guard: float = 0.8):
+    def __init__(self, capacity: int, estimator: PeakHoldEstimator):
         self.capacity = capacity
         self.estimator = estimator
-        self.guard = guard
         self.stats = SparsifyStats()
-        self._threshold = max(1, int(guard * capacity))
+        self._threshold = max(1, int(GUARD * capacity))
 
     def thin_round(self, round_index: int, remote: list,
-                   planned: Dict[int, int],
-                   assignment_of) -> list:
+                   planned: List[int], assignment: Dict[Hashable, int],
+                   mark) -> list:
         """Filter one round's remote messages.
 
-        ``remote`` is the list of cross-machine :class:`MPCMessage`
-        objects, ``planned`` maps machine -> planned load (sent +
-        received), ``assignment_of`` maps a node to its machine.
-        Returns the surviving messages; mutates ``planned`` in place to
-        reflect the drops and updates :attr:`stats`.
+        ``remote`` holds the round's cross-machine ``(src, dst,
+        payload)`` triples, ``planned`` each machine's planned load
+        (sent + received) and ``assignment`` each node's machine.
+        ``mark(msg)`` gives a message's ``(weight, droppable, group)``:
+        only a message its protocol marked ``droppable`` (outcome-
+        neutral) may be dropped, and of the messages sharing a
+        ``group`` key (``None`` for none) only the heaviest must
+        arrive.  ``mark`` is called only in a round where some machine
+        projects hot.  Returns the surviving messages; mutates
+        ``planned`` in place to reflect the drops and updates
+        :attr:`stats`.
         """
 
-        hot = {m for m, load in planned.items()
+        hot = {m for m, load in enumerate(planned)
                if self.estimator.project(m, load) >= self._threshold}
         if not hot:
             return remote
@@ -108,58 +110,57 @@ class AdaptiveSparsifier:
         self.stats.triggers += 1
         self.stats.rounds_engaged.append(round_index)
 
+        def order(entry):
+            msg, weight = entry[0], entry[1]
+            return (weight, repr(msg[0]), repr(msg[1]))
+
         # Redundant groups first: keep only the heaviest member of each
-        # group whose endpoints touch a hot machine.
+        # group whose endpoints touch a hot machine.  An entry is
+        # ``(msg, weight, droppable, group)``.
         survivors = []
-        best_of_group: Dict[object, object] = {}
+        keepers = set()
         grouped: Dict[object, list] = {}
         for msg in remote:
-            if msg.group is None:
-                survivors.append(msg)
-                continue
-            if (assignment_of(msg.src) not in hot
-                    and assignment_of(msg.dst) not in hot):
-                survivors.append(msg)
-                continue
-            grouped.setdefault(msg.group, []).append(msg)
+            entry = (msg, *mark(msg))
+            group = entry[3]
+            if group is None or (assignment[msg[0]] not in hot
+                                 and assignment[msg[1]] not in hot):
+                survivors.append(entry)
+            else:
+                grouped.setdefault(group, []).append(entry)
         for key in sorted(grouped, key=repr):
-            members = sorted(
-                grouped[key],
-                key=lambda m: (m.weight, repr(m.src), repr(m.dst)),
-            )
+            members = sorted(grouped[key], key=order)
             keeper = members[-1]
-            best_of_group[key] = keeper
+            keepers.add(id(keeper[0]))
             survivors.append(keeper)
-            for msg in members[:-1]:
-                self._account_drop(msg, planned, assignment_of)
+            for entry in members[:-1]:
+                self._account_drop(entry[0], planned, assignment)
 
         # Then plain droppables, lightest first, while a touched
         # machine still projects hot.
         droppable = sorted(
-            (m for m in survivors if m.droppable
-             and best_of_group.get(m.group) is not m),
-            key=lambda m: (m.weight, repr(m.src), repr(m.dst)),
+            (entry for entry in survivors
+             if entry[2] and id(entry[0]) not in keepers),
+            key=order,
         )
         dropped = set()
-        for msg in droppable:
-            src_m = assignment_of(msg.src)
-            dst_m = assignment_of(msg.dst)
-            if (self._projects_hot(src_m, planned)
-                    or self._projects_hot(dst_m, planned)):
+        for entry in droppable:
+            msg = entry[0]
+            if (self._projects_hot(assignment[msg[0]], planned)
+                    or self._projects_hot(assignment[msg[1]], planned)):
                 dropped.add(id(msg))
-                self._account_drop(msg, planned, assignment_of)
-        if dropped:
-            survivors = [m for m in survivors if id(m) not in dropped]
-        return survivors
+                self._account_drop(msg, planned, assignment)
+        return [entry[0] for entry in survivors
+                if id(entry[0]) not in dropped]
 
-    def _projects_hot(self, machine: int, planned: Dict[int, int]) -> bool:
-        load = planned.get(machine, 0)
+    def _projects_hot(self, machine: int, planned: List[int]) -> bool:
+        load = planned[machine]
         return self.estimator.project(machine, load) >= self._threshold
 
-    def _account_drop(self, msg, planned, assignment_of) -> None:
+    def _account_drop(self, msg, planned, assignment) -> None:
         self.stats.dropped_messages += 1
-        planned[assignment_of(msg.src)] -= 1
-        planned[assignment_of(msg.dst)] -= 1
+        planned[assignment[msg[0]]] -= 1
+        planned[assignment[msg[1]]] -= 1
 
 
 __all__ = ["AdaptiveSparsifier", "PeakHoldEstimator", "SparsifyStats"]

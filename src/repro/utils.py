@@ -59,6 +59,16 @@ def restore_rng(rng: random.Random, state) -> None:
         rng.setstate((version, tuple(internals), gauss))
 
 
+def rng_from_state(state) -> random.Random:
+    """A fresh, unseeded :class:`random.Random` set to an
+    :func:`rng_state` payload.  Resume uses it to replace a node's
+    stream outright, without deriving the keyed stream first."""
+
+    rng = random.Random.__new__(random.Random)
+    restore_rng(rng, state)
+    return rng
+
+
 def drain(generator):
     """Consume a generator for its return value (``StopIteration.value``).
 

@@ -1,4 +1,4 @@
-"""The object engine derives a node's RNG stream only when it is used.
+"""Both engines derive a node's RNG stream only when it is used.
 
 ``NodeContext.rng`` is ``stable_rng(seed, node, proto)`` derived on first
 access, so a deterministic program derives no stream, a randomized one
@@ -19,7 +19,8 @@ from repro.graphs import assign_edge_weights, assign_node_weights, gnp_graph
 
 @pytest.fixture
 def derived(monkeypatch):
-    """Every per-node stream derived while the fixture is active."""
+    """Every per-node stream derived while the fixture is active, by the
+    object engine's contexts or by an array kernel."""
 
     calls = []
     original = node_module.stable_rng
@@ -29,6 +30,8 @@ def derived(monkeypatch):
         return original(*parts)
 
     monkeypatch.setattr(node_module, "stable_rng", counting)
+    array_network = pytest.importorskip("repro.congest.array_network")
+    monkeypatch.setattr(array_network, "stable_rng", counting)
     return calls
 
 
@@ -69,11 +72,14 @@ class TestStreamsDerived:
         nodes = [parts[1] for parts in derived]
         assert sorted(nodes) == sorted(graph.nodes)
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
     def test_resume_sets_captured_streams_without_deriving(self, graph,
-                                                            derived):
-        base = Instance(graph, seed=7, backend="object")
+                                                            derived,
+                                                            backend):
+        base = Instance(graph, seed=7, backend=backend)
         cut = solve(replace(base, max_rounds=4), "maxis-layers")
         assert cut.status == "truncated"
+        assert cut.resume_state["state"]["sim"]["live"]
         derived.clear()
         resumed = resume(cut.resume_state, instance=base)
         assert resumed.status == "complete"

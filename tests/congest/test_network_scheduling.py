@@ -9,6 +9,7 @@ the bounded payload bit-accounting cache.
 import pytest
 
 from repro.congest import NodeProgram, SynchronousNetwork
+from repro.congest import message
 from repro.congest.message import payload_bits
 from repro.errors import RoundLimitExceeded
 from repro.graphs import path_graph
@@ -174,7 +175,17 @@ class TestPerRunMetrics:
 
 
 class TestPayloadCache:
-    def test_eviction_keeps_cache_bounded_and_bits_exact(self):
+    """The module-wide payload memo every simulator and the MPC shuffle
+    read (:data:`repro.congest.message.BITS_MEMO`)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        message.BITS_MEMO.clear()
+        yield
+        message.BITS_MEMO.clear()
+
+    def test_eviction_keeps_cache_bounded_and_bits_exact(self,
+                                                         monkeypatch):
         class Unique(NodeProgram):
             def on_round(self, ctx):
                 # a fresh payload every node and round: all misses
@@ -182,17 +193,17 @@ class TestPayloadCache:
                 if ctx.round >= 5:
                     ctx.halt(ctx.round)
 
-        def run(cache_limit=None):
+        def run():
+            message.BITS_MEMO.clear()
             net = SynchronousNetwork(path_graph(4), seed=0)
-            if cache_limit is not None:
-                net._bits_cache_limit = cache_limit
             return net, net.run(lambda n: Unique(), max_rounds=10)
 
         reference_net, reference = run()
-        net, result = run(cache_limit=3)
         # the default limit never evicts here; the tiny one must
-        assert len(reference_net._bits_cache) > 3
-        assert len(net._bits_cache) <= 3
+        assert len(message.BITS_MEMO) > 3
+        monkeypatch.setattr(message, "BITS_MEMO_LIMIT", 3)
+        net, result = run()
+        assert len(message.BITS_MEMO) <= 3
         # metering stayed exact despite evictions
         assert result.outputs == reference.outputs
         for counter in ("messages", "bits", "max_bits_per_edge_round",
@@ -202,14 +213,12 @@ class TestPayloadCache:
             assert getattr(net.metrics, counter) == \
                 getattr(reference_net.metrics, counter), counter
 
-    def test_evicted_payload_can_be_recached(self):
-        net = SynchronousNetwork(path_graph(2), seed=0)
-        net._bits_cache_limit = 2
-        cache = net._bits_cache
+    def test_evicted_payload_can_be_recached(self, monkeypatch):
+        monkeypatch.setattr(message, "BITS_MEMO_LIMIT", 2)
         for payload in (("a",), ("b",), ("c",)):
-            bits = payload_bits(payload)
-            if len(cache) >= net._bits_cache_limit:
-                del cache[next(iter(cache))]
-            cache[payload] = bits
-        assert ("a",) not in cache
-        assert set(cache) == {("b",), ("c",)}
+            assert message.memo_bits(payload) == payload_bits(payload)
+        assert ("a",) not in message.BITS_MEMO
+        assert ("c",) in message.BITS_MEMO
+        assert message.memo_bits(("a",)) == payload_bits(("a",))
+        assert message.BITS_MEMO[("a",)] == payload_bits(("a",))
+        assert len(message.BITS_MEMO) <= 2

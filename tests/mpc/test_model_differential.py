@@ -63,9 +63,10 @@ class TestDropAttribution:
         dropped = []
         thin_round = AdaptiveSparsifier.thin_round
 
-        def recording(self, round_index, remote, planned, assignment_of):
+        def recording(self, round_index, remote, planned, assignment,
+                      mark):
             kept = thin_round(self, round_index, remote, planned,
-                              assignment_of)
+                              assignment, mark)
             survivors = {id(msg) for msg in kept}
             dropped.extend(msg for msg in remote
                            if id(msg) not in survivors)
@@ -78,10 +79,10 @@ class TestDropAttribution:
             mpc_greedy_mis(graph, network=network)
 
         sent = collections.Counter(
-            network.machine_of(msg.src) for msg in dropped)
+            network.machine_of(src) for src, _dst, _payload in dropped)
         assert len(sent) > 1
-        assert {machine.index: machine.ledger.dropped_messages
-                for machine in network.fleet} == \
+        assert {ledger.machine: ledger.dropped_messages
+                for ledger in network.ledgers} == \
             {index: sent[index] for index in range(network.machines)}
 
 

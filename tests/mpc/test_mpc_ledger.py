@@ -47,7 +47,7 @@ class TestBitSumInvariant:
         assert matching == result.matching
         assert unlucky == result.unlucky
         assert rounds == result.rounds
-        totals = aggregate_ledgers([m.ledger for m in mpc.fleet])
+        totals = aggregate_ledgers(mpc.ledgers)
         assert totals["bits_sent"] == congest.metrics.bits
         assert totals["bits_sent"] == totals["bits_received"]
         assert totals["messages_sent"] == congest.metrics.messages
@@ -114,6 +114,6 @@ class TestLedgerAccounting:
         assert len(summary["peak_loads"]) == 6
         assert summary["max_load"] == max(summary["peak_loads"])
         assert summary["sublinear_ok"]
-        for ledger in network.ledgers():
-            assert ledger["rounds"] <= summary["rounds"]
-            assert ledger["peak_memory_words"] > 0
+        for ledger in network.ledgers:
+            assert ledger.rounds <= summary["rounds"]
+            assert ledger.peak_memory_words > 0

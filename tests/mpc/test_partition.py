@@ -1,4 +1,4 @@
-"""Topology defaults, node partitioning, and machine construction."""
+"""Topology defaults and node partitioning."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from repro.graphs import gnp_graph
 from repro.mpc import (
     MPCNetwork,
-    build_machines,
     default_topology,
     partition_nodes,
 )
@@ -44,32 +43,6 @@ class TestPartitionNodes:
     def test_every_machine_index_in_range(self):
         assignment = partition_nodes(range(11), 3)
         assert set(assignment.values()) <= {0, 1, 2}
-
-
-class TestBuildMachines:
-    def test_adjacency_covers_every_edge_endpoint(self):
-        graph = gnp_graph(30, 0.2, seed=4)
-        assignment = partition_nodes(graph.nodes, 5)
-        fleet = build_machines(graph, assignment, 5)
-        assert [m.index for m in fleet] == list(range(5))
-        hosted = {v for m in fleet for v in m.nodes}
-        assert hosted == set(graph.nodes)
-        for machine in fleet:
-            for v in machine.nodes:
-                assert set(machine.adjacency[v]) == set(graph.neighbors(v))
-
-    def test_base_memory_counts_nodes_and_adjacency(self):
-        graph = gnp_graph(20, 0.3, seed=1)
-        network = MPCNetwork(graph, machines=4)
-        total_adj = sum(
-            len(machine.adjacency[v])
-            for machine in network.fleet for v in machine.nodes
-        )
-        assert total_adj == 2 * graph.number_of_edges()
-        for machine in network.fleet:
-            assert machine.base_memory_words() == len(machine.nodes) + sum(
-                len(machine.adjacency[v]) for v in machine.nodes
-            )
 
 
 class TestTopologyValidation:
