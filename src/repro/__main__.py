@@ -33,7 +33,7 @@ Examples::
     python -m repro info --json
     python -m repro bench --list
     python -m repro bench smoke --json -
-    python -m repro bench table1 --section t1_1a --output out/table1.json
+    python -m repro bench table1 --section t1_1a --json out/table1.json
     python -m repro bench --validate BENCH_smoke.json
     python -m repro bench --diff OLD_smoke.json NEW_smoke.json
 """
@@ -137,12 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only this section (repeatable)")
     bench.add_argument("--json", dest="json_out", default=None,
                        metavar="PATH",
-                       help="write the JSON artifact to PATH; '-' emits "
-                            "pure JSON on stdout and suppresses the "
-                            "rendered tables")
-    bench.add_argument("--output", default=None, metavar="PATH",
-                       help="artifact path (default BENCH_<name>.json; "
-                            "alias of --json PATH, pass only one)")
+                       help="write the JSON artifact to PATH (default "
+                            "BENCH_<name>.json); '-' emits pure JSON on "
+                            "stdout and suppresses the rendered tables")
     bench.add_argument("--no-artifact", action="store_true",
                        help="do not write any artifact file")
     bench.add_argument("--workers", type=int, default=None, metavar="N",
@@ -365,11 +362,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         print(f"bench: {message}", file=sys.stderr)
         return 2
 
-    if args.json_out not in (None, "-") and args.output is not None:
-        print("bench: pass either --json PATH or --output PATH, not both",
-              file=sys.stderr)
-        return 2
-
     artifact = Runner(spec, workers=args.workers).run(args.section)
 
     if args.json_out == "-":
@@ -378,7 +370,7 @@ def _run_bench(args: argparse.Namespace) -> int:
 
     print(render_artifact(artifact))
     if not args.no_artifact:
-        path = write_artifact(artifact, args.json_out or args.output)
+        path = write_artifact(artifact, args.json_out)
         print(f"artifact written to {path}")
     return 0 if artifact["summary"]["passed"] else 1
 

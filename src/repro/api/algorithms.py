@@ -40,7 +40,6 @@ from ..core import (
     nearly_maximal_matching,
     weight_group_matching,
 )
-from ..core.maxis_layers import default_round_budget
 from ..matching import (
     bipartite_sides,
     greedy_weighted_matching,
@@ -142,11 +141,9 @@ def _iter_maxis_layers(instance: Instance, trace=None, resume_state=None):
     """
 
     network = instance.network()
-    budget = (instance.max_rounds if instance.max_rounds is not None
-              else default_round_budget(instance.graph))
     phases = maxis_layers_phases(
         instance.graph, seed=instance.seed, network=network,
-        max_rounds=budget, trace=trace,
+        max_rounds=instance.max_rounds, trace=trace,
         capture_state=instance.max_rounds is not None,
         resume=resume_state,
     )

@@ -5,8 +5,8 @@ two things:
 
 * :func:`execute_indexed` — the generic fan-out core shared with the
   experiment runner (``repro.experiments.runner``): run a picklable
-  task function over an indexed task list serially, on a process
-  pool or on a caller's executor, with chunking, per-task failure
+  task function over an indexed task list in-process or on a process
+  pool, chosen by ``workers`` alone, with chunking, per-task failure
   isolation and results returned **in submission order** regardless
   of completion order;
 * :func:`solve_many` — fan a grid of :class:`~repro.api.Instance`
@@ -34,12 +34,10 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import os
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
-    Executor,
     wait,
 )
 from dataclasses import dataclass, field
@@ -58,10 +56,9 @@ from typing import (
 from .instance import Instance
 from .report import SolveReport
 
-#: Recognised executor backends.
+#: ``BatchReport.backend`` values: in-process, or a process pool.
 SERIAL = "serial"
 PROCESS = "process"
-BACKENDS = (SERIAL, PROCESS)
 
 #: At most this many chunks are in flight per worker; bounding the
 #: backlog keeps memory flat on huge grids without starving the pool.
@@ -71,17 +68,11 @@ _IN_FLIGHT_PER_WORKER = 4
 # ----------------------------------------------------------------------
 # the generic fan-out core (shared with the experiment runner)
 # ----------------------------------------------------------------------
-def _default_chunksize(n_tasks: int, workers: int) -> int:
-    """Aim for ~4 chunks per worker so stragglers can rebalance."""
-
-    return max(1, n_tasks // max(1, workers * 4))
-
-
 def _run_chunk(fn: Callable, chunk: Sequence[Tuple[int, object]]) -> List[tuple]:
     """Execute one chunk of ``(index, task)`` pairs, isolating failures.
 
-    Runs in the worker process/thread.  Returns ``(index, result,
-    error)`` triples; ``error`` is ``None`` on success, else
+    Runs in the calling process or in a pool worker.  Returns
+    ``(index, result, error)`` triples; ``error`` is ``None`` on success, else
     ``"ExcType: message"`` with the result set to ``None``.
     """
 
@@ -94,86 +85,41 @@ def _run_chunk(fn: Callable, chunk: Sequence[Tuple[int, object]]) -> List[tuple]
     return out
 
 
-def _resolve_executor(
-    executor: Union[str, Executor, None], workers: Optional[int],
-) -> Tuple[Union[str, Executor], int]:
-    """The executor that will actually run, and its worker count.
-
-    ``None`` means serial for ``workers in (None, 0, 1)`` and a process
-    pool otherwise; a pool name without a worker count gets one worker
-    per CPU, and a single-worker pool runs in-process (serial).  An
-    executor instance passes through with the caller's count (0 when
-    unset).
-    """
-
-    if isinstance(executor, str) and executor not in BACKENDS:
-        raise ValueError(
-            f"unknown executor {executor!r} (expected one of {BACKENDS})"
-        )
-    workers = int(workers) if workers else 0
-    if executor is None:
-        executor = PROCESS if workers > 1 else SERIAL
-    if isinstance(executor, str):
-        if executor != SERIAL and workers <= 0:
-            workers = os.cpu_count() or 1
-        if workers <= 1:
-            executor = SERIAL
-    return executor, workers
-
-
 def execute_indexed(
     fn: Callable,
     tasks: Sequence[object],
-    executor: Union[str, Executor, None] = None,
     workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> List[Tuple[object, Optional[str]]]:
     """Run ``fn`` over ``tasks``; return ``(result, error)`` pairs in order.
 
-    ``executor`` is a backend name (``"serial"`` / ``"process"``), an
-    already-constructed :class:`concurrent.futures.Executor` (not shut
-    down by us; serve passes its thread pool), or ``None`` meaning
-    serial for ``workers in (None, 0, 1)`` and a process pool
-    otherwise.  ``fn`` and every task must be picklable for the
-    process backend.  Chunks of ``chunksize`` tasks amortise
-    per-future overhead; submission is throttled so at most
+    Runs in-process for ``workers in (None, 0, 1)`` and on a process
+    pool of ``workers`` processes otherwise, so ``fn`` and every task
+    must then be picklable.  Tasks travel in chunks, about four per
+    worker, which amortise per-future overhead and still let
+    stragglers rebalance; submission is throttled so at most
     ``4 × workers`` chunks are in flight at once.
     """
 
     tasks = list(tasks)
-    executor, workers = _resolve_executor(executor, workers)
-    if executor == SERIAL:
-        return [
-            (result, error)
-            for _, result, error in _run_chunk(fn, list(enumerate(tasks)))
-        ]
-
-    if isinstance(executor, str):
-        from concurrent.futures import ProcessPoolExecutor
-
-        # A forked worker inherits the parent's whole heap (every graph
-        # of a grid); freezing it keeps the worker's generation-2
-        # collections to what its own tasks allocate.  Reference
-        # counting still frees everything, and workers live only as
-        # long as this call.
-        pool: Executor = ProcessPoolExecutor(max_workers=workers,
-                                             initializer=gc.freeze)
-        own_pool = True
-    else:
-        pool, own_pool = executor, False
-        workers = workers or getattr(pool, "_max_workers", 1)
-
-    if chunksize is None:
-        chunksize = _default_chunksize(len(tasks), workers)
     indexed = list(enumerate(tasks))
+    if workers is None or workers <= 1:
+        return [(result, error) for _, result, error in _run_chunk(fn, indexed)]
+
+    chunksize = max(1, len(tasks) // (workers * 4))
     chunks = [
         indexed[i:i + chunksize] for i in range(0, len(indexed), chunksize)
     ]
+    # A forked worker inherits the parent's whole heap (every graph of
+    # a grid); freezing it keeps the worker's generation-2 collections
+    # to what its own tasks allocate.  Reference counting still frees
+    # everything, and workers live only as long as this call.
+    from concurrent.futures import ProcessPoolExecutor
 
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze)
     results: List[Optional[Tuple[object, Optional[str]]]] = [None] * len(tasks)
     try:
         pending = set()
-        backlog = max(1, workers) * _IN_FLIGHT_PER_WORKER
+        backlog = workers * _IN_FLIGHT_PER_WORKER
         cursor = 0
         while cursor < len(chunks) or pending:
             while cursor < len(chunks) and len(pending) < backlog:
@@ -194,8 +140,7 @@ def execute_indexed(
             if slot is None:
                 results[index] = (None, error)
     finally:
-        if own_pool:
-            pool.shutdown(wait=True)
+        pool.shutdown(wait=True)
     return results  # type: ignore[return-value]
 
 
@@ -390,7 +335,6 @@ def _solve_task(task: tuple) -> Tuple[SolveReport, float]:
 def solve_many(
     instances: Iterable[Instance],
     algorithms: Union[str, Sequence[str]],
-    executor: Union[str, Executor, None] = None,
     workers: Optional[int] = None,
     **options,
 ) -> BatchReport:
@@ -404,9 +348,9 @@ def solve_many(
     algorithms:
         One registry name or a sequence of names; the task list is the
         cross product ``instances × algorithms`` in that order.
-    executor, workers:
-        Backend selection, see :func:`execute_indexed`.  The default is
-        serial for ``workers <= 1`` and a process pool otherwise.
+    workers:
+        In-process for ``None``, 0 or 1, otherwise a process pool of
+        that size (see :func:`execute_indexed`).
     **options:
         Forwarded verbatim to every :func:`~repro.api.solve` call.
 
@@ -424,12 +368,10 @@ def solve_many(
             tasks.append((instance, algorithm, options))
             keys.append((fingerprint, algorithm))
 
-    executor, workers = _resolve_executor(executor, workers)
-    backend = executor if isinstance(executor, str) else "external"
+    pooled = workers is not None and workers > 1
 
     started = time.perf_counter()
-    outcomes = execute_indexed(_solve_task, tasks, executor=executor,
-                               workers=workers)
+    outcomes = execute_indexed(_solve_task, tasks, workers=workers)
     elapsed = time.perf_counter() - started
 
     items = []
@@ -443,14 +385,13 @@ def solve_many(
         ))
     return BatchReport(
         items=items,
-        backend=backend,
-        workers=max(1, workers),
+        backend=PROCESS if pooled else SERIAL,
+        workers=workers if pooled else 1,
         elapsed=elapsed,
     )
 
 
 __all__ = [
-    "BACKENDS",
     "BatchItem",
     "BatchReport",
     "PROCESS",

@@ -149,8 +149,6 @@ def maxis_coloring_phases(
     network: Optional[SynchronousNetwork] = None,
     coloring: Optional[ColoringResult] = None,
     max_rounds: Optional[int] = None,
-    label: str = "maxis-coloring",
-    checkpoint_every: int = 1,
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
@@ -213,9 +211,9 @@ def maxis_coloring_phases(
     stepper = network.run_stepwise(
         factory,
         max_rounds=sim_cap,
-        label=label,
+        label="maxis-coloring",
         stop_on_limit=True,
-        checkpoint_every=checkpoint_every,
+        checkpoint_every=1,
         capture_state=capture_state,
         resume_state=sim_state,
         table={"weight": [weights[v] for v in nodes],

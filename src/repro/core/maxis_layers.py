@@ -242,8 +242,6 @@ def maxis_layers_phases(
     network: Optional[SynchronousNetwork] = None,
     max_rounds: Optional[int] = None,
     trace: Optional[LayerTrace] = None,
-    label: str = "maxis-layers",
-    checkpoint_every: int = 3,
     capture_state: bool = False,
     resume: Optional[dict] = None,
 ):
@@ -295,9 +293,9 @@ def maxis_layers_phases(
     stepper = network.run_stepwise(
         lambda node: MaxISLayersProgram(weights[node], trace),
         max_rounds=max_rounds,
-        label=label,
+        label="maxis-layers",
         stop_on_limit=True,
-        checkpoint_every=checkpoint_every,
+        checkpoint_every=3,
         capture_state=capture_state,
         resume_state=sim_state,
         # The array engine's parameter table, in the network's order.

@@ -176,7 +176,7 @@ class Runner:
 
         outcomes = execute_indexed(
             _run_trial_task, [self._task(entry) for entry in plan],
-            executor="process", workers=self.workers,
+            workers=self.workers,
         )
         results: List[tuple] = []
         for entry, (result, error) in zip(plan, outcomes):

@@ -194,7 +194,14 @@ class MPCNetwork:
 
 
 class _ShuffledEngine(_ObjectEngine):
-    """The object engine with the fleet's shuffle as its delivery step."""
+    """The object engine with the fleet's shuffle as its delivery step;
+    mail sent from ``on_start`` is shuffled before the first round."""
+
+    def start(self) -> None:
+        super().start()
+        if self.in_flight:
+            self.in_flight = self.net.fleet.exchange(self.in_flight,
+                                                     self.mark)
 
     def step(self, round_index: int) -> None:
         super().step(round_index)

@@ -3,12 +3,11 @@
 An asyncio HTTP daemon over the anytime/resume stack, started with
 ``python -m repro serve``.  Clients submit an instance *spec* (the
 same deterministic workload recipe the CLI uses) plus optional SLA
-budgets and get a job id back; jobs execute on a thread pool through
-the shared batch engine (:func:`repro.api.execute_indexed`), stream
-per-phase checkpoints, land in a fingerprint-keyed LRU result cache,
-and journal their latest ``resume_state`` to ``--state-dir`` so a
-killed daemon restarts and finishes **bit-identically** to a run that
-was never interrupted.
+budgets and get a job id back.  Each job runs as one task on the
+service's thread pool, streams per-phase checkpoints, lands in a
+fingerprint-keyed LRU result cache, and journals its latest
+``resume_state`` to ``--state-dir`` so a killed daemon restarts and
+finishes **bit-identically** to a run that was never interrupted.
 
 Module map:
 

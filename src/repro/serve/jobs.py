@@ -18,16 +18,14 @@ Lifecycle (the state machine ``docs/ARCHITECTURE.md`` documents)::
         (restart recovery: journaled non-terminal jobs re-enter the
          queue, warm-started from their last journaled checkpoint)
 
-Execution fans out through the shared batch engine: a dispatcher
-thread drains the submission queue into batches and runs each batch
-via :func:`repro.api.execute_indexed` over one long-lived
-``ThreadPoolExecutor`` — the same fan-out core the experiment runner
-and ``solve_many`` use, with its per-task failure isolation.  Each
-task drives :func:`repro.api.solve_iter` (:func:`repro.api.resume_iter`
-when it warm-starts) so the job streams per-phase checkpoints, journals
-every captured ``resume_state`` (crash safety), and can stop at a
-wall-clock deadline with the best certified partial solution (SLA
-truncation).
+Execution is one pool task per job: a dispatcher thread takes each
+job id off the submission queue and submits it to one long-lived
+``ThreadPoolExecutor`` of ``workers`` threads.  Each task drives
+:func:`repro.api.solve_iter` (:func:`repro.api.resume_iter` when it
+warm-starts) so the job streams per-phase checkpoints, journals every
+captured ``resume_state`` (crash safety), and can stop at a wall-clock
+deadline with the best certified partial solution (SLA truncation);
+an exception lands on its job, never on the pool.
 
 Resilience plane (PR 8): a seeded
 :class:`~repro.faults.FaultPlan` injects deterministic failures at the
@@ -51,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..api import execute_indexed, resume_iter, solve_iter
+from ..api import resume_iter, solve_iter
 from ..api.persist import instance_from_workload
 from ..faults import DEFAULT_RETRY, FaultPlan, RetryPolicy
 from .cache import ResultCache
@@ -220,7 +218,6 @@ class JobManager:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
-        self._batches = 0
         self._latencies: List[float] = []
         self._seq = itertools.count(1)
         self._recovery = {"restored": 0, "requeued": 0, "skipped": 0,
@@ -449,7 +446,6 @@ class JobManager:
                 checkpoints += job.checkpoints
                 retries += max(0, job.attempts - 1)
             latencies = list(self._latencies)
-            batches = self._batches
             total = len(self._jobs)
         latency = {"count": len(latencies), "p50_ms": 0.0, "p95_ms": 0.0}
         if latencies:
@@ -458,7 +454,6 @@ class JobManager:
         return {
             "jobs": {"total": total, "by_status": by_status},
             "queue_depth": by_status[QUEUED],
-            "batches_active": batches,
             "workers": self.workers,
             "cache": self.cache.stats(),
             "latency": latency,
@@ -490,9 +485,7 @@ class JobManager:
 
     # -- dispatch ------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Drain submissions into batches; each batch fans out through
-        :func:`execute_indexed` on the shared pool (its own thread, so
-        a slow batch never blocks the next one).
+        """Submit each queued job id to the shared pool as its own task.
 
         A dispatcher crash (real, or the ``dispatcher.death`` fault
         site) must not be invisible: the exception degrades health, so
@@ -503,40 +496,17 @@ class JobManager:
         try:
             while not self._stop.is_set():
                 try:
-                    first = self._inbox.get(timeout=0.05)
+                    job_id = self._inbox.get(timeout=0.05)
                 except queue.Empty:
                     continue
-                if first is None:
+                if job_id is None:
                     break
-                batch = [first]
-                while True:
-                    try:
-                        item = self._inbox.get_nowait()
-                    except queue.Empty:
-                        break
-                    if item is None:
-                        self._stop.set()
-                        break
-                    batch.append(item)
                 if self.faults is not None:
                     self.faults.maybe_raise("dispatcher.death",
                                             scope="dispatch")
-                with self._lock:
-                    self._batches += 1
-                threading.Thread(
-                    target=self._run_batch, args=(batch,),
-                    name="repro-serve-batch", daemon=True,
-                ).start()
+                self._pool.submit(self._execute_task, job_id)
         except Exception:  # noqa: BLE001 — dying loudly, not silently
             self.health.dispatcher_dead()
-
-    def _run_batch(self, batch: List[str]) -> None:
-        try:
-            execute_indexed(self._execute_task, batch,
-                            executor=self._pool, workers=self.workers)
-        finally:
-            with self._lock:
-                self._batches -= 1
 
     # -- watchdog ------------------------------------------------------
     def _watchdog_loop(self) -> None:
@@ -571,24 +541,19 @@ class JobManager:
                 self._finish(job, record, seconds=0.0, cacheable=False)
 
     # -- execution -----------------------------------------------------
-    def _execute_task(self, job_id: str) -> str:
-        """Worker body for one job: bounded retries around
-        :meth:`_execute` (exceptions land on the job, not the batch —
-        belt to ``execute_indexed``'s braces)."""
+    def _execute_task(self, job_id: str) -> None:
+        """Pool task for one job: bounded retries around
+        :meth:`_execute` (exceptions land on the job, not the pool)."""
 
         job = self.get(job_id)
         if job is None or job.done:
-            return job_id
-        if self._draining.is_set():
-            # Never started: the submit-time ``queued`` journal record
-            # already describes this job for the restart to pick up.
-            return job_id
+            return
         max_attempts = (self.retry.max_attempts
                         if self.retry is not None else 1)
         for attempt in range(1, max_attempts + 1):
             try:
                 self._execute(job, attempt)
-                return job_id
+                return
             except Exception as exc:  # noqa: BLE001 — jobs must not sink pool
                 self.health.worker_crash()
                 error = f"{type(exc).__name__}: {exc}"
@@ -606,7 +571,7 @@ class JobManager:
                         self.retry.delay(attempt, key=job.id))
                     if aborted and job.abort_reason == "drain":
                         self._drain_requeue(job, job.warm_payload)
-                        return job_id
+                        return
                     continue
                 # Journal before flipping the status: the moment a
                 # poller sees the job terminal, the journal agrees.
@@ -616,14 +581,22 @@ class JobManager:
                 ))
                 with self._lock:
                     job.status = FAILED
-                return job_id
-        return job_id
+                return
 
     def _execute(self, job: Job, attempt: int = 1) -> None:
-        """Drive one job's checkpoint stream to a terminal record."""
+        """Drive one job's checkpoint stream to a terminal record.
+
+        Checking for drain and flipping to ``running`` are one critical
+        section, so :meth:`drain` either sees the job running (and
+        parks it at its next checkpoint) or the job sees the drain.
+        """
 
         spec = job.spec
         with self._lock:
+            if self._draining.is_set() and job.status == QUEUED:
+                # Never started: the submit-time ``queued`` journal
+                # record already describes this job for the restart.
+                return
             job.status = RUNNING
             job.attempts = attempt
             job.beat()

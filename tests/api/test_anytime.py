@@ -280,7 +280,7 @@ class TestBatchStatuses:
             Instance(general_graph, seed=SEED, max_rounds=budget)
             for budget in (0, 3, None)
         ]
-        report = solve_many(instances, "maxis-layers", executor="serial")
+        report = solve_many(instances, "maxis-layers")
         assert not report.failures
         statuses = [item.status for item in report]
         assert statuses == [TRUNCATED, TRUNCATED, COMPLETE]

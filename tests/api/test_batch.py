@@ -3,7 +3,6 @@
 import gc
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import networkx as nx
 import pytest
@@ -30,6 +29,14 @@ def _exit_on_sentinel(x):
     if x == -1:
         os._exit(1)
     return x
+
+
+def _square_unless_seventh(x):
+    """Module-level (picklable) task that fails on every seventh input."""
+
+    if x % 7 == 0:
+        raise ValueError(f"seventh {x}")
+    return x * x
 
 
 def _freeze_count(_):
@@ -158,23 +165,15 @@ class TestExecuteIndexed:
         assert "ValueError: boom" in results[1][1]
         assert results[2] == (2, None)
 
-    def test_thread_backend_matches_serial(self):
-        tasks = list(range(23))
-        serial = execute_indexed(lambda x: x * x, tasks)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = execute_indexed(lambda x: x * x, tasks,
-                                       executor=pool, workers=3,
-                                       chunksize=2)
-        assert threaded == serial
-
-    def test_thread_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            execute_indexed(lambda x: x, [1, 2], executor="thread",
-                            workers=2)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            execute_indexed(lambda x: x, [1], executor="carrier-pigeon")
+    def test_process_pool_matches_serial(self):
+        # 47 tasks on 2 workers travel in 10 chunks of 5 (the last
+        # holds 2), more than the 8 chunks the backlog admits at once.
+        tasks = list(range(47))
+        serial = execute_indexed(_square_unless_seventh, tasks)
+        pooled = execute_indexed(_square_unless_seventh, tasks, workers=2)
+        assert pooled == serial
+        assert serial[7] == (None, "ValueError: seventh 7")
+        assert serial[8] == (64, None)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -187,8 +186,7 @@ class TestExecuteIndexed:
         # filled, the sentinel's slot records the breakage, and any
         # chunk that finished before the pool broke keeps its result.
         results = execute_indexed(_exit_on_sentinel, [1, -1, 2],
-                                  executor="process", workers=2,
-                                  chunksize=1)
+                                  workers=2)
         assert len(results) == 3
         assert all(slot is not None for slot in results)
         assert results[1][0] is None
@@ -197,9 +195,7 @@ class TestExecuteIndexed:
             assert result == value or "worker died" in error
 
     def test_pool_workers_freeze_the_inherited_heap(self):
-        results = execute_indexed(_freeze_count, [0, 1, 2, 3],
-                                  executor="process", workers=2,
-                                  chunksize=1)
+        results = execute_indexed(_freeze_count, [0, 1, 2, 3], workers=2)
         assert all(error is None and count > 0
                    for count, error in results)
 
@@ -207,7 +203,7 @@ class TestExecuteIndexed:
 class TestSolveMany:
     def test_matches_individual_solves(self):
         instances = _instances()
-        batch = solve_many(instances, "maxis-layers", executor="serial")
+        batch = solve_many(instances, "maxis-layers")
         assert len(batch) == len(instances)
         for inst, item in zip(instances, batch):
             direct = solve(inst, "maxis-layers")
@@ -217,8 +213,7 @@ class TestSolveMany:
 
     def test_cross_product_order_is_instance_major(self):
         instances = _instances(2)
-        batch = solve_many(instances, ["maxis-layers", "maxis-coloring"],
-                           executor="serial")
+        batch = solve_many(instances, ["maxis-layers", "maxis-coloring"])
         assert [item.algorithm for item in batch] == [
             "maxis-layers", "maxis-coloring",
             "maxis-layers", "maxis-coloring",
@@ -228,9 +223,8 @@ class TestSolveMany:
 
     def test_process_pool_matches_serial(self):
         instances = _instances()
-        serial = solve_many(instances, "maxis-layers", executor="serial")
-        pooled = solve_many(instances, "maxis-layers",
-                            executor="process", workers=2)
+        serial = solve_many(instances, "maxis-layers")
+        pooled = solve_many(instances, "maxis-layers", workers=2)
         assert [i.fingerprint for i in serial] == [
             i.fingerprint for i in pooled
         ]
@@ -241,41 +235,22 @@ class TestSolveMany:
             i.report.objective for i in pooled
         ]
 
-    def test_thread_pool_matches_serial(self):
-        instances = _instances()
-        serial = solve_many(instances, "maxis-layers", executor="serial")
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = solve_many(instances, "maxis-layers",
-                                  executor=pool, workers=2)
-        assert [i.report.solution for i in serial] == [
-            i.report.solution for i in threaded
-        ]
-
-    @pytest.mark.parametrize("executor,workers,expected", [
-        (None, None, ("serial", 1)),
-        ("process", 1, ("serial", 1)),
-        (None, 2, ("process", 2)),
-        ("pool", None, ("external", 1)),
+    @pytest.mark.parametrize("workers,expected", [
+        (None, ("serial", 1)),
+        (1, ("serial", 1)),
+        (2, ("process", 2)),
     ])
-    def test_report_records_what_ran(self, executor, workers, expected):
-        # A single-worker pool runs in-process, and an executor instance
-        # is recorded as "external" with the worker count it was given.
+    def test_report_records_what_ran(self, workers, expected):
+        # One worker runs in-process, like no worker count at all.
         instances = _instances(2)
-        if executor == "pool":
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                batch = solve_many(instances, "maxis-layers",
-                                   executor=pool, workers=workers)
-        else:
-            batch = solve_many(instances, "maxis-layers",
-                               executor=executor, workers=workers)
+        batch = solve_many(instances, "maxis-layers", workers=workers)
         assert (batch.backend, batch.workers) == expected
         assert batch.summary()["backend"] == expected[0]
         assert len(batch.ok) == 2
 
     def test_failure_isolation(self):
         instances = _instances(2)
-        batch = solve_many(instances, ["maxis-layers", "no-such-algo"],
-                           executor="serial")
+        batch = solve_many(instances, ["maxis-layers", "no-such-algo"])
         assert len(batch.ok) == 2
         assert len(batch.failures) == 2
         for item in batch.failures:
@@ -297,7 +272,7 @@ class TestSolveMany:
 
 class TestBatchReport:
     def test_summary_aggregates(self):
-        batch = solve_many(_instances(), "maxis-layers", executor="serial")
+        batch = solve_many(_instances(), "maxis-layers")
         summary = batch.summary()
         objectives = [item.report.objective for item in batch]
         assert summary["tasks"] == 3
@@ -312,15 +287,14 @@ class TestBatchReport:
         assert summary["messages_total"] > 0
 
     def test_get_by_fingerprint(self):
-        batch = solve_many(_instances(2), "maxis-layers", executor="serial")
+        batch = solve_many(_instances(2), "maxis-layers")
         item = batch.items[1]
         assert batch.get(item.fingerprint, "maxis-layers") is item
         with pytest.raises(KeyError):
             batch.get("ffffffffffffffff", "maxis-layers")
 
     def test_reports_and_latencies_cover_successes_only(self):
-        batch = solve_many(_instances(2), ["maxis-layers", "no-such-algo"],
-                           executor="serial")
+        batch = solve_many(_instances(2), ["maxis-layers", "no-such-algo"])
         assert len(batch.reports) == 2
         assert len(batch.latencies()) == 2
         assert all(sec >= 0 for sec in batch.latencies())
@@ -341,11 +315,9 @@ class TestWarmStart:
         ]
 
     def test_truncated_batch_resumes_bit_identically(self):
-        cut = solve_many(self._grid(8), "matching-proposal",
-                         executor="serial")
+        cut = solve_many(self._grid(8), "matching-proposal")
         assert len(cut.truncated) == 3  # the budget bit every task
-        cold = solve_many(self._grid(None), "matching-proposal",
-                          executor="serial")
+        cold = solve_many(self._grid(None), "matching-proposal")
         for item, instance, cold_item in zip(cut, self._grid(None), cold):
             resumed = resume(item.report, instance=instance)
             assert resumed.status == "complete"
@@ -354,8 +326,7 @@ class TestWarmStart:
             assert resumed.objective == cold_item.report.objective
 
     def test_cold_batch_summary_keeps_historical_shape(self):
-        summary = solve_many(self._grid(None), "matching-proposal",
-                             executor="serial").summary()
+        summary = solve_many(self._grid(None), "matching-proposal").summary()
         assert list(summary) == [
             "tasks", "ok", "failed", "statuses", "backend", "workers",
             "rounds_total", "messages_total", "bits_total", "objective",

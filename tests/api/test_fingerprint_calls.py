@@ -102,7 +102,7 @@ def test_unbudgeted_truncation_builds_the_parent_envelope(
     # An unbudgeted runner that hits its own simulator cap ends
     # truncated: solve() then builds the envelope once, at the end, and
     # it is exactly the one the eager solve_iter path carries.
-    monkeypatch.setattr("repro.api.algorithms.default_round_budget",
+    monkeypatch.setattr("repro.core.maxis_layers.default_round_budget",
                         lambda graph: 2)
     instance = Instance(graph, seed=SEED)
     lazy = solve(instance, "maxis-layers")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.experiments import validate_artifact
 
@@ -45,7 +47,7 @@ class TestBenchRun:
     def test_output_flag_and_validate_round_trip(self, tmp_path, capsys):
         path = tmp_path / "artifacts" / "BENCH_smoke.json"
         assert main(["bench", "smoke", "--section", "maxis_ratio",
-                     "--output", str(path)]) == 0
+                     "--json", str(path)]) == 0
         capsys.readouterr()
         assert main(["bench", "--validate", str(path)]) == 0
         assert "valid artifact" in capsys.readouterr().out
@@ -77,9 +79,14 @@ class TestBenchRun:
         assert "smoke-a" in out and "PASSED" in out
 
     def test_json_path_and_output_conflict(self, tmp_path, capsys):
-        assert main(["bench", "smoke", "--json", str(tmp_path / "a.json"),
-                     "--output", str(tmp_path / "b.json")]) == 2
-        assert "not both" in capsys.readouterr().err
+        # --json PATH is the only artifact path flag: the old --output
+        # alias is an unknown argument, and nothing is written.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "smoke", "--json", str(tmp_path / "a.json"),
+                  "--output", str(tmp_path / "b.json")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_path_writes_and_renders(self, tmp_path, capsys):
         path = tmp_path / "a.json"

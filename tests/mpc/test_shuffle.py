@@ -11,6 +11,7 @@ import pytest
 
 from repro.congest import NodeProgram, message
 from repro.congest.message import payload_bits
+from repro.errors import MPCCapacityError
 from repro.graphs import complete_graph, path_graph
 from repro.mpc import MPCNetwork
 from repro.mpc.network import _FleetNetwork
@@ -59,6 +60,35 @@ class TestDelivery:
         assert summary["messages_sent"] == 0
         assert summary["bits_sent"] == 0
         assert [led.local_messages for led in network.ledgers] == [2, 1]
+
+
+class Greet(NodeProgram):
+    """Broadcasts once from ``on_start``; halts with its inbox size."""
+
+    def on_start(self, ctx):
+        ctx.broadcast("hi")
+
+    def on_round(self, ctx):
+        ctx.halt(len(ctx.inbox))
+
+
+class TestStartMail:
+    def test_start_mail_is_held_to_the_capacity(self):
+        fleet = two_machines(capacity_factor=1e-9, sparsify=False)
+        assert fleet.capacity == 1
+        with pytest.raises(MPCCapacityError):
+            _FleetNetwork(complete_graph(6), fleet, seed=0).run(
+                lambda v: Greet())
+
+    def test_start_mail_is_charged(self):
+        fleet = two_machines(capacity_factor=1e9)
+        result = _FleetNetwork(complete_graph(6), fleet, seed=0).run(
+            lambda v: Greet())
+        assert result.outputs == {v: 5 for v in range(6)}
+        summary = fleet.summary()
+        assert summary["messages_sent"] == 18
+        assert summary["bits_sent"] == summary["bits_received"] > 0
+        assert [led.local_messages for led in fleet.ledgers] == [6, 6]
 
 
 class TestCharging:

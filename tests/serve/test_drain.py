@@ -18,12 +18,14 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 
 import pytest
 
 from repro.api import random_instance, solve
+from repro.serve.jobs import JobManager
 from repro.serve.protocol import result_record
 
 JOB_BODY = {
@@ -161,3 +163,35 @@ class TestSigtermDrain:
         finally:
             _kill_dead(second)
         assert second.returncode == 0
+
+
+class TestDrainRace:
+    def test_a_dispatched_job_not_yet_running_stays_queued(
+            self, tmp_path, monkeypatch):
+        # Hold the pool task between dispatch and the flip to running,
+        # drain, then let it go: the job must not start behind drain's
+        # back, and its submit-time journal record stands.
+        entered, release = threading.Event(), threading.Event()
+        execute = JobManager._execute
+
+        def held(self, job, attempt=1):
+            entered.set()
+            release.wait(10.0)
+            return execute(self, job, attempt)
+
+        monkeypatch.setattr(JobManager, "_execute", held)
+        manager = JobManager(workers=1, state_dir=str(tmp_path))
+        manager.start()
+        try:
+            job = manager.submit(JOB_BODY)
+            assert entered.wait(10.0)
+            stats = manager.drain(timeout_s=5.0)
+        finally:
+            release.set()
+            manager.shutdown(wait=True)
+        assert stats["queued"] == 1
+        assert stats["drained"] == 0
+        assert job.status == "queued"
+        assert job.checkpoints == 0
+        with open(tmp_path / f"{job.id}.json") as handle:
+            assert json.load(handle)["status"] == "queued"
