@@ -10,7 +10,7 @@ This example schedules one epoch three ways:
 
 * the Appendix B.4 proposal algorithm (a handful of rounds, (2+ε)),
 * the Appendix B.3 (1+ε) augmenting-path algorithm,
-* the sequential Hopcroft–Karp optimum as the oracle.
+* the exact maximum-cardinality matching (Edmonds) as the oracle.
 
 Run:  python examples/switch_scheduling.py
 """
@@ -21,7 +21,7 @@ import networkx as nx
 
 from repro.api import Instance, solve
 from repro.graphs import random_bipartite_graph
-from repro.matching import bipartite_sides, hopcroft_karp
+from repro.matching import bipartite_sides, exact_max_cardinality_matching
 from repro.utils import stable_rng
 
 
@@ -43,8 +43,8 @@ def main() -> None:
     print(f"switch: {len(left)}x{len(right)} ports, "
           f"{demand.number_of_edges()} non-empty queues")
 
-    optimum = hopcroft_karp(demand)
-    print(f"\noracle (sequential Hopcroft–Karp): {len(optimum)} "
+    optimum = exact_max_cardinality_matching(demand)
+    print(f"\noracle (exact maximum-cardinality matching): {len(optimum)} "
           f"connections")
 
     proposal = solve(Instance(demand, eps=0.25, seed=1),

@@ -1,11 +1,10 @@
 """Experiment statistics and rendering helpers."""
 
 from .artifacts import render_artifact, render_section_result
-from .export import read_rows, rows_to_csv, rows_to_json, write_rows
+from .export import rows_to_csv, rows_to_json, write_rows
 from .stats import (
     Summary,
     approximation_ratio,
-    empirical_rate,
     growth_exponent,
     pearson,
     summarize,
@@ -15,10 +14,8 @@ from .tables import render_series, render_table
 __all__ = [
     "Summary",
     "approximation_ratio",
-    "empirical_rate",
     "growth_exponent",
     "pearson",
-    "read_rows",
     "render_artifact",
     "render_section_result",
     "render_series",

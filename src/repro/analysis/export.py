@@ -53,15 +53,3 @@ def write_rows(rows: Sequence[Dict[str, object]], path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
-
-
-def read_rows(path: str | Path) -> List[Dict[str, str]]:
-    """Read back a CSV/JSON export (CSV cells come back as strings)."""
-
-    path = Path(path)
-    if path.suffix not in (".csv", ".json"):
-        raise ValueError(f"unsupported export suffix {path.suffix!r}")
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".csv":
-        return list(csv.DictReader(io.StringIO(text)))
-    return json.loads(text)

@@ -28,9 +28,6 @@ class Summary:
             return 0.0
         return 1.96 * self.std / math.sqrt(self.n)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.mean:.2f} ± {self.ci95:.2f} (n={self.n})"
-
 
 def summarize(values: Iterable[float]) -> Summary:
     """Compute a :class:`Summary` of a non-empty sample."""
@@ -57,14 +54,6 @@ def approximation_ratio(optimum: float, found: float) -> float:
     if found <= 0:
         return math.inf
     return optimum / found
-
-
-def empirical_rate(events: Sequence[bool]) -> float:
-    """Fraction of True entries (e.g. per-node unlucky frequencies)."""
-
-    if not events:
-        return 0.0
-    return sum(1 for e in events if e) / len(events)
 
 
 def growth_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:

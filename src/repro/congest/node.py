@@ -62,10 +62,6 @@ class NodeContext:
         return rng
 
     @property
-    def degree(self) -> int:
-        return len(self.neighbors)
-
-    @property
     def halted(self) -> bool:
         return self._halted
 

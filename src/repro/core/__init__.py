@@ -1,35 +1,34 @@
-"""The paper's algorithms: local-ratio MaxIS, line-graph matching, and
-the time-optimal (2+ε)/(1+ε) matching approximations.
+"""The paper's distributed algorithms and their analysis helpers.
 
-The paper's phase programs are exposed as phase generators
-(``maxis_layers_phases``, ``congest_matching_1eps_stages``, …) that
-yield a :class:`~repro.core.stepwise.Checkpoint` at every phase
-boundary and return their result dataclass; drain one with
-:func:`repro.utils.drain` to run it to completion.  Most callers
-want the unified facade instead, which runs the same generators with
-the same seeds and returns one uniform :class:`repro.api.SolveReport`::
+* MaxIS: Algorithm 2 (``maxis_layers_phases``) and Algorithm 3
+  (``maxis_coloring_phases``), the distributed local-ratio
+  Δ-approximations, plus the greedy weighted MIS by parallel peeling
+  and the §3.1 improved nearly-maximal IS;
+* matching: Algorithm 2 on the line graph (Theorem 2.10) and its
+  footnote-5 weight-group form, the proposal matchers of Lemma B.13,
+  the (2+ε) fast matchers, and the (1+ε) LOCAL and CONGEST
+  Hopcroft–Karp-framework matchers with their augmenting-path and
+  hypergraph-matching machinery;
+* the round budgets the theorems state and Theorem 2.8's per-edge
+  simulation cost (``theorem_2_8_simulation_cost``).
+
+Each algorithm is a phase generator that yields a
+:class:`~repro.core.stepwise.Checkpoint` at every phase boundary and
+returns its result dataclass; drain one with :func:`repro.utils.drain`
+to run it to completion.  Most callers want the unified facade instead,
+which runs the same generators with the same seeds and returns one
+uniform :class:`repro.api.SolveReport`::
 
     from repro.api import Instance, solve
     report = solve(Instance(graph, seed=3), "maxis-layers")
+
+The sequential Algorithm 1 that Algorithms 2 and 3 reduce to is a test
+oracle (``tests/local_ratio_oracle.py``), not part of the package.
 """
 
-from .aggregation import (
-    ALGORITHM_2_AGGREGATES,
-    AND,
-    COUNT,
-    MAX,
-    MIN,
-    OR,
-    SUM,
-    AggregateFunction,
-    SimulationCost,
-    fold_over_hosted_neighbors,
-    theorem_2_8_simulation_cost,
-    verify_aggregate,
-)
+from .aggregation import SimulationCost, theorem_2_8_simulation_cost
 from .augmenting import (
     augment_with_disjoint_paths,
-    build_conflict_graph,
     canonical_path,
     enumerate_augmenting_paths,
     flip_augmenting_path,
@@ -67,14 +66,6 @@ from .local_1eps import (
     local_matching_1eps_phases,
     theorem_b4_round_budget,
 )
-from .local_ratio import (
-    exchange_step,
-    local_ratio_bound,
-    random_mis_selector,
-    sequential_local_ratio,
-    sequential_local_ratio_iter,
-    split_weights,
-)
 from .matching_via_lines import (
     MatchingResult,
     matching_lines_phases,
@@ -107,43 +98,32 @@ from .proposal_matching import (
 from .weight_groups import WeightGroupResult, weight_group_matching
 
 __all__ = [
-    "ALGORITHM_2_AGGREGATES",
-    "AND",
-    "AggregateFunction",
     "BipartiteAugmentingPhase",
-    "COUNT",
     "CongestOneEpsResult",
     "FastMatchingResult",
     "GreedyMISResult",
     "HypergraphMatchingResult",
     "LayerTrace",
-    "MAX",
-    "MIN",
     "MatchingResult",
     "MaxISColoringProgram",
     "MaxISColoringResult",
     "MaxISLayersProgram",
     "MaxISResult",
     "NearlyMaximalISResult",
-    "OR",
     "OneEpsResult",
     "ProposalResult",
-    "SUM",
     "SimulationCost",
     "WeightGroupResult",
     "augment_with_disjoint_paths",
     "bipartite_matching_1eps_phases",
     "bipartite_proposal_phases",
     "bucketed_constant_approx_mwm",
-    "build_conflict_graph",
     "canonical_path",
     "congest_matching_1eps_stages",
     "enumerate_augmenting_paths",
-    "exchange_step",
     "fast_matching_2eps",
     "fast_matching_weighted_2eps",
     "flip_augmenting_path",
-    "fold_over_hosted_neighbors",
     "general_proposal_phases",
     "good_round_cap",
     "greedy_mis_phases",
@@ -153,7 +133,6 @@ __all__ = [
     "lemma_b13_rounds",
     "lemma_b3_budget",
     "local_matching_1eps_phases",
-    "local_ratio_bound",
     "matching_lines_phases",
     "maxis_coloring_phases",
     "maxis_layers_phases",
@@ -163,16 +142,11 @@ __all__ = [
     "paper_k",
     "precision_round_factor",
     "proposal_matching",
-    "random_mis_selector",
     "residual_decay_series",
-    "sequential_local_ratio",
-    "sequential_local_ratio_iter",
     "shortest_augmenting_path_length",
-    "split_weights",
     "theorem_2_8_simulation_cost",
     "theorem_3_1_budget",
     "theorem_b4_round_budget",
-    "verify_aggregate",
     "verify_hk_phase",
     "weight_group_matching",
 ]

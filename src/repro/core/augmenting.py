@@ -9,12 +9,12 @@ Facts used throughout (classical, [HK73], restated in the paper):
    length.
 
 This module provides path enumeration (the virtual nodes of the conflict
-graph), flipping, conflict-graph construction, and validity checks.  Path
-enumeration is exponential in the path length in the worst case (up to
-Δ^ℓ paths); an optional ``cap`` bounds the work and the caller records
-when truncation occurred (the paper's CONGEST algorithm of Appendix B.3
-exists precisely because materializing these paths is infeasible — we
-materialize them only for the LOCAL-model algorithm on small instances).
+graph), flipping, and validity checks.  Path enumeration is exponential
+in the path length in the worst case (up to Δ^ℓ paths); an optional
+``cap`` bounds the work and the caller records when truncation occurred
+(the paper's CONGEST algorithm of Appendix B.3 exists precisely because
+materializing these paths is infeasible — we materialize them only for
+the LOCAL-model algorithm on small instances).
 """
 
 from __future__ import annotations
@@ -136,27 +136,6 @@ def augment_with_disjoint_paths(matching: Set[frozenset],
         seen.update(path)
         result = flip_augmenting_path(result, path)
     return result
-
-
-def build_conflict_graph(paths: List[Path]) -> nx.Graph:
-    """One vertex per path, an edge when two paths share a node (§B.2).
-
-    This is the virtual graph on which the LOCAL algorithm finds a
-    nearly-maximal independent set; each of its communication rounds is
-    simulated in O(ℓ) rounds of the base graph.
-    """
-
-    conflict = nx.Graph()
-    conflict.add_nodes_from(range(len(paths)))
-    node_to_paths: Dict[Hashable, List[int]] = {}
-    for index, path in enumerate(paths):
-        for v in path:
-            node_to_paths.setdefault(v, []).append(index)
-    for indices in node_to_paths.values():
-        for i, a in enumerate(indices):
-            for b in indices[i + 1:]:
-                conflict.add_edge(a, b)
-    return conflict
 
 
 def shortest_augmenting_path_length(

@@ -64,15 +64,6 @@ class NearlyMaximalISResult:
     k: float
     stats: Optional[GoldenRoundStats] = None
 
-    @property
-    def residual_fraction(self) -> float:
-        total = len(self.independent_set) + len(self.residual)
-        # Residual fraction is relative to all nodes that entered; the
-        # caller usually divides by n instead — provide both views.
-        return 0.0 if not self.residual else len(self.residual) / max(
-            1, total
-        )
-
 
 def improved_nearly_maximal_is(
     graph: nx.Graph,

@@ -1,17 +1,13 @@
 """Matching substrates, baselines and exact oracles."""
 
 from .exact import (
+    bipartite_sides,
     exact_max_cardinality_matching,
     exact_max_weight_matching,
     optimum_cardinality,
     optimum_weight,
 )
-from .greedy import (
-    greedy_maximal_matching,
-    greedy_weighted_matching,
-    matching_weight,
-)
-from .hopcroft_karp import bipartite_sides, hopcroft_karp
+from .greedy import greedy_weighted_matching, matching_weight
 from .israeli_itai import IsraeliItaiProgram, israeli_itai_matching
 
 __all__ = [
@@ -19,9 +15,7 @@ __all__ = [
     "bipartite_sides",
     "exact_max_cardinality_matching",
     "exact_max_weight_matching",
-    "greedy_maximal_matching",
     "greedy_weighted_matching",
-    "hopcroft_karp",
     "israeli_itai_matching",
     "matching_weight",
     "optimum_cardinality",

@@ -1,11 +1,9 @@
-"""Sequential matching baselines.
+"""The sequential greedy matching baseline and the matching weight.
 
-* :func:`greedy_weighted_matching` — scan edges by decreasing weight; the
-  classical sequential 2-approximation for maximum weight matching, the
-  natural comparator for the paper's distributed 2- and (2+ε)-approx
-  algorithms.
-* :func:`greedy_maximal_matching` — arbitrary-order maximal matching
-  (a 2-approximation for maximum cardinality).
+:func:`greedy_weighted_matching` scans edges by decreasing weight: the
+classical sequential 2-approximation for maximum weight matching, the
+natural comparator for the paper's distributed 2- and (2+ε)-approx
+algorithms (registered as ``matching-greedy``).
 """
 
 from __future__ import annotations
@@ -27,18 +25,6 @@ def greedy_weighted_matching(graph: nx.Graph) -> Set[frozenset]:
     matched: Set[Hashable] = set()
     matching: Set[frozenset] = set()
     for u, v in order:
-        if u not in matched and v not in matched:
-            matching.add(frozenset((u, v)))
-            matched.update((u, v))
-    return matching
-
-
-def greedy_maximal_matching(graph: nx.Graph) -> Set[frozenset]:
-    """Maximal matching by id-ordered scan (cardinality >= OPT / 2)."""
-
-    matched: Set[Hashable] = set()
-    matching: Set[frozenset] = set()
-    for u, v in sorted(graph.edges, key=repr):
         if u not in matched and v not in matched:
             matching.add(frozenset((u, v)))
             matched.update((u, v))

@@ -1,15 +1,10 @@
-"""Maximal-independent-set substrates: Luby, Ghaffari, greedy, coloring."""
+"""Maximal-independent-set substrates: Luby, Ghaffari, the nearly-maximal
+IS + Luby composite, (Δ+1)-coloring, and the exact MWIS oracle."""
 
-from .composite import (
-    AlmostMaximalResult,
-    almost_maximal_independent_set,
-    discussion_failure_probability,
-    nmis_plus_luby_mis,
-)
+from .composite import nmis_plus_luby_mis
 from .coloring import (
     ColoringResult,
     delta_plus_one_coloring,
-    greedy_coloring,
     linial_coloring,
     linial_step,
     reduce_palette,
@@ -22,14 +17,11 @@ from .ghaffari import (
     RESIDUAL,
     nearly_maximal_is,
 )
-from .greedy import exact_mwis, greedy_mis, greedy_mwis, mwis_weight
+from .greedy import exact_mwis, mwis_weight
 from .luby import IN_MIS, LubyProgram, OUT_MIS, luby_mis
 
 __all__ = [
-    "AlmostMaximalResult",
     "ColoringResult",
-    "almost_maximal_independent_set",
-    "discussion_failure_probability",
     "nmis_plus_luby_mis",
     "DOMINATED",
     "GhaffariProgram",
@@ -41,9 +33,6 @@ __all__ = [
     "RESIDUAL",
     "delta_plus_one_coloring",
     "exact_mwis",
-    "greedy_coloring",
-    "greedy_mis",
-    "greedy_mwis",
     "linial_coloring",
     "linial_step",
     "luby_mis",

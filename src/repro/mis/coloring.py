@@ -69,19 +69,6 @@ class ColoringResult:
         return self.linial_rounds + self.reduction_rounds
 
 
-def greedy_coloring(graph: nx.Graph) -> Dict[Hashable, int]:
-    """Sequential greedy (Δ+1)-coloring oracle (id order)."""
-
-    colors: Dict[Hashable, int] = {}
-    for v in sorted(graph.nodes, key=repr):
-        taken = {colors[u] for u in graph.neighbors(v) if u in colors}
-        color = 0
-        while color in taken:
-            color += 1
-        colors[v] = color
-    return colors
-
-
 def _linial_parameters(m: int, delta: int) -> tuple[int, int]:
     """Return ``(q, k)`` for one Linial step on an m-coloring, degree Δ."""
 

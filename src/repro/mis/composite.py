@@ -1,80 +1,26 @@
-"""Discussion-section constructions: almost-maximal IS and composite MIS.
+"""A true MIS from the nearly-maximal IS: the ablation's MIS black box.
 
-The paper's Discussion (§4) observes that the Section 3.1 algorithm
+The paper's Discussion (§4) notes that the Section 3.1 algorithm only
 computes an *almost-maximal* independent set in O(log Δ/log log Δ)
-rounds — each node remains uncovered with probability at most
-``2^{-log^{1-γ} Δ}`` for any small constant γ — and that closing the gap
-to a true MIS in that round budget is open.
-
-This module provides both artifacts:
-
-* :func:`almost_maximal_independent_set` — the Discussion's object, with
-  the failure probability parameterized by γ;
-* :func:`nmis_plus_luby_mis` — a *true* MIS in the style of the
-  shattering framework [BEPS16]: run the nearly-maximal IS first (cheap,
-  O(log Δ)-ish rounds), then finish the residual nodes with Luby.  The
-  residual induced subgraph is small w.h.p., so the cleanup is fast; the
-  union is independent (residual nodes have no IS neighbor by
-  definition) and maximal.  This is the drop-in MIS(G) black box the
-  ablation benchmark compares against plain Luby.
+rounds.  :func:`nmis_plus_luby_mis` closes the gap in the style of the
+shattering framework [BEPS16]: run the nearly-maximal IS first (cheap,
+O(log Δ)-ish rounds), then finish the residual nodes with Luby.  The
+residual induced subgraph is small w.h.p., so the cleanup is fast; the
+union is independent (residual nodes have no IS neighbor by
+definition) and maximal.  The ablation benchmark compares it against
+plain Luby.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, Optional, Set, Tuple
 
 import networkx as nx
 
-from ..congest import SynchronousNetwork
 from ..graphs import check_independent_set, max_degree
 from .ghaffari import nearly_maximal_is
 from .luby import luby_mis
-
-
-def discussion_failure_probability(delta: int, gamma: float = 0.3) -> float:
-    """The Discussion's ``2^{-log^{1-γ} Δ}`` failure probability."""
-
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    log_delta = max(1.0, math.log2(max(2, delta)))
-    return 2.0 ** (-(log_delta ** (1.0 - gamma)))
-
-
-@dataclass
-class AlmostMaximalResult:
-    independent_set: Set[Hashable]
-    residual: Set[Hashable]
-    rounds: int
-    failure_probability: float
-
-
-def almost_maximal_independent_set(
-    graph: nx.Graph,
-    gamma: float = 0.3,
-    k: float = 2.0,
-    beta: float = 4.0,
-    seed: int = 0,
-    network: Optional[SynchronousNetwork] = None,
-) -> AlmostMaximalResult:
-    """§4's almost-maximal IS: per-node failure ``2^{-log^{1-γ} Δ}``."""
-
-    from ..core.nearly_maximal_is import theorem_3_1_budget
-
-    delta = max_degree(graph)
-    failure = discussion_failure_probability(delta, gamma)
-    iterations = theorem_3_1_budget(delta, k, failure, beta=beta)
-    independent, residual, rounds = nearly_maximal_is(
-        graph, iterations=iterations, k=k, seed=seed, network=network,
-        label="almost-maximal-is",
-    )
-    return AlmostMaximalResult(
-        independent_set=independent,
-        residual=residual,
-        rounds=rounds,
-        failure_probability=failure,
-    )
 
 
 def nmis_plus_luby_mis(

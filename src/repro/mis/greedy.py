@@ -1,13 +1,9 @@
-"""Sequential MIS / MaxIS baselines and the exact MWIS oracle.
+"""The exact MWIS oracle.
 
-These are the comparators the evaluation needs:
-
-* :func:`greedy_mis` — the minimum-degree greedy of [HR97], a
-  (Δ+2)/3-approximation for unweighted MaxIS;
-* :func:`greedy_mwis` — weight/(degree+1) greedy for weighted MaxIS;
-* :func:`exact_mwis` — branch-and-bound maximum-weight independent set,
-  the optimum oracle used to measure approximation ratios on small
-  instances (exponential time; keep n below ~40).
+:func:`exact_mwis` is a branch-and-bound maximum-weight independent
+set, the optimum that ``SolveReport`` and the experiments measure
+approximation ratios against on small instances (exponential time; keep
+n below ~40).  :func:`mwis_weight` sums a node set's weights.
 """
 
 from __future__ import annotations
@@ -17,46 +13,6 @@ from typing import Dict, Hashable, Set
 import networkx as nx
 
 from ..graphs import node_weight
-
-
-def greedy_mis(graph: nx.Graph) -> Set[Hashable]:
-    """Minimum-degree greedy independent set [HR97]."""
-
-    remaining = {v: set(graph.neighbors(v)) for v in graph.nodes}
-    chosen: Set[Hashable] = set()
-    while remaining:
-        v = min(remaining, key=lambda u: (len(remaining[u]), repr(u)))
-        chosen.add(v)
-        dead = remaining.pop(v)
-        for u in list(dead):
-            neighbors = remaining.pop(u, None)
-            if neighbors is None:
-                continue
-            for w in neighbors:
-                if w in remaining:
-                    remaining[w].discard(u)
-        for u in list(remaining):
-            remaining[u].discard(v)
-    return chosen
-
-
-def greedy_mwis(graph: nx.Graph) -> Set[Hashable]:
-    """Greedy weighted independent set ordered by w(v)/(deg(v)+1)."""
-
-    order = sorted(
-        graph.nodes,
-        key=lambda v: (-node_weight(graph, v) / (graph.degree(v) + 1),
-                       repr(v)),
-    )
-    chosen: Set[Hashable] = set()
-    blocked: Set[Hashable] = set()
-    for v in order:
-        if v in blocked:
-            continue
-        chosen.add(v)
-        blocked.add(v)
-        blocked.update(graph.neighbors(v))
-    return chosen
 
 
 def exact_mwis(graph: nx.Graph) -> Set[Hashable]:

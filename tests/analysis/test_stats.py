@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     approximation_ratio,
-    empirical_rate,
     growth_exponent,
     pearson,
     summarize,
@@ -53,10 +52,6 @@ class TestApproximationRatio:
 
 
 class TestRatesAndShapes:
-    def test_empirical_rate(self):
-        assert empirical_rate([True, False, True, False]) == 0.5
-        assert empirical_rate([]) == 0.0
-
     def test_growth_exponent_linear(self):
         xs = [1, 2, 4, 8, 16]
         ys = [3 * x for x in xs]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import sys
+
 import pytest
 
 from repro.graphs import (
@@ -15,6 +18,10 @@ from repro.graphs import (
     random_tree,
     star_graph,
 )
+
+# Test helpers that live beside this file (the Algorithm 1 oracle in
+# local_ratio_oracle.py) import by module name from any test directory.
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 SEEDS = (0, 1, 2)
 

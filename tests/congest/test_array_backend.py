@@ -54,7 +54,7 @@ from repro.core import (
 from repro.core.maxis_coloring import MaxISColoringProgram
 from repro.core.maxis_layers import LayerTrace, MaxISLayersProgram
 from repro.core.proposal_matching import ProposalProgram
-from repro.errors import InvalidInstance, SimulationError
+from repro.errors import InvalidInstance, RoundLimitExceeded, SimulationError
 from repro.graphs import FAMILIES, assign_node_weights, gnp_graph
 from repro.mis.coloring import delta_plus_one_coloring
 from repro.utils import drain
@@ -256,6 +256,31 @@ class TestEdgeCases:
     def test_self_loop_graph_matches_object_backend(self):
         graph = nx.Graph([(0, 1), (1, 1)])
         assert_bit_identical(graph, layers_factory)
+
+    @pytest.mark.parametrize("max_rounds", [6, 9])
+    def test_round_limit_names_the_same_pending_nodes(self, spy,
+                                                      max_rounds):
+        """Without ``stop_on_limit`` an exhausted budget raises
+        ``RoundLimitExceeded``; the kernel's ``pending_nodes`` must name
+        the object engine's pending nodes in the same order, also when
+        the graph's insertion order is not its repr order."""
+
+        base = assign_node_weights(gnp_graph(60, 0.1, seed=1), 1024, seed=2)
+        order = list(base.nodes)
+        random.Random(4).shuffle(order)
+        graph = nx.Graph()
+        graph.add_nodes_from((str(v), base.nodes[v]) for v in order)
+        graph.add_edges_from((str(u), str(v)) for u, v in base.edges)
+        pending = []
+        for network in (SynchronousNetwork(graph, seed=3),
+                        ArrayNetwork(graph, seed=3)):
+            with pytest.raises(RoundLimitExceeded) as err:
+                drain(stepwise(network, layers_factory(graph),
+                               max_rounds=max_rounds))
+            pending.append(err.value.pending)
+        assert spy["fallbacks"] == 0
+        assert pending[0] == pending[1]
+        assert 0 < len(pending[0]) < graph.number_of_nodes()
 
 
 # ----------------------------------------------------------------------

@@ -1,64 +1,11 @@
-"""Tests for the local-aggregation framework (Defs 2.4–2.7, Thm 2.8/2.9)."""
+"""Tests for Theorem 2.8's line-graph simulation cost.
 
-import pytest
-from hypothesis import given, settings, strategies as st
+Theorem 2.9 (Algorithm 2 is a local aggregation algorithm) is checked
+against the real ``MaxISLayersProgram`` in ``test_theorem_2_9.py``.
+"""
 
-from repro.congest import canonical_edge
-from repro.core import (
-    ALGORITHM_2_AGGREGATES,
-    AND,
-    COUNT,
-    MAX,
-    MIN,
-    OR,
-    SUM,
-    AggregateFunction,
-    fold_over_hosted_neighbors,
-    theorem_2_8_simulation_cost,
-    verify_aggregate,
-)
-from repro.errors import AlgorithmContractViolation
+from repro.core import theorem_2_8_simulation_cost
 from repro.graphs import gnp_graph, random_regular_graph, star_graph
-
-
-class TestAggregateLaws:
-    @pytest.mark.parametrize("func", [AND, OR, SUM, MIN, MAX],
-                             ids=lambda f: f.name)
-    def test_small_sample(self, func):
-        verify_aggregate(func, [1, 0, 3, 2])
-
-    def test_count_over_boolean_indicators(self):
-        verify_aggregate(COUNT, [True, False, True, True])
-
-    @given(st.lists(st.integers(min_value=0, max_value=9), max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_sum_partition_law(self, sample):
-        verify_aggregate(SUM, sample)
-
-    @given(st.lists(st.booleans(), max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_and_or_partition_laws(self, sample):
-        verify_aggregate(AND, sample)
-        verify_aggregate(OR, sample)
-
-    @given(st.lists(st.integers(min_value=-50, max_value=50), max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_min_max_partition_laws(self, sample):
-        verify_aggregate(MIN, sample)
-        verify_aggregate(MAX, sample)
-
-    def test_non_aggregate_detected(self):
-        """Subtraction is order sensitive — the checker must reject it."""
-
-        bad = AggregateFunction("sub", 0, lambda a, b: a - b)
-        with pytest.raises(AlgorithmContractViolation):
-            verify_aggregate(bad, [3, 1, 2])
-
-    def test_algorithm_2_uses_only_aggregates(self):
-        """Theorem 2.9's function list: and/or/sum(/max for layers)."""
-
-        names = {f.name for f in ALGORITHM_2_AGGREGATES}
-        assert {"and", "or", "sum"} <= names
 
 
 class TestTheorem28Cost:
@@ -84,31 +31,3 @@ class TestTheorem28Cost:
 
         cost = theorem_2_8_simulation_cost(nx.Graph())
         assert cost.naive_max_load == 0
-
-
-class TestFoldOverHostedNeighbors:
-    def test_two_sided_fold_equals_direct_aggregate(self):
-        """The heart of Theorem 2.8: joining the two endpoints' partial
-        aggregates equals the aggregate over all line-neighbors."""
-
-        g = gnp_graph(12, 0.35, seed=4)
-        values = {
-            canonical_edge(u, v): (hash((u, v)) % 7) + 1
-            for u, v in g.edges
-        }
-        for u, v in g.edges:
-            edge = canonical_edge(u, v)
-            direct = []
-            for x in (u, v):
-                for w in g.neighbors(x):
-                    if {x, w} != {u, v}:
-                        direct.append(values[canonical_edge(x, w)])
-            for func in (SUM, MAX, OR):
-                left = fold_over_hosted_neighbors(g, edge, u, values, func)
-                right = fold_over_hosted_neighbors(g, edge, v, values, func)
-                assert func.join(left, right) == func(direct)
-
-    def test_rejects_non_endpoint(self):
-        g = star_graph(3)
-        with pytest.raises(AlgorithmContractViolation):
-            fold_over_hosted_neighbors(g, (0, 1), 2, {}, SUM)

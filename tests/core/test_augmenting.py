@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     augment_with_disjoint_paths,
-    build_conflict_graph,
     canonical_path,
     enumerate_augmenting_paths,
     flip_augmenting_path,
@@ -99,18 +98,6 @@ class TestFlip:
     def test_intersecting_paths_rejected(self):
         with pytest.raises(AlgorithmContractViolation):
             augment_with_disjoint_paths(set(), [(0, 1), (1, 2)])
-
-
-class TestConflictGraph:
-    def test_conflicts_are_shared_vertices(self):
-        paths = [(0, 1), (1, 2), (3, 4)]
-        cg = build_conflict_graph(paths)
-        assert cg.has_edge(0, 1)
-        assert not cg.has_edge(0, 2)
-        assert cg.number_of_nodes() == 3
-
-    def test_empty(self):
-        assert build_conflict_graph([]).number_of_nodes() == 0
 
 
 class TestShortestLength:

@@ -10,7 +10,6 @@ from repro.core import (
     fast_matching_2eps,
     fast_matching_weighted_2eps,
     nearly_maximal_hypergraph_matching,
-    sequential_local_ratio,
     weight_group_matching,
 )
 from repro.graphs import (
@@ -23,6 +22,8 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+
+from local_ratio_oracle import sequential_local_ratio
 
 
 class TestDegenerateGraphs:

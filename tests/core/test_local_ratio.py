@@ -18,14 +18,14 @@ from repro.graphs import (
     node_weight,
     star_graph,
 )
-from repro.core import (
+from repro.mis import exact_mwis, mwis_weight
+
+from local_ratio_oracle import (
     exchange_step,
-    local_ratio_bound,
     random_mis_selector,
     sequential_local_ratio,
     split_weights,
 )
-from repro.mis import exact_mwis, mwis_weight
 
 
 class TestSplitWeights:
@@ -161,11 +161,3 @@ class TestSequentialLocalRatio:
         assert delta * mwis_weight(g, solution) >= mwis_weight(
             g, exact_mwis(g)
         )
-
-
-class TestLocalRatioBound:
-    def test_uses_graph_degree(self):
-        assert local_ratio_bound(star_graph(5)) == 5
-
-    def test_explicit_delta(self):
-        assert local_ratio_bound(nx.Graph(), delta=2) == 2

@@ -10,7 +10,6 @@ oracle, and agreement between engines on the guarantee.
 from hypothesis import given, settings, strategies as st
 
 from repro.api import Instance, solve
-from repro.core import sequential_local_ratio
 from repro.graphs import (
     assign_node_weights,
     check_independent_set,
@@ -18,6 +17,8 @@ from repro.graphs import (
     max_degree,
 )
 from repro.mis import exact_mwis, mwis_weight
+
+from local_ratio_oracle import sequential_local_ratio
 
 graph_params = st.tuples(
     st.integers(min_value=2, max_value=14),      # nodes

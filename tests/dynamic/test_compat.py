@@ -1,6 +1,6 @@
 """The ``ResumeMismatch`` relaxation: ``resume(..., allow=MutationCompat)``.
 
-Pins the four edge cases the policy must get right:
+Pins the edge cases the policy must get right:
 
 * an **empty batch** goes through the strict (fingerprint-equal) path
   and is bit-identical to a plain ``resume()``;
@@ -10,7 +10,10 @@ Pins the four edge cases the policy must get right:
 * **delete-then-reinsert** of the same edge is a net no-op — the
   fingerprints match again and the policy is never consulted;
 * an **incompatible** mutation (node removal) still raises
-  :class:`~repro.errors.ResumeMismatch`, as does an undeclared edit.
+  :class:`~repro.errors.ResumeMismatch`, as does an undeclared edit;
+* without ``base=`` a **normalized** batch is inverted to the base
+  graph and resumes exactly as with ``base=``, while a raw batch
+  raises :class:`~repro.errors.InvalidMutation` naming ``base=``.
 """
 
 from dataclasses import replace
@@ -28,7 +31,7 @@ from repro.dynamic import (
     remove_node,
     set_node_weight,
 )
-from repro.errors import ResumeMismatch
+from repro.errors import InvalidMutation, ResumeMismatch
 from repro.graphs import assign_node_weights, gnp_graph
 
 ALGORITHM = "maxis-layers"
@@ -96,6 +99,31 @@ def test_delete_then_reinsert_is_a_net_noop():
     assert relaxed.solution == plain.solution
     assert relaxed.rounds == plain.rounds
     assert relaxed.metrics.bits == plain.metrics.bits
+
+
+def test_normalized_batch_needs_no_base():
+    """The documented form ``MutationCompat(batch)``: a batch normalized
+    by ``apply_batch(..., record=True)`` carries the values its edits
+    overwrote, so the policy rebuilds the base graph by inverting it.
+    A raw batch cannot be inverted and must say to pass ``base=``."""
+
+    instance = base_instance()
+    report = solve(replace(instance, max_rounds=9), ALGORITHM)
+    assert report.status != COMPLETE
+    node = sorted(instance.graph.nodes, key=repr)[0]
+    edge = sorted(instance.graph.edges, key=repr)[0]
+    batch = MutationBatch((set_node_weight(node, 200), remove_edge(*edge)))
+    mutated, normalized = apply_batch(instance.graph, batch, record=True)
+    target = replace(instance, graph=mutated, max_rounds=None)
+    with_base = resume(report, instance=target,
+                       allow=MutationCompat(batch, base=instance.graph))
+    inverted = resume(report, instance=target,
+                      allow=MutationCompat(normalized))
+    assert inverted.solution == with_base.solution
+    assert inverted.rounds == with_base.rounds
+    assert inverted.metrics.bits == with_base.metrics.bits
+    with pytest.raises(InvalidMutation, match="base="):
+        resume(report, instance=target, allow=MutationCompat(batch))
 
 
 def test_node_removal_still_raises_resume_mismatch():

@@ -1,9 +1,11 @@
-"""Tests for sequential matching baselines and exact oracles."""
+"""Tests for the greedy matching baseline, the exact oracles and the
+bipartite side split."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import InvalidInstance
 from repro.graphs import (
     assign_edge_weights,
     check_matching,
@@ -12,9 +14,9 @@ from repro.graphs import (
     path_graph,
 )
 from repro.matching import (
+    bipartite_sides,
     exact_max_cardinality_matching,
     exact_max_weight_matching,
-    greedy_maximal_matching,
     greedy_weighted_matching,
     matching_weight,
     optimum_cardinality,
@@ -39,19 +41,6 @@ class TestGreedyWeighted:
         nx.set_edge_attributes(g, {(0, 1): 1, (1, 2): 10}, "weight")
         m = greedy_weighted_matching(g)
         assert m == {frozenset((1, 2))}
-
-
-class TestGreedyMaximal:
-    def test_maximal(self, small_graph):
-        m = greedy_maximal_matching(small_graph)
-        check_matching(small_graph, [tuple(e) for e in m],
-                       require_maximal=True)
-
-    def test_cardinality_half(self):
-        for seed in range(4):
-            g = gnp_graph(18, 0.25, seed=seed)
-            m = greedy_maximal_matching(g)
-            assert 2 * len(m) >= optimum_cardinality(g)
 
 
 class TestExactOracles:
@@ -87,5 +76,30 @@ class TestExactOracles:
     def test_cardinality_dominates_all_matchings(self, seed):
         g = gnp_graph(12, 0.3, seed=seed)
         opt = optimum_cardinality(g)
-        greedy = greedy_maximal_matching(g)
-        assert len(greedy) <= opt
+        assert len(nx.maximal_matching(g)) <= opt
+
+
+class TestBipartiteSides:
+    def test_uses_side_attribute(self, bipartite_graph):
+        a, b = bipartite_sides(bipartite_graph)
+        assert len(a) == 15 and len(b) == 15
+
+    def test_falls_back_to_two_coloring(self):
+        g = path_graph(4)
+        a, b = bipartite_sides(g)
+        assert a | b == set(g.nodes)
+        for u, v in g.edges:
+            assert (u in a) != (v in a)
+
+    def test_rejects_odd_cycle(self):
+        g = nx.cycle_graph(5)
+        with pytest.raises(InvalidInstance):
+            bipartite_sides(g)
+
+    def test_rejects_partial_side_attributes(self):
+        g = nx.Graph()
+        g.add_node(0, side="A")
+        g.add_node(1)
+        g.add_edge(0, 1)
+        with pytest.raises(InvalidInstance):
+            bipartite_sides(g)

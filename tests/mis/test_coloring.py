@@ -10,30 +10,17 @@ from repro.graphs import (
     empty_graph,
     gnp_graph,
     max_degree,
-    path_graph,
     random_regular_graph,
     star_graph,
 )
 from repro.mis import (
     delta_plus_one_coloring,
-    greedy_coloring,
     linial_coloring,
     linial_step,
     reduce_palette,
 )
 from repro.mis import coloring
 from repro.mis.coloring import _linial_parameters
-
-
-class TestGreedyColoring:
-    def test_proper_and_within_palette(self, topology):
-        colors = greedy_coloring(topology)
-        check_coloring(topology, colors,
-                       palette_size=max_degree(topology) + 1)
-
-    def test_path_uses_two_colors(self):
-        colors = greedy_coloring(path_graph(10))
-        assert len(set(colors.values())) <= 2
 
 
 class TestLinialStep:
@@ -77,7 +64,7 @@ class TestReducePalette:
 
     def test_cannot_go_below_delta_plus_one(self):
         g = star_graph(5)
-        colors = greedy_coloring(g)
+        colors = {v: 0 if v == 0 else 1 for v in g.nodes}  # hub vs leaves
         with pytest.raises(AlgorithmContractViolation):
             reduce_palette(g, colors, 2)
 

@@ -1,4 +1,4 @@
-"""Tests for the Discussion-section almost-maximal IS and composite MIS."""
+"""Tests for the nearly-maximal IS + Luby composite MIS."""
 
 import pytest
 
@@ -7,49 +7,8 @@ from repro.graphs import (
     complete_graph,
     empty_graph,
     gnp_graph,
-    random_regular_graph,
 )
-from repro.mis import (
-    almost_maximal_independent_set,
-    discussion_failure_probability,
-    nmis_plus_luby_mis,
-)
-
-
-class TestFailureProbability:
-    def test_decreases_with_delta(self):
-        assert discussion_failure_probability(2**20) < \
-            discussion_failure_probability(8)
-
-    def test_gamma_range_enforced(self):
-        with pytest.raises(ValueError):
-            discussion_failure_probability(16, gamma=1.5)
-
-    def test_smaller_gamma_smaller_failure(self):
-        # 1-γ larger → exponent larger → failure smaller.
-        assert discussion_failure_probability(2**16, gamma=0.1) < \
-            discussion_failure_probability(2**16, gamma=0.9)
-
-
-class TestAlmostMaximal:
-    def test_independence(self, small_graph):
-        result = almost_maximal_independent_set(small_graph, seed=1)
-        check_independent_set(small_graph, result.independent_set)
-
-    def test_residual_rate_within_budgeted_failure(self):
-        g = random_regular_graph(6, 80, seed=2)
-        residuals = 0
-        nodes = 0
-        for seed in range(5):
-            result = almost_maximal_independent_set(g, seed=seed)
-            residuals += len(result.residual)
-            nodes += g.number_of_nodes()
-        # The budget targets 2^{-log^{0.7} Δ} ≈ 0.2 for Δ=6; allow 2x.
-        assert residuals / nodes <= 2 * result.failure_probability + 0.05
-
-    def test_reports_failure_probability(self, small_graph):
-        result = almost_maximal_independent_set(small_graph, gamma=0.5)
-        assert 0 < result.failure_probability < 1
+from repro.mis import nmis_plus_luby_mis
 
 
 class TestCompositeMis:

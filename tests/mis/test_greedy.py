@@ -1,4 +1,4 @@
-"""Tests for greedy MIS/MWIS baselines and the exact MWIS oracle."""
+"""Tests for the exact MWIS oracle."""
 
 import itertools
 
@@ -12,10 +12,8 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     gnp_graph,
-    max_degree,
-    path_graph,
 )
-from repro.mis import exact_mwis, greedy_mis, greedy_mwis, mwis_weight
+from repro.mis import exact_mwis, mwis_weight
 
 
 def brute_force_mwis_weight(graph) -> int:
@@ -31,38 +29,6 @@ def brute_force_mwis_weight(graph) -> int:
                 continue
             best = max(best, mwis_weight(graph, chosen))
     return best
-
-
-class TestGreedyMis:
-    def test_independent_and_maximal(self, topology):
-        mis = greedy_mis(topology)
-        check_independent_set(topology, mis, require_maximal=True)
-
-    def test_path_takes_alternating(self):
-        mis = greedy_mis(path_graph(7))
-        assert len(mis) == 4
-
-    def test_hr97_bound(self):
-        """Greedy is a (Δ+2)/3-approximation for unweighted MaxIS."""
-
-        for seed in range(4):
-            g = gnp_graph(14, 0.25, seed=seed)
-            greedy_size = len(greedy_mis(g))
-            opt_size = len(exact_mwis(g))
-            bound = (max_degree(g) + 2) / 3
-            assert greedy_size * bound >= opt_size
-
-
-class TestGreedyMwis:
-    def test_independent(self, weighted_graph):
-        chosen = greedy_mwis(weighted_graph)
-        check_independent_set(weighted_graph, chosen)
-
-    def test_prefers_heavy_isolated_nodes(self):
-        g = path_graph(3)
-        nx.set_node_attributes(g, {0: 1, 1: 100, 2: 1}, "weight")
-        chosen = greedy_mwis(g)
-        assert 1 in chosen
 
 
 class TestExactMwis:
@@ -89,8 +55,8 @@ class TestExactMwis:
 
     def test_exact_at_least_greedy(self, weighted_graph):
         exact = mwis_weight(weighted_graph, exact_mwis(weighted_graph))
-        greedy = mwis_weight(weighted_graph, greedy_mwis(weighted_graph))
-        assert exact >= greedy
+        maximal = nx.maximal_independent_set(weighted_graph, seed=0)
+        assert exact >= mwis_weight(weighted_graph, maximal)
 
     @given(st.integers(min_value=0, max_value=25))
     @settings(max_examples=10, deadline=None)

@@ -14,7 +14,6 @@ from repro.core import (
     fast_matching_weighted_2eps,
     local_matching_1eps_phases,
     maxis_layers_phases,
-    sequential_local_ratio,
 )
 from repro.graphs import (
     assign_edge_weights,
@@ -32,6 +31,8 @@ from repro.matching import (
 )
 from repro.mis import exact_mwis, mwis_weight
 from repro.utils import drain
+
+from local_ratio_oracle import sequential_local_ratio
 
 
 def layered(graph, seed):
