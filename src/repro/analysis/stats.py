@@ -8,38 +8,7 @@ with normal-approximation confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number summary of a sample with a 95% CI on the mean."""
-
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    n: int
-
-    @property
-    def ci95(self) -> float:
-        if self.n <= 1:
-            return 0.0
-        return 1.96 * self.std / math.sqrt(self.n)
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Compute a :class:`Summary` of a non-empty sample."""
-
-    data = [float(v) for v in values]
-    if not data:
-        raise ValueError("cannot summarize an empty sample")
-    n = len(data)
-    mean = sum(data) / n
-    variance = sum((x - mean) ** 2 for x in data) / max(1, n - 1)
-    return Summary(mean=mean, std=math.sqrt(variance),
-                   minimum=min(data), maximum=max(data), n=n)
+from typing import Sequence
 
 
 def approximation_ratio(optimum: float, found: float) -> float:

@@ -95,7 +95,11 @@ class SolveReport:
 
     def certify(self) -> "SolveReport":
         """Validate the solution against the instance (independence for
-        MaxIS/MIS, vertex-disjointness for matchings).
+        MaxIS/MIS, vertex-disjointness for matchings).  Every registry
+        run ends here, and it is the only end check of the runners
+        that leave it to the facade (``maxis-layers``,
+        ``maxis-coloring``, ``matching-proposal``); it reads the graph
+        itself, never a cached CSR.
 
         Raises :class:`~repro.errors.AlgorithmContractViolation` on an
         invalid solution; returns ``self`` so the facade can chain it.
@@ -105,7 +109,7 @@ class SolveReport:
         if self.problem in ("maxis", "mis"):
             check_independent_set(graph, self.solution)
         else:
-            check_matching(graph, [tuple(e) for e in self.solution])
+            check_matching(graph, self.solution)
         return self
 
     def ledger_counts(self) -> Dict[str, int]:

@@ -30,7 +30,6 @@ from .linegraph import (
     canonical_edge,
     line_graph,
     primary_endpoint,
-    secondary_endpoint,
     shared_endpoint,
 )
 from .message import Payload, payload_bits, word_bits
@@ -69,7 +68,6 @@ __all__ = [
     "line_graph",
     "payload_bits",
     "primary_endpoint",
-    "secondary_endpoint",
     "shared_endpoint",
     "word_bits",
 ]

@@ -187,8 +187,8 @@ class _LocalRatioKernel(ArrayKernel):
         if any_removed or any_joined:
             out = self.node_output
             indices = np.flatnonzero(removed | joined)
-            for i in indices:
-                out[int(i)] = IN_IS if joined[i] else NOT_IN_IS
+            for i, join in zip(indices.tolist(), joined[indices].tolist()):
+                out[i] = IN_IS if join else NOT_IN_IS
             self.record_halts(indices)
 
     # -- checkpoint program state --------------------------------------

@@ -53,7 +53,7 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     np = None
 
 from ..errors import InvalidInstance
-from ..utils import rng_from_state, stable_rng, stable_seed
+from ..utils import rng_from_state, stable_rng, stable_seed_words
 from .network import CONGEST, SynchronousNetwork, live_entry
 from .node import NodeProgram
 
@@ -266,25 +266,63 @@ def graph_csr(graph: nx.Graph) -> GraphCSR:
     """
 
     try:
-        cached = _CSR_CACHE.get(graph)
+        cached = _current_csr(graph)
     except TypeError:  # unhashable / un-weakref-able graph subclass
         return GraphCSR(graph)
-    if cached is not None and cached.n == graph.number_of_nodes():
-        try:
-            degrees = np.fromiter(
-                map(len, map(graph._adj.__getitem__, cached.nodes)),
-                dtype=np.int64, count=cached.n,
-            )
-        except KeyError:  # node set changed
-            degrees = None
-        if degrees is not None and np.array_equal(degrees, cached.degree):
-            return cached
+    if cached is not None:
+        return cached
     csr = GraphCSR(graph)
     try:
         _CSR_CACHE[graph] = csr
     except TypeError:  # pragma: no cover - unhashable graph subclass
         pass
     return csr
+
+
+def _current_csr(graph: nx.Graph) -> Optional[GraphCSR]:
+    """The cached CSR of ``graph`` if its node list and degree sequence
+    still match the graph, else ``None``."""
+
+    cached = _CSR_CACHE.get(graph)
+    if cached is None or cached.n != graph.number_of_nodes():
+        return None
+    try:
+        degrees = np.fromiter(
+            map(len, map(graph._adj.__getitem__, cached.nodes)),
+            dtype=np.int64, count=cached.n,
+        )
+    except KeyError:  # node set changed
+        return None
+    return cached if np.array_equal(degrees, cached.degree) else None
+
+
+def cached_max_degree(graph: nx.Graph) -> Optional[int]:
+    """Δ of ``graph`` as :func:`~repro.graphs.max_degree` counts it, read
+    off its cached CSR; ``None`` when no current CSR is cached (or
+    numpy is missing), for the caller to scan the graph instead.
+
+    The CSR row lengths are the adjacency-dict sizes the cache check
+    just re-read from the graph, so they are exact for the live graph.
+    networkx counts a self-loop twice, one more than its row holds, so
+    Δ is one above the longest row exactly when a longest row has a
+    self-loop.
+    """
+
+    if np is None or graph.is_directed() or graph.is_multigraph():
+        return None
+    try:
+        csr = _current_csr(graph)
+    except TypeError:  # unhashable / un-weakref-able graph subclass
+        return None
+    if csr is None:
+        return None
+    if not csr.n:
+        return 0
+    top = int(csr.degree.max())
+    adjacency, nodes = graph._adj, csr.nodes
+    looped = any(nodes[i] in adjacency[nodes[i]]
+                 for i in np.flatnonzero(csr.degree == top).tolist())
+    return top + looped
 
 
 # ----------------------------------------------------------------------
@@ -364,9 +402,17 @@ BANK_MIN_STREAMS = 640
 #: more moves to a scalar ``random.Random`` (see :meth:`ArrayKernel.rng`).
 BANK_WORDS = 8
 
-#: Streams seeded per chunk; bounds the (624, chunk) ``uint32`` seeding
-#: state (5 MB) whatever the batch size.
-BANK_CHUNK = 2048
+#: Cap on the streams :func:`mt_words` seeds together.  A chunk costs
+#: nearly the same whatever its width (its 1,247 seeding steps are
+#: numpy calls), so a batch is cut into the fewest equal chunks under
+#: the cap, and only one chunk's (624, chunk) ``uint32`` state (at most
+#: 8 MB) is alive at a time.  The cap is sized against peak RSS on
+#: repeated solves of a 1.5e4-node graph: there the first
+#: ``maxis-layers`` batch (about 3,100 streams) seeds in one chunk and
+#: the ``matching-proposal`` batch (about 7,100) in three, with peak RSS
+#: below that of 2,048-stream chunks seeded back to back; a cap of
+#: 3,584 (two chunks) measured 10 MB more.
+BANK_CHUNK = 3200
 
 _MT_N, _MT_M = 624, 397
 
@@ -447,31 +493,42 @@ def mt_words(keys, count: int):
     Keys must lie in ``[2**32, 2**64)``: CPython seeds an int through
     MT19937's ``init_by_array`` over its 32-bit words, low word first,
     and this replays the two-word case.  ``count`` is at most 227, the
-    words one twist yields from the seeded state alone.  Keys are
-    seeded :data:`BANK_CHUNK` at a time.
+    words one twist yields from the seeded state alone.  A batch of
+    more than :data:`BANK_CHUNK` keys is seeded in the fewest equal
+    chunks under that cap, one after the other.
     """
 
     if not 0 < count <= _MT_N - _MT_M:
         raise ValueError(f"count must lie in [1, {_MT_N - _MT_M}]")
     keys = np.asarray(keys, dtype=np.uint64)
+    if keys.size and int(keys.min()) < (1 << 32):
+        raise ValueError("mt_words replays two-word keys only")
     out = np.empty((count, keys.size), dtype=np.uint32)
-    for start in range(0, keys.size, BANK_CHUNK):
-        chunk = keys[start:start + BANK_CHUNK]
-        if int(chunk.min()) < (1 << 32):
-            raise ValueError("mt_words replays two-word keys only")
-        mt = _mt_seed_chunk((chunk & 0xFFFFFFFF).astype(np.uint32),
-                            (chunk >> 32).astype(np.uint32))
-        # The first twist, for the words it yields before reading any
-        # word it rewrote.
-        y = (mt[:count] & 0x80000000) | (mt[1:count + 1] & 0x7FFFFFFF)
-        y = mt[_MT_M:_MT_M + count] ^ (y >> 1) ^ ((y & 1) * 0x9908B0DF)
-        # Tempering.
-        y ^= y >> 11
-        y ^= (y << 7) & 0x9D2C5680
-        y ^= (y << 15) & 0xEFC60000
-        y ^= y >> 18
-        out[:, start:start + BANK_CHUNK] = y
+    if keys.size:
+        chunks = -(-keys.size // BANK_CHUNK)
+        width = -(-keys.size // chunks)
+        for start in range(0, keys.size, width):
+            out[:, start:start + width] = _mt_first_words(
+                keys[start:start + width], count)
     return out
+
+
+def _mt_first_words(keys, count: int):
+    """:func:`mt_words` of one chunk; its seeding state is freed on
+    return, before the next chunk is seeded."""
+
+    mt = _mt_seed_chunk((keys & 0xFFFFFFFF).astype(np.uint32),
+                        (keys >> 32).astype(np.uint32))
+    # The first twist, for the words it yields before reading any word
+    # it rewrote.
+    y = (mt[:count] & 0x80000000) | (mt[1:count + 1] & 0x7FFFFFFF)
+    y = mt[_MT_M:_MT_M + count] ^ (y >> 1) ^ ((y & 1) * 0x9908B0DF)
+    # Tempering.
+    y ^= y >> 11
+    y ^= (y << 7) & 0x9D2C5680
+    y ^= (y << 15) & 0xEFC60000
+    y ^= y >> 18
+    return y
 
 
 # ----------------------------------------------------------------------
@@ -592,13 +649,16 @@ class ArrayKernel:
 
     def _bank(self, fresh) -> None:
         """Seed the streams of node positions ``fresh`` into the bank.
-        The SHA-256 key stays per node (:func:`~repro.utils.stable_seed`);
-        a one-word key (below 2**32) is left to the scalar path."""
+        Each key is ``stable_seed(seed, node, proto)``, one SHA-256 per
+        node (:func:`~repro.utils.stable_seed_words`); a one-word key
+        (below 2**32) is left to the scalar path."""
 
         nodes = self.csr.nodes
-        seed, proto = self.net.seed, self.proto
-        keys = np.array([stable_seed(seed, nodes[i], proto)
-                         for i in fresh.tolist()], dtype=np.uint64)
+        keys = np.frombuffer(
+            stable_seed_words(self.net.seed,
+                              map(nodes.__getitem__, fresh.tolist()),
+                              self.proto),
+            dtype=">u8").astype(np.uint64)
         wide = keys >= (1 << 32)
         fresh, keys = fresh[wide], keys[wide]
         if not fresh.size:
@@ -650,11 +710,9 @@ class ArrayKernel:
         self.halted[indices] = True
         self.halted_count += int(len(indices))
         if self.tracking:
-            nodes = self.csr.nodes
-            out = self.node_output
-            for i in indices:
-                i = int(i)
-                self._fresh.append((nodes[i], out[i]))
+            indices = indices.tolist()
+            self._fresh.extend(zip(map(self.csr.nodes.__getitem__, indices),
+                                   map(self.node_output.__getitem__, indices)))
 
     def drain_fresh(self) -> tuple:
         fresh = tuple(self._fresh)

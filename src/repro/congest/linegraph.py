@@ -64,10 +64,6 @@ def primary_endpoint(edge: LineNode) -> Hashable:
     return edge[1]
 
 
-def secondary_endpoint(edge: LineNode) -> Hashable:
-    return edge[0]
-
-
 def shared_endpoint(e1: LineNode, e2: LineNode) -> Hashable:
     """Return the endpoint shared by two adjacent line-nodes."""
 

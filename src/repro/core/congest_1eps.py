@@ -473,7 +473,7 @@ def bipartite_matching_1eps_phases(
         outcome = phase.run(ledger)
         matching = phase.matching
         deactivated |= outcome.deactivated
-        check_matching(graph, [tuple(e) for e in matching])
+        check_matching(graph, matching)
         yield snapshot(d + 2)
     return matching, deactivated
 
@@ -627,7 +627,7 @@ def congest_matching_1eps_stages(
         )
         matching = (matching - stage_matching) | new_stage_matching
         deactivated |= new_deactivated
-        check_matching(graph, [tuple(e) for e in matching])
+        check_matching(graph, matching)
         if len(matching) == before:
             from .augmenting import shortest_augmenting_path_length
 

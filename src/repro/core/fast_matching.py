@@ -80,7 +80,7 @@ def nearly_maximal_matching(
     )
     matching = {frozenset(e) for e in outcome.independent_set}
     unlucky = {frozenset(e) for e in outcome.residual}
-    check_matching(graph, [tuple(e) for e in matching])
+    check_matching(graph, matching)
     return matching, unlucky, outcome.rounds
 
 
@@ -202,7 +202,7 @@ def bucketed_constant_approx_mwm(
         if heaviest:
             keep.add(e)
     ledger.charge(1, "cross-bucket-filter")
-    check_matching(graph, [tuple(e) for e in keep])
+    check_matching(graph, keep)
     return keep
 
 
@@ -269,7 +269,7 @@ def fast_matching_weighted_2eps(
             for x in e:
                 mate[x] = e
         ledger.charge(1, "augment")
-        check_matching(graph, [tuple(e) for e in matching])
+        check_matching(graph, matching)
 
     weight = sum(edge_weight(graph, *tuple(e)) for e in matching)
     return FastMatchingResult(

@@ -97,7 +97,7 @@ def local_matching_1eps_phases(
     ledger = RoundLedger()
     matching: Set[frozenset] = set(initial_matching or set())
     if matching:
-        check_matching(graph, [tuple(e) for e in matching])
+        check_matching(graph, matching)
     active: Set[Hashable] = set(graph.nodes)
     truncated: List[int] = []
     start_length = 1
@@ -164,7 +164,7 @@ def local_matching_1eps_phases(
             matching = augment_with_disjoint_paths(matching, chosen)
             ledger.charge(1, f"flip-l{length}")
             active -= outcome.deactivated
-            check_matching(graph, [tuple(e) for e in matching])
+            check_matching(graph, matching)
         yield snapshot(length + 2)
 
     return OneEpsResult(

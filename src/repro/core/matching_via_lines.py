@@ -184,7 +184,7 @@ def matching_lines_phases(
 
     result = yield from stepper_checkpoints(stepper, "selection", fold,
                                             make_state)
-    check_matching(graph, [tuple(e) for e in matching])
+    check_matching(graph, matching)
     if not result.completed:
         return None
     return MatchingResult(matching=set(matching), weight=weight,

@@ -35,7 +35,6 @@ from ..congest import (
     make_network,
 )
 from ..errors import InvalidInstance
-from ..graphs import check_independent_set, node_weight
 from ..mis.coloring import ColoringResult, delta_plus_one_coloring
 from .stepwise import opening_checkpoint, stepper_checkpoints
 
@@ -197,17 +196,18 @@ def maxis_coloring_phases(
             return None
         sim_cap = max(0, max_rounds - base)
 
+    weights = dict(graph.nodes(data="weight", default=1))
+
     def factory(node: Hashable) -> MaxISColoringProgram:
         neighbor_colors = {u: colors[u] for u in graph.neighbors(node)}
         return MaxISColoringProgram(
-            weight=node_weight(graph, node),
+            weight=weights[node],
             color=colors[node],
             neighbor_colors=neighbor_colors,
         )
 
     # The array engine's parameter table, in the network's node order.
     nodes = network.graph
-    weights = dict(graph.nodes(data="weight", default=1))
     stepper = network.run_stepwise(
         factory,
         max_rounds=sim_cap,
@@ -225,7 +225,7 @@ def maxis_coloring_phases(
         for node, output in newly_halted:
             if output == IN_IS:
                 chosen.add(node)
-                weight += node_weight(graph, node)
+                weight += weights[node]
         return frozenset(chosen), weight
 
     def make_state(rounds, objective, sim):
@@ -235,7 +235,6 @@ def maxis_coloring_phases(
     result = yield from stepper_checkpoints(
         stepper, "sweep", fold, make_state, metrics=network.metrics,
         rounds_offset=base)
-    check_independent_set(graph, chosen)
     if not result.completed:
         return None
     return MaxISColoringResult(

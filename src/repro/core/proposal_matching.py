@@ -227,7 +227,7 @@ def bipartite_proposal_phases(
         network, [sides[v] for v in network.graph], sides.__getitem__,
         max_degree(graph), eps, k, phases, max_rounds=max_rounds,
         capture_state=capture_state, resume=resume, snapshots=snapshots)
-    check_matching(graph, [tuple(e) for e in matching])
+    check_matching(graph, matching)
     return result
 
 
@@ -391,8 +391,9 @@ def _check_crossing_matching(sub, on_left, matching) -> None:
     """:func:`~repro.graphs.check_matching` of one repetition's pairs
     on its sub-CSR, vectorised, without building the sub-graph: every
     pair is an edge of ``sub``, no two pairs share an endpoint, and
-    every pair crosses the split.  The caller's final check against
-    the graph itself stays, since a cached CSR can be stale."""
+    every pair crosses the split.  The solve's end check
+    (:meth:`~repro.api.SolveReport.certify`) still checks against the
+    graph itself, since a cached CSR can be stale."""
 
     if not matching:
         return
@@ -535,7 +536,6 @@ def general_proposal_phases(
             ledger.charge(rep_rounds, "bipartite-proposals")
             matching |= rep_matching
             for e in rep_matching:
-                remaining -= set(e)
+                remaining.difference_update(e)
         yield snapshot(repetition + 1)
-    check_matching(graph, [tuple(e) for e in matching])
     return matching, ledger.total, ledger

@@ -147,7 +147,7 @@ def weight_group_matching(
                 blocked.update((u, v))
         ledger.charge(1, "addition")
 
-    check_matching(graph, [tuple(e) for e in chosen])
+    check_matching(graph, chosen)
     total = sum(edge_weight(graph, *tuple(e)) for e in chosen)
     return WeightGroupResult(
         matching=chosen,

@@ -73,7 +73,6 @@ from .registry import (
     get_experiment,
     get_measurement,
     list_experiments,
-    list_measurements,
     register_experiment,
     register_graph_family,
     register_measurement,
@@ -95,7 +94,6 @@ __all__ = [
     "get_experiment",
     "get_measurement",
     "list_experiments",
-    "list_measurements",
     "load_artifact",
     "metrics_snapshot",
     "register_experiment",

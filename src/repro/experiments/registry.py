@@ -89,11 +89,6 @@ def get_measurement(name: str) -> Callable:
     return _lookup(_MEASUREMENTS, "measurement", name)
 
 
-def list_measurements() -> List[str]:
-    _ensure_catalog()
-    return sorted(_MEASUREMENTS)
-
-
 # ----------------------------------------------------------------------
 # graph families
 # ----------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 These raise :class:`~repro.errors.AlgorithmContractViolation` with a
 precise description of the offending structure; tests and the benchmark
-harness call them after every algorithm execution.
+harness call them after every algorithm execution.  They walk the
+graph's adjacency dicts (``graph._adj``, as
+:class:`~repro.congest.array_network.GraphCSR` does) rather than its
+views, and build no container the check does not need: a solve pays
+for one of them at its end (:meth:`~repro.api.SolveReport.certify`).
 """
 
 from __future__ import annotations
@@ -15,49 +19,50 @@ from ..errors import AlgorithmContractViolation
 
 
 def check_independent_set(graph: nx.Graph, nodes: Iterable[Hashable],
-                          require_maximal: bool = False) -> Set[Hashable]:
+                          require_maximal: bool = False) -> None:
     """Verify that ``nodes`` is an independent set of ``graph``.
 
     With ``require_maximal`` also verify maximality (every node outside
     the set has a neighbor inside it).
     """
 
+    adjacency = graph._adj
     chosen = set(nodes)
-    missing = chosen - set(graph.nodes)
+    missing = [v for v in chosen if v not in adjacency]
     if missing:
         raise AlgorithmContractViolation(
             f"independent set contains non-nodes: {sorted(map(repr, missing))[:5]}"
         )
+    isdisjoint = chosen.isdisjoint
     for u in chosen:
-        for v in graph.neighbors(u):
-            if v in chosen:
-                raise AlgorithmContractViolation(
-                    f"independent set contains adjacent nodes {u!r} and {v!r}"
-                )
+        if not isdisjoint(adjacency[u]):
+            v = next(v for v in adjacency[u] if v in chosen)
+            raise AlgorithmContractViolation(
+                f"independent set contains adjacent nodes {u!r} and {v!r}"
+            )
     if require_maximal:
-        for v in graph.nodes:
-            if v in chosen:
-                continue
-            if not any(u in chosen for u in graph.neighbors(v)):
+        for v, neighbors in adjacency.items():
+            if v not in chosen and isdisjoint(neighbors):
                 raise AlgorithmContractViolation(
                     f"set is not maximal: {v!r} has no neighbor in the set"
                 )
-    return chosen
 
 
 def check_matching(graph: nx.Graph,
                    edges: Iterable[Tuple[Hashable, Hashable]],
-                   require_maximal: bool = False) -> Set[frozenset]:
-    """Verify that ``edges`` is a matching of ``graph``.
+                   require_maximal: bool = False) -> None:
+    """Verify that ``edges`` is a matching of ``graph``.  An edge is
+    any two-item iterable, so a matching of frozensets is checked as
+    it is.
 
     With ``require_maximal`` also verify maximality (no remaining edge has
     both endpoints unmatched).
     """
 
-    matching = set()
+    adjacency = graph._adj
     matched_nodes: Set[Hashable] = set()
     for u, v in edges:
-        if not graph.has_edge(u, v):
+        if u not in adjacency or v not in adjacency[u]:
             raise AlgorithmContractViolation(
                 f"matching contains non-edge ({u!r}, {v!r})"
             )
@@ -65,15 +70,14 @@ def check_matching(graph: nx.Graph,
             raise AlgorithmContractViolation(
                 f"matching edges share an endpoint at ({u!r}, {v!r})"
             )
-        matched_nodes.update((u, v))
-        matching.add(frozenset((u, v)))
+        matched_nodes.add(u)
+        matched_nodes.add(v)
     if require_maximal:
         for u, v in graph.edges:
             if u not in matched_nodes and v not in matched_nodes:
                 raise AlgorithmContractViolation(
                     f"matching is not maximal: edge ({u!r}, {v!r}) is free"
                 )
-    return matching
 
 
 def check_coloring(graph: nx.Graph, colors: dict,
@@ -82,14 +86,20 @@ def check_coloring(graph: nx.Graph, colors: dict,
     ``palette_size``, also that every color is an int in
     ``range(palette_size)``."""
 
-    for v in graph.nodes:
+    adjacency = graph._adj
+    for v in adjacency:
         if v not in colors:
             raise AlgorithmContractViolation(f"node {v!r} is uncolored")
-    for u, v in graph.edges:
-        if colors[u] == colors[v]:
-            raise AlgorithmContractViolation(
-                f"adjacent nodes {u!r}, {v!r} share color {colors[u]!r}"
-            )
+    # Row by row in node order, which meets the first clashing edge in
+    # ``graph.edges`` order: an edge back to an earlier row was met
+    # there already.
+    for u, neighbors in adjacency.items():
+        color = colors[u]
+        for v in neighbors:
+            if colors[v] == color:
+                raise AlgorithmContractViolation(
+                    f"adjacent nodes {u!r}, {v!r} share color {color!r}"
+                )
     if palette_size is not None:
         for v in graph.nodes:
             color = colors[v]

@@ -120,18 +120,6 @@ def edge_weight(graph: nx.Graph, u: Hashable, v: Hashable) -> int:
     return graph.edges[u, v].get("weight", 1)
 
 
-def total_node_weight(graph: nx.Graph, nodes) -> int:
-    """Sum of node weights over ``nodes``."""
-
-    return sum(node_weight(graph, v) for v in nodes)
-
-
-def total_edge_weight(graph: nx.Graph, edges) -> int:
-    """Sum of edge weights over ``edges`` (edges given as (u, v) pairs)."""
-
-    return sum(edge_weight(graph, u, v) for u, v in edges)
-
-
 def max_node_weight(graph: nx.Graph) -> int:
     """W — the maximum node weight (1 for an empty or unweighted graph)."""
 

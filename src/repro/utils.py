@@ -23,6 +23,25 @@ def stable_seed(seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def stable_seed_words(seed: int, heads: Iterable, *tail) -> bytes:
+    """:func:`stable_seed` of ``(seed, head, *tail)`` for every ``head``
+    in ``heads``, as consecutive big-endian 8-byte words (decode them
+    all at once with ``numpy.frombuffer(words, ">u8")``).
+
+    The key text is :func:`stable_seed`'s, split around the one part
+    that varies, and each key still gets its own SHA-256; only the
+    per-call overhead of building and decoding is shared.
+    """
+
+    prefix = (str(seed) + "|").encode("utf-8")
+    suffix = "".join(f"|{part!r}" for part in tail).encode("utf-8")
+    sha256 = hashlib.sha256
+    return b"".join([
+        sha256(prefix + repr(head).encode("utf-8") + suffix).digest()[:8]
+        for head in heads
+    ])
+
+
 def stable_rng(seed: int, *parts) -> random.Random:
     """Return a :class:`random.Random` seeded with
     :func:`stable_seed` of the same parts, which makes every simulation
@@ -129,15 +148,6 @@ def next_prime(n: int) -> int:
     while not is_prime(candidate):
         candidate += 1
     return candidate
-
-
-def mean(values: Iterable[float]) -> float:
-    """Arithmetic mean of a non-empty iterable."""
-
-    values = list(values)
-    if not values:
-        raise ValueError("mean() of empty sequence")
-    return sum(values) / len(values)
 
 
 def geometric_layers(weight: int) -> int:

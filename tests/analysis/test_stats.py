@@ -3,38 +3,8 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.analysis import (
-    approximation_ratio,
-    growth_exponent,
-    pearson,
-    summarize,
-)
-
-
-class TestSummarize:
-    def test_basic(self):
-        s = summarize([1, 2, 3, 4])
-        assert s.mean == 2.5
-        assert s.minimum == 1 and s.maximum == 4
-        assert s.n == 4
-
-    def test_single_value_has_zero_ci(self):
-        s = summarize([5])
-        assert s.ci95 == 0.0
-        assert s.std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
-                    max_size=30))
-    @settings(max_examples=30, deadline=None)
-    def test_mean_within_bounds(self, values):
-        s = summarize(values)
-        assert s.minimum - 1e-9 <= s.mean <= s.maximum + 1e-9
+from repro.analysis import approximation_ratio, growth_exponent, pearson
 
 
 class TestApproximationRatio:

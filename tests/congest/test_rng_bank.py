@@ -8,6 +8,9 @@ numpy columns) and draws from them with a re-implementation of
 every Python version the package supports, so this suite compares them
 word for word and draw for draw:
 
+* :func:`~repro.utils.stable_seed_words`, the batched key derivation
+  the bank seeds from, against :func:`~repro.utils.stable_seed` for
+  every kind of node label;
 * :func:`mt_words` against ``random.Random(key).getrandbits(32)`` for
   the extreme two-word keys and random ones, across chunk boundaries;
 * :meth:`ArrayKernel.draw_below` against ``stable_rng(...).randrange``
@@ -30,7 +33,13 @@ from repro.congest import array_network
 from repro.congest.array_kernels import MaxISLayersKernel
 from repro.congest.array_network import mt_words
 from repro.core.maxis_layers import MaxISLayersProgram
-from repro.utils import restore_rng, rng_state, stable_rng
+from repro.utils import (
+    restore_rng,
+    rng_state,
+    stable_rng,
+    stable_seed,
+    stable_seed_words,
+)
 
 SEED, PROTO = 11, 3
 
@@ -64,6 +73,37 @@ def bank_everything(monkeypatch):
     monkeypatch.setattr(array_network, "BANK_MIN_STREAMS", 1)
 
 
+NODE_LABELS = [0, 7, -3, -(1 << 70), 1 << 64, (1 << 64) + 5, "a", "node|7",
+               "", "ü", (1, 2), ("x", (3, -4)), True, False, None, 2.5]
+
+
+class TestStableSeedWords:
+    @pytest.mark.parametrize("seed", [0, 11, -5, 1 << 63, 10 ** 30])
+    @pytest.mark.parametrize("tail", [(), (3,), ("b14", 2), (None, (1, "x"))])
+    def test_every_key_equals_stable_seed(self, seed, tail):
+        words = np.frombuffer(stable_seed_words(seed, NODE_LABELS, *tail),
+                              dtype=">u8")
+        assert [int(w) for w in words] == \
+            [stable_seed(seed, node, *tail) for node in NODE_LABELS]
+
+    def test_no_heads_no_words(self):
+        assert stable_seed_words(1, [], PROTO) == b""
+
+    def test_a_string_labelled_graph_banks_its_stable_rng_streams(
+            self, bank_everything):
+        graph = nx.relabel_nodes(nx.path_graph(30),
+                                 {i: f"v{i}|{i % 4}" for i in range(30)})
+        network = make_network(graph, seed=SEED, backend=ARRAY_BACKEND)
+        kernel = MaxISLayersKernel(network, network._ensure_csr(),
+                                   MaxISLayersProgram(1),
+                                   {"weight": [1] * 30, "trace": None})
+        kernel.bind(PROTO)
+        references = reference_streams(kernel)
+        drawn = kernel.draw_below(np.arange(30), 1 << 20)
+        assert (kernel._stream == array_network._BANKED).all()
+        assert drawn.tolist() == [r.randrange(1 << 20) for r in references]
+
+
 class TestMtWords:
     @pytest.mark.parametrize("key", [1 << 32, (1 << 64) - 1,
                                      (1 << 32) + 1, 0xDEADBEEF << 32])
@@ -81,6 +121,24 @@ class TestMtWords:
             reference = random.Random(key)
             assert words[:, column].tolist() == \
                 [reference.getrandbits(32) for _ in range(5)]
+
+    @pytest.mark.parametrize("count_of", [
+        pytest.param(lambda cap: 1, id="1"),
+        pytest.param(lambda cap: cap - 1, id="cap-1"),
+        pytest.param(lambda cap: cap, id="cap"),
+        pytest.param(lambda cap: cap + 1, id="cap+1"),
+        pytest.param(lambda cap: 2 * cap + 1, id="2cap+1"),
+    ])
+    def test_batches_around_the_chunk_cap(self, count_of):
+        count = count_of(array_network.BANK_CHUNK)
+        rng = random.Random(count)
+        keys = [rng.randrange(1 << 32, 1 << 64) for _ in range(count)]
+        words = mt_words(keys, 3)
+        assert words.shape == (3, count)
+        for column, key in enumerate(keys):
+            reference = random.Random(key)
+            assert words[:, column].tolist() == \
+                [reference.getrandbits(32) for _ in range(3)]
 
     def test_every_word_of_the_first_twist(self):
         key = random.Random(7).randrange(1 << 32, 1 << 64)
@@ -158,8 +216,12 @@ class TestDrawBelow:
             key = original(seed, node, *parts)
             return key & 0xFFFFFFFF if node % 2 else key
 
+        def short_words(seed, nodes, *parts):
+            return b"".join(short_for_odd_nodes(seed, node, *parts)
+                            .to_bytes(8, "big") for node in nodes)
+
         monkeypatch.setattr(utils, "stable_seed", short_for_odd_nodes)
-        monkeypatch.setattr(array_network, "stable_seed", short_for_odd_nodes)
+        monkeypatch.setattr(array_network, "stable_seed_words", short_words)
         kernel = kernel_over(20)
         references = reference_streams(kernel)
         assert random.Random(short_for_odd_nodes(SEED, 1, PROTO)).getstate() \

@@ -8,7 +8,6 @@ from repro.experiments import (
     get_experiment,
     get_measurement,
     list_experiments,
-    list_measurements,
 )
 from repro.errors import ReproError
 
@@ -57,11 +56,10 @@ class TestExperimentRegistry:
 
 class TestMeasurementRegistry:
     def test_known_measurements_present(self):
-        names = list_measurements()
         for expected in ("maxis_layers", "maxis_coloring",
                          "matching_lines", "oneeps_local",
                          "simulator_microbench"):
-            assert expected in names
+            assert callable(get_measurement(expected))
 
     def test_unknown_measurement_raises(self):
         with pytest.raises(UnknownExperiment):

@@ -12,8 +12,6 @@ from repro.graphs import (
     max_node_weight,
     node_weight,
     star_graph,
-    total_edge_weight,
-    total_node_weight,
 )
 
 
@@ -60,12 +58,6 @@ class TestNodeWeights:
         assert node_weight(g, 0) == 1
         assert max_node_weight(g) == 1
 
-    def test_totals(self):
-        g = assign_node_weights(gnp_graph(8, 0.4, seed=3), 10, seed=4)
-        assert total_node_weight(g, g.nodes) == sum(
-            node_weight(g, v) for v in g.nodes
-        )
-
     @given(st.integers(min_value=1, max_value=10**4))
     @settings(max_examples=20, deadline=None)
     def test_geometric_power_of_two_shape(self, w):
@@ -91,9 +83,3 @@ class TestEdgeWeights:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(InvalidInstance):
             assign_edge_weights(gnp_graph(5, 0.5, seed=0), 4, scheme="nope")
-
-    def test_total_edge_weight(self):
-        g = assign_edge_weights(gnp_graph(8, 0.5, seed=1), 5, seed=2)
-        assert total_edge_weight(g, g.edges) == sum(
-            edge_weight(g, u, v) for u, v in g.edges
-        )

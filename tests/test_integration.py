@@ -5,7 +5,7 @@ adversarial workloads, and failure injection."""
 import networkx as nx
 import pytest
 
-from repro.analysis import approximation_ratio, summarize
+from repro.analysis import approximation_ratio
 from repro.api import TRUNCATED, Instance, solve
 from repro.congest import CONGEST, SynchronousNetwork
 from repro.core import (
@@ -142,9 +142,8 @@ class TestSeedStability:
         for seed in range(5):
             found = layered(g, seed=seed)
             ratios.append(approximation_ratio(optimum, found))
-        stats = summarize(ratios)
-        assert stats.maximum <= max_degree(g)
-        assert stats.mean <= 2.0  # empirically far below Δ
+        assert max(ratios) <= max_degree(g)
+        assert sum(ratios) / len(ratios) <= 2.0  # empirically far below Δ
 
 
 class TestFailureInjection:

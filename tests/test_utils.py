@@ -12,7 +12,6 @@ from repro.utils import (
     ilog2,
     is_prime,
     log_star,
-    mean,
     next_prime,
     stable_rng,
 )
@@ -119,12 +118,3 @@ class TestGeometricLayers:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geometric_layers(0)
-
-
-class TestMean:
-    def test_mean(self):
-        assert mean([1, 2, 3]) == 2.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean([])
