@@ -16,7 +16,6 @@ from typing import Optional
 import networkx as nx
 
 from ..congest import BACKENDS, SynchronousNetwork, make_network
-from ..congest.array_network import cached_max_degree
 from ..errors import InvalidInstance
 from ..graphs import (
     assign_edge_weights,
@@ -142,12 +141,9 @@ class Instance:
 
     @property
     def max_degree(self) -> int:
-        """Maximum degree Δ of the instance graph: read off the graph's
-        cached CSR when an array-backend run left a current one, else
-        scanned."""
+        """Maximum degree Δ of the instance graph."""
 
-        delta = cached_max_degree(self.graph)
-        return max_degree(self.graph) if delta is None else delta
+        return max_degree(self.graph)
 
     def network(self, model: Optional[str] = None) -> SynchronousNetwork:
         """A fresh simulator for this instance (seeded, metered).

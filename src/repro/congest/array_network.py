@@ -266,63 +266,25 @@ def graph_csr(graph: nx.Graph) -> GraphCSR:
     """
 
     try:
-        cached = _current_csr(graph)
+        cached = _CSR_CACHE.get(graph)
     except TypeError:  # unhashable / un-weakref-able graph subclass
         return GraphCSR(graph)
-    if cached is not None:
-        return cached
+    if cached is not None and cached.n == graph.number_of_nodes():
+        try:
+            degrees = np.fromiter(
+                map(len, map(graph._adj.__getitem__, cached.nodes)),
+                dtype=np.int64, count=cached.n,
+            )
+        except KeyError:  # node set changed
+            degrees = None
+        if degrees is not None and np.array_equal(degrees, cached.degree):
+            return cached
     csr = GraphCSR(graph)
     try:
         _CSR_CACHE[graph] = csr
     except TypeError:  # pragma: no cover - unhashable graph subclass
         pass
     return csr
-
-
-def _current_csr(graph: nx.Graph) -> Optional[GraphCSR]:
-    """The cached CSR of ``graph`` if its node list and degree sequence
-    still match the graph, else ``None``."""
-
-    cached = _CSR_CACHE.get(graph)
-    if cached is None or cached.n != graph.number_of_nodes():
-        return None
-    try:
-        degrees = np.fromiter(
-            map(len, map(graph._adj.__getitem__, cached.nodes)),
-            dtype=np.int64, count=cached.n,
-        )
-    except KeyError:  # node set changed
-        return None
-    return cached if np.array_equal(degrees, cached.degree) else None
-
-
-def cached_max_degree(graph: nx.Graph) -> Optional[int]:
-    """Δ of ``graph`` as :func:`~repro.graphs.max_degree` counts it, read
-    off its cached CSR; ``None`` when no current CSR is cached (or
-    numpy is missing), for the caller to scan the graph instead.
-
-    The CSR row lengths are the adjacency-dict sizes the cache check
-    just re-read from the graph, so they are exact for the live graph.
-    networkx counts a self-loop twice, one more than its row holds, so
-    Δ is one above the longest row exactly when a longest row has a
-    self-loop.
-    """
-
-    if np is None or graph.is_directed() or graph.is_multigraph():
-        return None
-    try:
-        csr = _current_csr(graph)
-    except TypeError:  # unhashable / un-weakref-able graph subclass
-        return None
-    if csr is None:
-        return None
-    if not csr.n:
-        return 0
-    top = int(csr.degree.max())
-    adjacency, nodes = graph._adj, csr.nodes
-    looped = any(nodes[i] in adjacency[nodes[i]]
-                 for i in np.flatnonzero(csr.degree == top).tolist())
-    return top + looped
 
 
 # ----------------------------------------------------------------------

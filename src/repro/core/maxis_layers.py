@@ -223,18 +223,14 @@ class MaxISResult:
     trace: Optional[LayerTrace] = None
 
 
-def default_round_budget(graph: nx.Graph,
-                         top_weight: Optional[int] = None) -> int:
+def default_round_budget(graph: nx.Graph) -> int:
     """Theorem 2.3's budget with generous constants: O(MIS(G) · log W)
-    selection rounds plus the addition-stage cascade.  ``top_weight``
-    is W when the caller already holds it; otherwise it is scanned."""
+    selection rounds plus the addition-stage cascade."""
 
     import math
 
-    if top_weight is None:
-        top_weight = max_node_weight(graph)
     n = max(2, graph.number_of_nodes())
-    w = max(2, top_weight)
+    w = max(2, max_node_weight(graph))
     return 600 * (math.ceil(math.log2(n)) + 2) * (
         math.ceil(math.log2(w)) + 2
     )
@@ -280,13 +276,12 @@ def maxis_layers_phases(
 
     if network is None:
         network = make_network(graph, seed=seed)
+    if max_rounds is None:
+        max_rounds = default_round_budget(graph)
     # One pass over the node data instead of a node_weight() call per
     # factory invocation — at n=10^5 the per-call attribute chasing is
     # measurable against the vectorized backend.
     weights = dict(graph.nodes(data="weight", default=1))
-    if max_rounds is None:
-        max_rounds = default_round_budget(
-            graph, max(weights.values(), default=1))
     chosen: Set[Hashable] = set()
     weight = 0
     sim_state = None

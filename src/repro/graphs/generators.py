@@ -244,9 +244,22 @@ def caterpillar_graph(spine: int, legs_per_node: int) -> nx.Graph:
 
 
 def max_degree(graph: nx.Graph) -> int:
-    """Δ of the graph (0 for an empty node set)."""
+    """Δ of the graph (0 for an empty node set), as ``graph.degree()``
+    counts it.
 
-    return max((d for _, d in graph.degree()), default=0)
+    A simple undirected graph's degree is its adjacency row's length,
+    plus one for a self-loop (networkx counts a loop twice), so Δ is
+    the longest row, plus one when a longest row holds its own node.
+    Directed graphs and multigraphs are scanned through
+    ``graph.degree()``.
+    """
+
+    if graph.is_directed() or graph.is_multigraph():
+        return max((d for _, d in graph.degree()), default=0)
+    adjacency = graph._adj
+    top = max(map(len, adjacency.values()), default=0)
+    return top + any(v in neighbors for v, neighbors in adjacency.items()
+                     if len(neighbors) == top)
 
 
 FAMILIES = {

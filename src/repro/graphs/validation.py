@@ -1,12 +1,13 @@
 """Validators for algorithm outputs (independent sets, matchings, colorings).
 
 These raise :class:`~repro.errors.AlgorithmContractViolation` with a
-precise description of the offending structure; tests and the benchmark
-harness call them after every algorithm execution.  They walk the
-graph's adjacency dicts (``graph._adj``, as
-:class:`~repro.congest.array_network.GraphCSR` does) rather than its
-views, and build no container the check does not need: a solve pays
-for one of them at its end (:meth:`~repro.api.SolveReport.certify`).
+precise description of the offending structure.  A registry run is
+checked once, at its end, by :meth:`~repro.api.SolveReport.certify`;
+a result drained straight from a core phase generator is not checked
+until its caller calls one of these.  They walk the graph's adjacency
+dicts (``graph._adj``, as :class:`~repro.congest.array_network.GraphCSR`
+does) rather than its views, and build no container the check does
+not need.
 """
 
 from __future__ import annotations

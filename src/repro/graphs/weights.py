@@ -123,4 +123,5 @@ def edge_weight(graph: nx.Graph, u: Hashable, v: Hashable) -> int:
 def max_node_weight(graph: nx.Graph) -> int:
     """W — the maximum node weight (1 for an empty or unweighted graph)."""
 
-    return max((node_weight(graph, v) for v in graph.nodes), default=1)
+    return max((w for _, w in graph.nodes(data="weight", default=1)),
+               default=1)

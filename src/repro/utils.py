@@ -18,9 +18,11 @@ def stable_seed(seed: int, *parts) -> int:
     and platforms.
     """
 
-    key = "|".join([str(seed), *map(repr, parts)])
-    digest = hashlib.sha256(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    if not parts:
+        digest = hashlib.sha256(str(seed).encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big")
+    return int.from_bytes(stable_seed_words(seed, parts[:1], *parts[1:]),
+                          "big")
 
 
 def stable_seed_words(seed: int, heads: Iterable, *tail) -> bytes:
@@ -28,16 +30,17 @@ def stable_seed_words(seed: int, heads: Iterable, *tail) -> bytes:
     in ``heads``, as consecutive big-endian 8-byte words (decode them
     all at once with ``numpy.frombuffer(words, ">u8")``).
 
-    The key text is :func:`stable_seed`'s, split around the one part
-    that varies, and each key still gets its own SHA-256; only the
-    per-call overhead of building and decoding is shared.
+    The key text ``"seed|repr(head)|repr(part)..."`` is built here
+    only, and :func:`stable_seed` reads its one word from here too.
+    Each key gets its own SHA-256; only the per-call overhead of
+    building and decoding is shared.
     """
 
-    prefix = (str(seed) + "|").encode("utf-8")
-    suffix = "".join(f"|{part!r}" for part in tail).encode("utf-8")
+    prefix = str(seed) + "|"
+    suffix = "".join(map("|{!r}".format, tail))
     sha256 = hashlib.sha256
     return b"".join([
-        sha256(prefix + repr(head).encode("utf-8") + suffix).digest()[:8]
+        sha256(f"{prefix}{head!r}{suffix}".encode("utf-8")).digest()[:8]
         for head in heads
     ])
 

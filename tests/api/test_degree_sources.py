@@ -1,14 +1,13 @@
-"""Δ and W as a solve reads them, against the networkx scans.
+"""Δ and W as a solve reads them, against networkx's own counts.
 
-A completed MaxIS report's bound is ``Instance.max_degree`` (Δ), which
-is read off the graph's cached, still-current CSR when an array-backend
-run left one (:func:`~repro.congest.array_network.cached_max_degree`),
-and Algorithm 2's round budget takes W from the weights dict the runner
-builds anyway.  Both must equal :func:`~repro.graphs.max_degree` /
-:func:`~repro.graphs.max_node_weight` on every graph, including the
-cases where a CSR row length is not the networkx degree (a self-loop)
-or where the cached CSR is stale (a degree-preserving in-place
-rewire).  Without numpy, or with no CSR cached, Δ is the scan itself;
+A completed MaxIS report's bound is ``Instance.max_degree`` (Δ, from
+:func:`~repro.graphs.max_degree`), and Algorithm 2's round budget reads
+W from :func:`~repro.graphs.max_node_weight`.  Both walk the graph's
+own dicts rather than its views, so they must equal ``graph.degree()``
+and the per-node weight lookup on every graph, including the cases
+where an adjacency row's length is not the networkx degree (a
+self-loop, which networkx counts twice), graph kinds whose degree is
+not a row length, and a graph rewired in place.  No numpy is needed;
 this module runs in the numpy-free CI job too.
 """
 
@@ -17,18 +16,20 @@ import pytest
 
 from repro.api import Instance, solve
 from repro.congest import array_network
-from repro.congest.array_network import cached_max_degree, graph_csr
-from repro.core import maxis_layers
 from repro.graphs import (
     FAMILIES,
     assign_node_weights,
     max_degree,
     max_node_weight,
 )
-from repro.utils import drain
 
-needs_numpy = pytest.mark.skipif(array_network.np is None,
-                                 reason="the CSR needs numpy")
+
+def networkx_delta(graph):
+    return max((d for _, d in graph.degree()), default=0)
+
+
+def per_node_w(graph):
+    return max((graph.nodes[v].get("weight", 1) for v in graph), default=1)
 
 
 def with_isolated_nodes():
@@ -51,12 +52,40 @@ def looped_below_the_longest_row():
     return graph
 
 
+def a_lone_self_loop():
+    graph = nx.empty_graph(3)
+    graph.add_edge(1, 1)
+    return graph
+
+
+def rewired_in_place():
+    # Drop (0,1) and (2,3) for (0,2) and (1,3): every degree stays.
+    graph = nx.cycle_graph(6)
+    graph.remove_edges_from([(0, 1), (2, 3)])
+    graph.add_edges_from([(0, 2), (1, 3)])
+    return graph
+
+
+def rewired_into_self_loops():
+    # Drop (0,1) and (2,3) for a loop on each endpoint: every row
+    # length stays, but each looped node's networkx degree rises to 3.
+    graph = nx.cycle_graph(6)
+    graph.remove_edges_from([(0, 1), (2, 3)])
+    graph.add_edges_from((v, v) for v in range(4))
+    return graph
+
+
 EDGE_CASES = {
     "empty": nx.Graph,
     "edgeless": lambda: nx.empty_graph(4),
     "isolated-nodes": with_isolated_nodes,
     "self-loop-on-longest-row": looped_on_a_longest_row,
     "self-loop-below-longest-row": looped_below_the_longest_row,
+    "lone-self-loop": a_lone_self_loop,
+    "rewired-in-place": rewired_in_place,
+    "rewired-into-self-loops": rewired_into_self_loops,
+    "digraph": lambda: nx.DiGraph([(0, 1), (0, 2), (2, 0), (1, 1)]),
+    "multigraph": lambda: nx.MultiGraph([(0, 1), (0, 1), (1, 2), (2, 2)]),
 }
 
 
@@ -67,70 +96,41 @@ def family_graphs():
         yield pytest.param(build, id=name)
 
 
-@needs_numpy
 @pytest.mark.parametrize("build", family_graphs())
-def test_delta_from_the_cached_csr_equals_the_scan(build):
+def test_delta_is_the_networkx_degree_maximum(build):
     graph = build()
-    assert cached_max_degree(graph) is None  # nothing cached yet
-    graph_csr(graph)
-    assert cached_max_degree(graph) == max_degree(graph)
-    assert Instance(graph).max_degree == max_degree(graph)
+    assert max_degree(graph) == networkx_delta(graph)
+    assert Instance(graph).max_degree == networkx_delta(graph)
 
 
-@needs_numpy
+def test_the_self_loop_cases_are_counted_twice():
+    assert max_degree(looped_on_a_longest_row()) == 6
+    assert max_degree(looped_below_the_longest_row()) == 3
+    assert max_degree(a_lone_self_loop()) == 2
+    assert max_degree(rewired_into_self_loops()) == 3
+
+
+def test_delta_follows_an_in_place_edit():
+    graph = nx.path_graph(6)
+    assert max_degree(graph) == 2
+    graph.add_edge(0, 3)
+    assert max_degree(graph) == networkx_delta(graph) == 3
+
+
+@pytest.mark.skipif(array_network.np is None,
+                    reason="the array backend needs numpy")
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_an_array_solve_reports_the_scanned_bound(family):
+def test_an_array_solve_reports_the_networkx_bound(family):
     graph = assign_node_weights(FAMILIES[family](40, 7), 64, seed=2)
     report = solve(Instance(graph, seed=3, backend="array"), "maxis-layers")
-    assert report.bound == float(max(1, max_degree(graph)))
+    assert report.bound == float(max(1, networkx_delta(graph)))
 
 
-@needs_numpy
-def test_delta_after_a_degree_preserving_rewire():
-    # The cached CSR still matches every row length, so it stays
-    # current for Δ; its adjacency is stale, which Δ does not read.
-    graph = nx.cycle_graph(6)
-    graph_csr(graph)
-    graph.remove_edges_from([(0, 1), (2, 3)])
-    graph.add_edges_from([(0, 2), (1, 3)])
-    assert cached_max_degree(graph) == max_degree(graph) == 2
-
-
-@needs_numpy
-def test_a_rewire_into_self_loops_is_read_off_the_live_graph():
-    # Dropping (0,1) and (2,3) for a loop on each endpoint keeps every
-    # row length, but each looped node's networkx degree rises to 3.
-    graph = nx.cycle_graph(6)
-    graph_csr(graph)
-    graph.remove_edges_from([(0, 1), (2, 3)])
-    graph.add_edges_from((v, v) for v in range(4))
-    assert cached_max_degree(graph) == max_degree(graph) == 3
-
-
-@needs_numpy
-def test_a_stale_degree_sequence_falls_back_to_the_scan():
+def partly_weighted():
     graph = nx.path_graph(6)
-    graph_csr(graph)
-    graph.add_edge(0, 3)
-    assert cached_max_degree(graph) is None
-    assert Instance(graph).max_degree == max_degree(graph) == 3
-
-
-@needs_numpy
-@pytest.mark.parametrize("kind", [nx.DiGraph, nx.MultiGraph])
-def test_graph_kinds_whose_degree_is_not_a_row_length_scan(kind):
-    graph = kind([(0, 1), (0, 1), (1, 2)])
-    assert cached_max_degree(graph) is None
-    assert Instance(graph).max_degree == max_degree(graph)
-
-
-def test_without_numpy_delta_is_the_scan(monkeypatch):
-    graph = looped_on_a_longest_row()
-    if array_network.np is not None:
-        graph_csr(graph)
-    monkeypatch.setattr(array_network, "np", None)
-    assert cached_max_degree(graph) is None
-    assert Instance(graph).max_degree == max_degree(graph) == 6
+    graph.nodes[2]["weight"] = 9
+    graph.nodes[4]["weight"] = 3
+    return graph
 
 
 @pytest.mark.parametrize("build", [
@@ -138,19 +138,10 @@ def test_without_numpy_delta_is_the_scan(monkeypatch):
         FAMILIES[name](40, 7), 1000, seed=5), id=name)
       for name in sorted(FAMILIES)),
     pytest.param(lambda: nx.path_graph(9), id="unweighted"),
+    pytest.param(partly_weighted, id="partly-weighted"),
     pytest.param(with_isolated_nodes, id="isolated-nodes"),
     pytest.param(nx.Graph, id="empty"),
 ])
-def test_the_round_budget_gets_the_scanned_w(build, monkeypatch):
+def test_w_is_the_per_node_weight_maximum(build):
     graph = build()
-    seen = []
-    budget = maxis_layers.default_round_budget
-
-    def recording(graph, top_weight=None):
-        seen.append(top_weight)
-        return budget(graph, top_weight)
-
-    monkeypatch.setattr(maxis_layers, "default_round_budget", recording)
-    drain(maxis_layers.maxis_layers_phases(graph, seed=1))
-    assert seen == [max_node_weight(graph)]
-    assert budget(graph, seen[0]) == budget(graph)
+    assert max_node_weight(graph) == per_node_w(graph)

@@ -103,7 +103,7 @@ def test_unbudgeted_truncation_builds_the_parent_envelope(
     # truncated: solve() then builds the envelope once, at the end, and
     # it is exactly the one the eager solve_iter path carries.
     monkeypatch.setattr("repro.core.maxis_layers.default_round_budget",
-                        lambda graph, top_weight=None: 2)
+                        lambda graph: 2)
     instance = Instance(graph, seed=SEED)
     lazy = solve(instance, "maxis-layers")
     assert lazy.status == TRUNCATED

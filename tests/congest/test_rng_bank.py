@@ -9,8 +9,9 @@ every Python version the package supports, so this suite compares them
 word for word and draw for draw:
 
 * :func:`~repro.utils.stable_seed_words`, the batched key derivation
-  the bank seeds from, against :func:`~repro.utils.stable_seed` for
-  every kind of node label;
+  the bank seeds from, and :func:`~repro.utils.stable_seed`, which
+  reads its one word from it, against the SHA-256 of the key text
+  ``"seed|repr(part)|..."`` for every kind of node label;
 * :func:`mt_words` against ``random.Random(key).getrandbits(32)`` for
   the extreme two-word keys and random ones, across chunk boundaries;
 * :meth:`ArrayKernel.draw_below` against ``stable_rng(...).randrange``
@@ -21,6 +22,7 @@ word for word and draw for draw:
   is the reference stream advanced by the same draws.
 """
 
+import hashlib
 import random
 
 import networkx as nx
@@ -73,6 +75,15 @@ def bank_everything(monkeypatch):
     monkeypatch.setattr(array_network, "BANK_MIN_STREAMS", 1)
 
 
+def key_text_seed(seed, *parts):
+    """The seed every stream has been derived from: the first 8 bytes,
+    big-endian, of the SHA-256 of ``"seed|repr(part)|..."``."""
+
+    key = "|".join([str(seed), *map(repr, parts)])
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8],
+                          "big")
+
+
 NODE_LABELS = [0, 7, -3, -(1 << 70), 1 << 64, (1 << 64) + 5, "a", "node|7",
                "", "ü", (1, 2), ("x", (3, -4)), True, False, None, 2.5]
 
@@ -83,8 +94,14 @@ class TestStableSeedWords:
     def test_every_key_equals_stable_seed(self, seed, tail):
         words = np.frombuffer(stable_seed_words(seed, NODE_LABELS, *tail),
                               dtype=">u8")
-        assert [int(w) for w in words] == \
-            [stable_seed(seed, node, *tail) for node in NODE_LABELS]
+        expected = [key_text_seed(seed, node, *tail) for node in NODE_LABELS]
+        assert [int(w) for w in words] == expected
+        assert [stable_seed(seed, node, *tail)
+                for node in NODE_LABELS] == expected
+
+    @pytest.mark.parametrize("seed", [0, -5, 10 ** 30])
+    def test_a_seed_without_parts(self, seed):
+        assert stable_seed(seed) == key_text_seed(seed)
 
     def test_no_heads_no_words(self):
         assert stable_seed_words(1, [], PROTO) == b""
